@@ -259,11 +259,15 @@ def _cmd_mc_validate(args) -> int:
     initial = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
     ensemble = montecarlo.sample_paths(initial, args.t, sol, p, mc)
     if args.export:
+        # the float lists live only inside the comprehension, so they are
+        # freed before the join and do not raise the export's peak memory
         lines = ["path_id,C,K,A"]
-        for i in range(ensemble.n_paths):
-            lines.append(
-                f"{i},{ensemble.C[i]:.17g},{ensemble.K[i]:.17g},{ensemble.A[i]:.17g}"
+        lines += [
+            f"{i},{c:.17g},{k:.17g},{a:.17g}"
+            for i, (c, k, a) in enumerate(
+                zip(ensemble.C.tolist(), ensemble.K.tolist(), ensemble.A.tolist())
             )
+        ]
         _emit("\n".join(lines) + "\n", args.export)
     report = montecarlo.compare_to_green(ensemble, initial, sol, p)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}

@@ -8,9 +8,16 @@ capital and technology.  This matches the analytic kernel variances
 against the small-horizon covariance.
 
 Determinism: path ``i`` always draws from the counter-based stream
-``Philox(key=seed).jumped(i)``.  Partitioning paths over blocks or
-workers cannot change any path's stream, so ensembles are byte-identical
-for a fixed seed regardless of scheduling.
+``Philox(key=seed, counter=[0, 0, i, 0])``, which is the stream
+``Philox(key=seed).jumped(i)``, so artifacts match those of versions that
+built the latter.  Partitioning paths over blocks or workers cannot change
+any path's stream, so ensembles are byte-identical for a fixed seed
+regardless of scheduling.
+
+Memory: noise is drawn in time chunks under a fixed per-block budget of
+``_NOISE_BYTES``, so a simulation's memory grows with the block size, not
+with the horizon.  Drawing a stream in chunks yields the same numbers as
+drawing it in one go.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
 
+_NOISE_BYTES = 16 * 2**20  # noise buffer budget per block of paths
+
 
 @dataclass(frozen=True)
 class MCConfig:
@@ -35,7 +44,6 @@ class MCConfig:
     n_paths: int = 10000       # number of independent paths
     dt: float = 1e-3           # Euler step
     seed: int = 0              # Philox key
-    scheme: str = "euler"      # integration scheme (euler only)
     antithetic: bool = False   # pair path 2j+1 with the negated noise of 2j
 
     def __post_init__(self):
@@ -43,8 +51,6 @@ class MCConfig:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ParameterError(f"dt must be a finite positive number, got {self.dt}")
-        if self.scheme != "euler":
-            raise ParameterError(f"unsupported scheme {self.scheme!r}")
 
 
 @dataclass
@@ -75,19 +81,43 @@ class PathEnsemble:
         }
 
 
-def _path_noise(seed: int, start: int, count: int, n_steps: int, antithetic: bool) -> np.ndarray:
-    """Noise block for paths [start, start+count), shape (n_steps, count, 3)."""
-    out = np.empty((n_steps, count, 3))
-    base = np.random.Philox(key=seed)
-    for j in range(count):
-        i = start + j
-        stream = i // 2 if antithetic else i
-        rng = np.random.Generator(base.jumped(stream))
-        draw = rng.standard_normal((n_steps, 3))
-        if antithetic and i % 2 == 1:
-            draw = -draw
-        out[:, j, :] = draw
-    return out
+def _path_noise(seed: int, start: int, count: int, n_steps: int, antithetic: bool):
+    """Noise for paths [start, start+count) in consecutive time chunks.
+
+    Yields views of shape ``(m, count, 3)`` covering steps ``[k, k+m)`` in
+    order; each view is overwritten by the next one.  One Philox generator
+    is re-pointed at each path's counter, which is far cheaper than
+    building one per path, and draws straight into a path-major buffer.
+    """
+    chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * count)))
+    buf = np.empty((count, chunk, 3))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    bitgen = rng.bit_generator
+    fresh = bitgen.state  # counter [0, 0, 0, 0], empty output buffer
+    saved = [None] * count
+    for k in range(0, n_steps, chunk):
+        m = min(chunk, n_steps - k)
+        for j in range(count):
+            i = start + j
+            if k == 0:
+                fresh["state"]["counter"][2] = i // 2 if antithetic else i
+                bitgen.state = fresh
+            else:
+                bitgen.state = saved[j]
+            row = buf[j, :m]
+            rng.standard_normal(out=row)
+            if k + m < n_steps:
+                saved[j] = bitgen.state
+            if antithetic and i % 2 == 1:
+                np.negative(row, out=row)
+        yield buf[:, :m].transpose(1, 0, 2)
+
+
+def _production(K: np.ndarray, eps: float):
+    """``F(K) = K^eps`` and ``F'(K)``, clamped to zero where ``K <= 0``."""
+    pos = K > 0.0
+    Kp = np.where(pos, K, 1.0)  # placeholder, masked below
+    return pos, np.where(pos, Kp ** eps, 0.0), np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
 
 
 def sample_paths(
@@ -127,23 +157,20 @@ def sample_paths(
     neg_mask = np.zeros(n, dtype=bool)
     for start in range(0, n, block_size):
         count = min(block_size, n - start)
-        noise = _path_noise(mc.seed, start, count, n_steps, mc.antithetic)
         C = np.full(count, initial.C)
         K = np.full(count, initial.K)
         A = np.full(count, initial.A)
         neg = np.zeros(count, dtype=bool)
-        for k in range(n_steps):
-            pos = K > 0.0
-            neg |= ~pos
-            Kp = np.where(pos, K, 1.0)  # placeholder, masked below
-            F = np.where(pos, Kp ** eps, 0.0)
-            Fp = np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
-            dC = (A * Fp + p.r_c) * (C - C_bar)
-            dK = A * F - C - p.delta * K
-            dA = -(A - A_bar) * relax_A
-            C = C + dC * mc.dt + amp_C * sdt * noise[k, :, 0]
-            K = K + dK * mc.dt + amp_K * sdt * noise[k, :, 1]
-            A = A + dA * mc.dt + amp_A * sdt * noise[k, :, 2]
+        for noise in _path_noise(mc.seed, start, count, n_steps, mc.antithetic):
+            for z in noise:
+                pos, F, Fp = _production(K, eps)
+                neg |= ~pos
+                dC = (A * Fp + p.r_c) * (C - C_bar)
+                dK = A * F - C - p.delta * K
+                dA = -(A - A_bar) * relax_A
+                C = C + dC * mc.dt + amp_C * sdt * z[:, 0]
+                K = K + dK * mc.dt + amp_K * sdt * z[:, 1]
+                A = A + dA * mc.dt + amp_A * sdt * z[:, 2]
         neg |= K <= 0.0
         sl = slice(start, start + count)
         out_C[sl], out_K[sl], out_A[sl] = C, K, A
@@ -271,7 +298,6 @@ def appendix5_negligibility(
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
     sdt = math.sqrt(dt)
     n_steps = round(T / dt)
-    base = np.random.Philox(key=seed)
 
     def k_drift(k):
         return A_bar * k ** eps - C_bar - p.delta * k
@@ -289,42 +315,35 @@ def appendix5_negligibility(
 
     K_eq = brentq(k_drift, lo, hi, xtol=1e-12)
 
-    K_hist = np.empty((n_steps + 1, n_paths))
+    times = dt * np.arange(n_steps)
+    rates = [float(r) for r in r_values]
+    disc = np.ones((n_steps, len(rates)))  # e^{-r s} per step and rate; r <= 0 undiscounted
+    for c, r in enumerate(rates):
+        if r > 0:
+            disc[:, c] = np.exp(-r * times)
+    I = np.zeros((len(rates), n_paths))  # running sums of Kdot e^{-r s} per rate
     weight_mag = np.zeros(n_paths)
     C = np.full(n_paths, C_bar)
     K = np.full(n_paths, K_eq)
     A = np.full(n_paths, A_bar)
-    K_hist[0] = K
-    noise = np.stack(
-        [np.random.Generator(base.jumped(i)).standard_normal((n_steps, 3)) for i in range(n_paths)],
-        axis=1,
-    )
-    for k in range(n_steps):
-        pos = K > 0.0
-        Kp = np.where(pos, K, 1.0)
-        F = np.where(pos, Kp ** eps, 0.0)
-        Fp = np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
-        r_pt = A * Fp + p.r_c
-        drift_C = r_pt * (C - C_bar)
-        C_new = C + drift_C * dt + p.varpi * sdt * noise[k, :, 0]
-        K_new = K + (A * F - C - p.delta * K) * dt + p.nu * sdt * noise[k, :, 1]
-        A_new = A - (A - A_bar) / (2.0 * p.lambda_sq) * dt + sdt / p.lam * noise[k, :, 2]
-        cdot = (C_new - C) / dt
-        weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
-        C, K, A = C_new, K_new, A_new
-        K_hist[k + 1] = K
+    k = 0
+    for noise in _path_noise(seed, 0, n_paths, n_steps, False):
+        for z in noise:
+            _, F, Fp = _production(K, eps)
+            r_pt = A * Fp + p.r_c
+            drift_C = r_pt * (C - C_bar)
+            C_new = C + drift_C * dt + p.varpi * sdt * z[:, 0]
+            K_new = K + (A * F - C - p.delta * K) * dt + p.nu * sdt * z[:, 1]
+            A_new = A - (A - A_bar) / (2.0 * p.lambda_sq) * dt + sdt / p.lam * z[:, 2]
+            cdot = (C_new - C) / dt
+            weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
+            I += disc[k][:, None] * ((K_new - K) / dt)
+            C, K, A = C_new, K_new, A_new
+            k += 1
     mean_weight = float(np.mean(weight_mag))
-    times = dt * np.arange(n_steps)
-    kdot = np.diff(K_hist, axis=0) / dt
     ratios = {}
-    for r in r_values:
-        if r > 0:
-            r_bar = r / (1.0 - math.exp(-r * T))
-            disc = np.exp(-r * times)
-        else:
-            r_bar = 1.0 / T
-            disc = np.ones_like(times)
-        I = np.sum(kdot * disc[:, None], axis=0) * dt
-        term = 2.0 * r_bar / p.nu ** 2 * I ** 2
-        ratios[float(r)] = float(np.mean(term) / mean_weight)
+    for r, I_r in zip(rates, I):
+        r_bar = r / (1.0 - math.exp(-r * T)) if r > 0 else 1.0 / T
+        term = 2.0 * r_bar / p.nu ** 2 * (I_r * dt) ** 2
+        ratios[r] = float(np.mean(term) / mean_weight)
     return ratios

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,6 @@ class TestConfig:
             mc.MCConfig(n_paths=0)
         with pytest.raises(ParameterError):
             mc.MCConfig(dt=-0.1)
-        with pytest.raises(ParameterError):
-            mc.MCConfig(scheme="milstein")
 
     def test_horizon_must_align_with_step(self, quiet_setup):
         p, sol, x0 = quiet_setup
@@ -73,6 +72,97 @@ class TestDeterminism:
         assert ens.C[0] == plain.C[0]
         assert ens.C[2] == plain.C[1]
         assert ens.C[1] != plain.C[1]
+
+
+def _reference_noise(seed, i, n_steps, antithetic=False):
+    """Path i's noise as one draw from its own jumped Philox stream."""
+    stream = i // 2 if antithetic else i
+    draw = np.random.Generator(np.random.Philox(key=seed).jumped(stream)).standard_normal((n_steps, 3))
+    return -draw if antithetic and i % 2 == 1 else draw
+
+
+class TestNoiseStreams:
+    """Path i draws the stream Philox(key=seed).jumped(i), whatever the chunking."""
+
+    def _check(self, seed, start, count, n_steps, antithetic=False):
+        chunks = [c.copy() for c in mc._path_noise(seed, start, count, n_steps, antithetic)]
+        noise = np.concatenate(chunks, axis=0)
+        assert noise.shape == (n_steps, count, 3)
+        for j in range(count):
+            ref = _reference_noise(seed, start + j, n_steps, antithetic)
+            np.testing.assert_array_equal(noise[:, j, :], ref)
+        return chunks
+
+    def test_start_offset_beyond_32_bits(self):
+        self._check(seed=2**40 + 1, start=2**32 + 5, count=3, n_steps=17)
+
+    def test_antithetic_pairs(self):
+        # an odd start splits a pair across blocks
+        self._check(seed=9, start=3, count=6, n_steps=11, antithetic=True)
+
+    def test_multi_chunk_horizon(self, monkeypatch):
+        count = 5
+        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * count * 7)
+        chunks = self._check(seed=123, start=10, count=count, n_steps=30)
+        assert [c.shape[0] for c in chunks] == [7, 7, 7, 7, 2]
+        self._check(seed=123, start=11, count=count, n_steps=30, antithetic=True)
+
+    def test_chunking_leaves_ensembles_unchanged(self, quiet_setup, monkeypatch):
+        p, sol, x0 = quiet_setup
+        cfg = mc.MCConfig(n_paths=30, dt=1e-2, seed=4, antithetic=True)
+        whole = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=16)
+        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * 16 * 3)
+        chunked = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=16)
+        for name in "CKA":
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+
+    def test_appendix5_ratios_pinned(self):
+        # recorded with the one-draw-per-path sampler; chunking must not move them
+        p = ModelParams().replace(
+            A0=1.0, gamma=0.0, kappa=0.0, r_c=0.0, varpi=0.05, nu=0.5
+        )
+        sol = solve_phase(p, 0)
+        ratios = mc.appendix5_negligibility(
+            p, sol, [0.0, 0.01, 0.05], T=4.0, dt=0.02, n_paths=50, seed=2**40 + 3
+        )
+        expected = {0.0: 0.010865732156128897, 0.01: 0.010640380746308136, 0.05: 0.009831691833312492}
+        assert ratios.keys() == expected.keys()
+        for r, value in expected.items():
+            assert ratios[r] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+
+class TestMemory:
+    """Memory grows with the block size, not with the horizon."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_horizon(self, monkeypatch):
+        monkeypatch.setattr(mc, "_NOISE_BYTES", 64 * 1024)
+        p = ModelParams().replace(
+            A0=1.0, gamma=0.0, kappa=0.0, r_c=0.0, varpi=0.05, nu=0.5
+        )
+        sol = solve_phase(p, 0)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        cfg = mc.MCConfig(n_paths=128, dt=1e-2, seed=1)
+        # warm-up: first-call imports must not count as the short run's peak
+        mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=1)
+        runs = {
+            "sample_paths": lambda scale: mc.sample_paths(x0, 0.5 * scale, sol, p, cfg),
+            "appendix5_negligibility": lambda scale: mc.appendix5_negligibility(
+                p, sol, [0.0, 0.05], T=1.0 * scale, dt=0.02, n_paths=128, seed=1
+            ),
+        }
+        for name, run in runs.items():
+            short = self._peak(lambda: run(1))
+            long = self._peak(lambda: run(10))
+            assert long <= 1.5 * short, (name, short, long)
 
 
 class TestDynamics:
