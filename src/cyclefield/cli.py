@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
+from itertools import count
 
 from cyclefield import corrections, green, montecarlo
 from cyclefield.errors import (
@@ -35,6 +36,7 @@ _SCAN_COLUMNS = (
     "gamma_eta", "Gamma1", "Gamma2", "Gamma3", "C1", "K1p", "A1",
     "m", "avgA", "avgC", "avgK", "avgY", "feasible", "stable",
 )
+_EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
 
 
 # ---------------------------------------------------------------------------
@@ -73,12 +75,22 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return _fmt(obj)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text, output: str | None) -> None:
+    """Write a string, or an iterable of strings in order, to ``output`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if output is None or output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _ensemble_csv(ensemble):
+    """The endpoint CSV in blocks of ``_EXPORT_ROWS`` rows, one block held at a time."""
+    yield "path_id,C,K,A\n"
+    for i0 in range(0, ensemble.n_paths, _EXPORT_ROWS):
+        cols = (x[i0 : i0 + _EXPORT_ROWS].tolist() for x in (ensemble.C, ensemble.K, ensemble.A))
+        yield "".join(f"{i},{c:.17g},{k:.17g},{a:.17g}\n" for i, c, k, a in zip(count(i0), *cols))
 
 
 # ---------------------------------------------------------------------------
@@ -259,16 +271,7 @@ def _cmd_mc_validate(args) -> int:
     initial = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
     ensemble = montecarlo.sample_paths(initial, args.t, sol, p, mc)
     if args.export:
-        # the float lists live only inside the comprehension, so they are
-        # freed before the join and do not raise the export's peak memory
-        lines = ["path_id,C,K,A"]
-        lines += [
-            f"{i},{c:.17g},{k:.17g},{a:.17g}"
-            for i, (c, k, a) in enumerate(
-                zip(ensemble.C.tolist(), ensemble.K.tolist(), ensemble.A.tolist())
-            )
-        ]
-        _emit("\n".join(lines) + "\n", args.export)
+        _emit(_ensemble_csv(ensemble), args.export)
     report = montecarlo.compare_to_green(ensemble, initial, sol, p)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}
     _emit(_json_dumps(out) + "\n", args.output)

@@ -1,9 +1,9 @@
 """Analytic transition kernels per phase.
 
-Covariance propagation (ODE and closed form), the small-time transition
-density with its technology potential factor, most-likely endpoints,
-average paths, equilibria, linearized dynamics, and the Laplace-domain
-propagator.
+Covariance and mean propagation (exact matrix exponential, plus the
+covariance in closed form), the small-time transition density with its
+technology potential factor, most-likely endpoints, average paths,
+equilibria, linearized dynamics, and the Laplace-domain propagator.
 
 Two coefficient conventions coexist:
 
@@ -79,9 +79,7 @@ def coefficients(
     else:
         Am = solution.A_bar_phase
         Km = p.K_bar
-    AFp = Am * p.epsilon * Km ** (p.epsilon - 1.0)
-    alpha = p.delta - AFp
-    beta = (AFp if maintext else 2.0 * AFp) + p.r_c - p.delta
+    alpha, beta = _alpha_beta(Am, Km, p, maintext)
     if alpha == 0.0:
         raise SingularityError("alpha")
     if beta == 0.0:
@@ -112,9 +110,10 @@ def coefficients(
     )
 
 
-def _reference_alpha_beta(solution: PhaseSolution, params: ModelParams):
-    AFp = solution.A_bar_phase * params.epsilon * params.K_bar ** (params.epsilon - 1.0)
-    return params.delta - AFp, 2.0 * AFp + params.r_c - params.delta
+def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = False):
+    """``alpha = delta - A_m F'(K_m)`` and ``beta`` in the chosen convention."""
+    AFp = Am * params.epsilon * Km ** (params.epsilon - 1.0)
+    return params.delta - AFp, (AFp if maintext else 2.0 * AFp) + params.r_c - params.delta
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +122,7 @@ def _reference_alpha_beta(solution: PhaseSolution, params: ModelParams):
 
 
 def _N_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
-    a0, b0 = _reference_alpha_beta(solution, params)
+    a0, b0 = _alpha_beta(solution.A_bar_phase, params.K_bar, params)
     Keps = params.K_bar ** params.epsilon
     return np.array(
         [
@@ -134,12 +133,21 @@ def _N_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
     )
 
 
-def _initial_J(solution: PhaseSolution, params: ModelParams, from_state: AgentState | None):
-    if from_state is None:
-        return np.zeros(3)
-    return np.array(
-        [from_state.C - solution.C_bar_phase, from_state.K - params.K_bar, from_state.A]
-    )
+def _propagate(F: np.ndarray, s: float, Q: np.ndarray | None = None):
+    """``e^{F s}`` and, given a diffusion ``Q``, ``int_0^s e^{F u} Q e^{F^T u} du``.
+
+    Both come from one matrix exponential of the Van Loan block matrix
+    ``[[-F, Q], [0, F^T]] s`` (C. Van Loan, IEEE TAC 23, 1978); the
+    integral is ``None`` without ``Q``.
+    """
+    from scipy.linalg import expm
+
+    if Q is None:
+        return expm(F * s), None
+    n = F.shape[0]
+    E = expm(np.block([[-F, Q], [np.zeros_like(F), F.T]]) * s)
+    phi = E[n:, n:].T
+    return phi, phi @ E[:n, n:]
 
 
 def covariance_ode(
@@ -147,39 +155,25 @@ def covariance_ode(
     params: ModelParams,
     s: float,
     from_state: AgentState | None = None,
-    n_steps: int | None = None,
 ) -> CovarianceState:
-    """Integrate the covariance system with fixed-step RK4.
+    """Solve the covariance system exactly by matrix exponential.
 
     ``dH/ds = 2 Omega_hat - N H - H N^T`` and ``dJ/ds = -N J / 2`` with
     ``Omega_hat = diag(varpi^2, nu^2, 1/lambda^2)``, ``H(0) = 0`` and
-    ``J(0) = (C' - C_bar_phase, K' - K_bar, A')``.  The default step count
-    is 1000 per unit of s.
+    ``J(0) = (C' - C_bar_phase, K' - K_bar, A')``, so ``H(s)`` is the
+    integral of ``e^{-N u} 2 Omega_hat e^{-N^T u}`` over ``[0, s]`` and
+    ``J(s) = e^{-N s/2} J(0)``.
     """
     if s < 0.0:
         raise DomainError(f"horizon s must be >= 0, got {s}")
     N = _N_matrix(solution, params)
     omega = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
-    J0 = _initial_J(solution, params, from_state)
-    if s == 0.0:
-        return CovarianceState(H=np.zeros((3, 3)), J=J0, s=0.0)
-    if n_steps is None:
-        n_steps = max(1, math.ceil(1000.0 * s))
-    h = s / n_steps
-
-    def rhs(H, J):
-        return 2.0 * omega - N @ H - H @ N.T, -0.5 * (N @ J)
-
-    H = np.zeros((3, 3))
-    J = J0.copy()
-    for _ in range(n_steps):
-        k1H, k1J = rhs(H, J)
-        k2H, k2J = rhs(H + 0.5 * h * k1H, J + 0.5 * h * k1J)
-        k3H, k3J = rhs(H + 0.5 * h * k2H, J + 0.5 * h * k2J)
-        k4H, k4J = rhs(H + h * k3H, J + h * k3J)
-        H = H + (h / 6.0) * (k1H + 2.0 * k2H + 2.0 * k3H + k4H)
-        J = J + (h / 6.0) * (k1J + 2.0 * k2J + 2.0 * k3J + k4J)
-    return CovarianceState(H=H, J=J, s=s)
+    _, H = _propagate(-N, s, 2.0 * omega)
+    decay, _ = _propagate(-0.5 * N, s)
+    J0 = np.zeros(3) if from_state is None else np.array(
+        [from_state.C - solution.C_bar_phase, from_state.K - params.K_bar, from_state.A]
+    )
+    return CovarianceState(H=H, J=decay @ J0, s=s)
 
 
 def covariance_closed_form(
@@ -198,7 +192,7 @@ def covariance_closed_form(
     if s < 0.0:
         raise DomainError(f"horizon s must be >= 0, got {s}")
     p = params
-    a0, b0 = _reference_alpha_beta(solution, p)
+    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
     pp = a0 + b0          # r_c + A_bar eps K_bar^(eps-1)
     q = a0                # delta - A_bar eps K_bar^(eps-1)
     dpr = 2.0 * a0 + b0   # delta + r_c
@@ -283,6 +277,15 @@ def _gaussian_parts(from_state, to_state, t, solution, params, coeffs):
     return (X1, X2, X3), (v1, v2, v3)
 
 
+def _log_gaussian(X, v, log_norm: float | None = None) -> float:
+    """``log_norm - sum X_i^2 / (2 v_i)``, normalized for variances ``v`` by default."""
+    (X1, X2, X3), (v1, v2, v3) = X, v
+    quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
+    if log_norm is None:
+        log_norm = -0.5 * math.log(_TWO_PI ** 3 * v1 * v2 * v3)
+    return log_norm - quad
+
+
 def _check_small_time(t, coeffs, small_s_threshold):
     scale = t * max(abs(coeffs.alpha), abs(coeffs.beta))
     if scale > small_s_threshold:
@@ -316,17 +319,15 @@ def transition_density(
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state, maintext=maintext)
     _check_small_time(t, coeffs, small_s_threshold)
-    (X1, X2, X3), (v1, v2, v3) = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
-    quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
+    X, v = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
+    log_norm = None
     if maintext:
         log_norm = -math.log(2.0) - 0.5 * math.log(
             _TWO_PI * (params.varpi ** 2 / params.lambda_sq) * (0.5 * coeffs.b_coef) * t
         )
-    else:
-        log_norm = -0.5 * math.log(_TWO_PI ** 3 * v1 * v2 * v3)
     a_mid = 0.5 * (from_state.A + to_state.A)
     potential = 0.5 * (a_mid - coeffs.A_bar) ** 2 * t + coeffs.mass * t
-    log_density = -quad + log_norm - potential
+    log_density = _log_gaussian(X, v, log_norm) - potential
     return math.exp(log_density) if log_density > -745.0 else 0.0, log_density
 
 
@@ -341,10 +342,7 @@ def gaussian_factor(
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state)
-    (X1, X2, X3), (v1, v2, v3) = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
-    quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
-    log_norm = -0.5 * math.log(_TWO_PI ** 3 * v1 * v2 * v3)
-    val = log_norm - quad
+    val = _log_gaussian(*_gaussian_parts(from_state, to_state, t, solution, params, coeffs))
     return math.exp(val) if val > -745.0 else 0.0
 
 
@@ -507,43 +505,34 @@ def mean_state(
     t: float,
     solution: PhaseSolution,
     params: ModelParams,
-    n_steps: int | None = None,
 ) -> np.ndarray:
     """Mean of the transition kernel via the linearized drift at K_bar.
 
-    Integrates the affine mean system (reference coefficients) with RK4:
-    the consumption mode grows at ``alpha+beta``, the capital mode decays
-    at ``alpha`` with consumption/technology coupling, the technology
-    mode relaxes at ``1/(2 lambda^2)``.
+    Solves the affine mean system (reference coefficients) exactly by
+    matrix exponential, with a constant fourth coordinate carrying the
+    offsets: the consumption mode grows at ``alpha+beta``, the capital
+    mode decays at ``alpha`` with consumption/technology coupling, the
+    technology mode relaxes at ``1/(2 lambda^2)``.
     """
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     p = params
-    a0, b0 = _reference_alpha_beta(solution, p)
-    Keps = p.K_bar ** p.epsilon
+    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    G0 = A_bar * Keps - p.delta * p.K_bar - C_bar  # affine drift offset at the anchor
-
-    def rhs(y):
-        C, K, A = y
-        dC = (a0 + b0) * (C - C_bar)
-        dK = -a0 * (K - p.K_bar) + Keps * (A - A_bar) - (C - C_bar) + G0
-        dA = -(A - A_bar) / (2.0 * p.lambda_sq)
-        return np.array([dC, dK, dA])
-
-    if n_steps is None:
-        n_steps = max(1, math.ceil(1000.0 * t))
-    y = from_state.as_array()
-    if t == 0.0:
-        return y
-    h = t / n_steps
-    for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+    relax = 1.0 / (2.0 * p.lambda_sq)
+    # d(C, K, A)/dt = F (C, K, A, 1).  The capital row is
+    # -a0 (K - K_bar) + K_bar^eps (A - A_bar) - (C - C_bar) + G0 with the
+    # offset G0 = A_bar K_bar^eps - delta K_bar - C_bar at the anchor.
+    F = np.array(
+        [
+            [a0 + b0, 0.0, 0.0, -(a0 + b0) * C_bar],
+            [-1.0, -a0, p.K_bar ** p.epsilon, (a0 - p.delta) * p.K_bar],
+            [0.0, 0.0, -relax, relax * A_bar],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    phi, _ = _propagate(F, t)
+    return phi[:3] @ np.append(from_state.as_array(), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogorov
+from scipy.special import kolmogorov, ndtr
 
 from cyclefield.errors import DomainError, ParameterError
 from cyclefield.green import covariance_ode, mean_state
@@ -113,11 +113,33 @@ def _path_noise(seed: int, start: int, count: int, n_steps: int, antithetic: boo
         yield buf[:, :m].transpose(1, 0, 2)
 
 
-def _production(K: np.ndarray, eps: float):
-    """``F(K) = K^eps`` and ``F'(K)``, clamped to zero where ``K <= 0``."""
-    pos = K > 0.0
-    Kp = np.where(pos, K, 1.0)  # placeholder, masked below
-    return pos, np.where(pos, Kp ** eps, 0.0), np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
+def _euler_step(solution: PhaseSolution, params: ModelParams, dt: float):
+    """One Euler-Maruyama step of the phase Langevin system.
+
+    Drifts: ``dC = (A F'(K) + r_c)(C - C_bar_phase) dt``,
+    ``dK = (A F(K) - C - delta K) dt``,
+    ``dA = -(A - A_bar_phase)/(2 lambda^2) dt``; noise amplitudes
+    ``varpi, nu, 1/lambda``.  ``F(K) = K^eps`` and ``F'(K)`` are clamped to
+    zero where ``K <= 0``.  Returns ``step(C, K, A, z)``, which gives the new
+    ``(C, K, A)``, the mask of paths with ``K > 0`` before the step and the
+    consumption rate ``A F'(K) + r_c``.
+    """
+    eps, r_c, delta = params.epsilon, params.r_c, params.delta
+    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
+    relax_A = 1.0 / (2.0 * params.lambda_sq)
+    sdt = math.sqrt(dt)
+    amp_C, amp_K, amp_A = params.varpi * sdt, params.nu * sdt, 1.0 / params.lam * sdt
+
+    def step(C, K, A, z):
+        pos = K > 0.0
+        Kp = np.where(pos, K, 1.0)  # placeholder, masked below
+        F, Fp = np.where(pos, Kp ** eps, 0.0), np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
+        rate = A * Fp + r_c
+        C_new = C + rate * (C - C_bar) * dt + amp_C * z[:, 0]
+        K_new = K + (A * F - C - delta * K) * dt + amp_K * z[:, 1]
+        return C_new, K_new, A - (A - A_bar) * relax_A * dt + amp_A * z[:, 2], pos, rate
+
+    return step
 
 
 def sample_paths(
@@ -128,14 +150,10 @@ def sample_paths(
     mc: MCConfig,
     block_size: int = 4096,
 ) -> PathEnsemble:
-    """Euler-Maruyama sample of the phase Langevin system.
+    """Euler-Maruyama sample of the phase Langevin system (:func:`_euler_step`).
 
-    Drifts: ``dC = (A F'(K) + r_c)(C - C_bar_phase) dt``,
-    ``dK = (A F(K) - C - delta K) dt``,
-    ``dA = -(A - A_bar_phase)/(2 lambda^2) dt``; noise amplitudes
-    ``varpi, nu, 1/lambda``.  Production is clamped to zero on
-    negative-capital excursions, which are flagged and retained, never
-    reflected or killed.
+    Negative-capital excursions are flagged and retained, never reflected
+    or killed.
     """
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
@@ -143,12 +161,7 @@ def sample_paths(
     n_steps = round(n_steps_f)
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps):
         raise ParameterError(f"horizon t={t} is not an integer multiple of dt={mc.dt}")
-    p = params
-    eps = p.epsilon
-    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    sdt = math.sqrt(mc.dt)
-    amp_C, amp_K, amp_A = p.varpi, p.nu, 1.0 / p.lam
-    relax_A = 1.0 / (2.0 * p.lambda_sq)
+    step = _euler_step(solution, params, mc.dt)
 
     n = mc.n_paths
     out_C = np.empty(n)
@@ -163,14 +176,8 @@ def sample_paths(
         neg = np.zeros(count, dtype=bool)
         for noise in _path_noise(mc.seed, start, count, n_steps, mc.antithetic):
             for z in noise:
-                pos, F, Fp = _production(K, eps)
+                C, K, A, pos, _ = step(C, K, A, z)
                 neg |= ~pos
-                dC = (A * Fp + p.r_c) * (C - C_bar)
-                dK = A * F - C - p.delta * K
-                dA = -(A - A_bar) * relax_A
-                C = C + dC * mc.dt + amp_C * sdt * z[:, 0]
-                K = K + dK * mc.dt + amp_K * sdt * z[:, 1]
-                A = A + dA * mc.dt + amp_A * sdt * z[:, 2]
         neg |= K <= 0.0
         sl = slice(start, start + count)
         out_C[sl], out_K[sl], out_A[sl] = C, K, A
@@ -219,7 +226,7 @@ def compare_to_green(
         # KS against the analytic normal marginal
         sd = math.sqrt(var_an[idx])
         u = np.sort((x - mu[idx]) / sd)
-        cdf = 0.5 * (1.0 + np.vectorize(math.erf)(u / math.sqrt(2.0)))
+        cdf = ndtr(u)
         grid = np.arange(1, n + 1) / n
         D = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / n))))
         ks[name] = float(kolmogorov(D * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))))
@@ -296,7 +303,6 @@ def appendix5_negligibility(
     p = params
     eps = p.epsilon
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    sdt = math.sqrt(dt)
     n_steps = round(T / dt)
 
     def k_drift(k):
@@ -326,15 +332,11 @@ def appendix5_negligibility(
     C = np.full(n_paths, C_bar)
     K = np.full(n_paths, K_eq)
     A = np.full(n_paths, A_bar)
+    step = _euler_step(solution, p, dt)
     k = 0
     for noise in _path_noise(seed, 0, n_paths, n_steps, False):
         for z in noise:
-            _, F, Fp = _production(K, eps)
-            r_pt = A * Fp + p.r_c
-            drift_C = r_pt * (C - C_bar)
-            C_new = C + drift_C * dt + p.varpi * sdt * z[:, 0]
-            K_new = K + (A * F - C - p.delta * K) * dt + p.nu * sdt * z[:, 1]
-            A_new = A - (A - A_bar) / (2.0 * p.lambda_sq) * dt + sdt / p.lam * z[:, 2]
+            C_new, K_new, A_new, _, r_pt = step(C, K, A, z)
             cdot = (C_new - C) / dt
             weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
             I += disc[k][:, None] * ((K_new - K) / dt)

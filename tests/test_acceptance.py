@@ -122,10 +122,10 @@ class TestCovarianceClosedForm:
         s_grid = (0.05, 0.2, 0.35, 0.5)
         for p, sol in feasible_draws[:50]:
             for s in s_grid:
-                ode = green.covariance_ode(sol, p, s, n_steps=max(50, int(400 * s)))
+                ode = green.covariance_ode(sol, p, s)
                 cf = green.covariance_closed_form(sol, p, s)
                 scale = np.max(np.abs(cf.H))
-                assert np.max(np.abs(ode.H - cf.H)) / scale <= 1e-6, (p, s)
+                assert np.max(np.abs(ode.H - cf.H)) / scale <= 1e-9, (p, s)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, elapsed
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cyclefield import green
+from cyclefield import cli, green, montecarlo
 from cyclefield.cli import run
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentPath, AgentState
@@ -207,6 +207,29 @@ class TestMCValidate:
         lines = export.read_text().strip().split("\n")
         assert lines[0] == "path_id,C,K,A"
         assert len(lines) == 2001
+
+    def test_export_written_in_blocks(self, tmp_path, monkeypatch, capsys):
+        # 20 rows in blocks of 7 give the same bytes as one formatted text,
+        # to a file and to stdout
+        argv = ["--seed", "3", "mc-validate", "--t", "0.01", "--n", "20"]
+        p = ModelParams()
+        sol = solve_phase(p, 0)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        ens = montecarlo.sample_paths(x0, 0.01, sol, p, montecarlo.MCConfig(n_paths=20, seed=3))
+        rows = ["path_id,C,K,A"] + [
+            f"{i},{float(c):.17g},{float(k):.17g},{float(a):.17g}"
+            for i, (c, k, a) in enumerate(zip(ens.C, ens.K, ens.A))
+        ]
+        expected = "\n".join(rows) + "\n"
+        monkeypatch.setattr(cli, "_EXPORT_ROWS", 7)
+        export = tmp_path / "endpoints.csv"
+        code, _ = invoke(tmp_path, *argv, "--export", str(export))
+        assert code == 0
+        assert export.read_text() == expected
+        capsys.readouterr()
+        code, _ = invoke(tmp_path, *argv, "--export", "-")
+        assert code == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestDeterminism:

@@ -55,9 +55,16 @@ class TestCovariance:
         cf = green.covariance_closed_form(trivial, params, 0.4, from_state=x)
         np.testing.assert_allclose(ode.J, cf.J, rtol=1e-9, atol=1e-12)
 
+    def test_long_horizon_matches_closed_form(self, nontrivial, params):
+        x = AgentState(C=1.3, K=11.5, A=9.0)
+        ode = green.covariance_ode(nontrivial, params, 10.0, from_state=x)
+        cf = green.covariance_closed_form(nontrivial, params, 10.0, from_state=x)
+        assert np.max(np.abs(ode.H - cf.H)) / np.max(np.abs(cf.H)) < 1e-10
+        np.testing.assert_allclose(ode.J, cf.J, rtol=1e-12, atol=0)
+
     def test_small_horizon_limit(self, trivial, params):
         s = 1e-5
-        H = green.covariance_ode(trivial, params, s, n_steps=10).H
+        H = green.covariance_ode(trivial, params, s).H
         expected = 2.0 * s * np.diag(
             [params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq]
         )
@@ -189,6 +196,30 @@ class TestMeanState:
         assert mu[0] == pytest.approx(x.C, abs=1e-12)
         assert mu[2] == pytest.approx(x.A, abs=1e-12)
         assert (mu[1] - x.K) / t == pytest.approx(G0, rel=1e-3)
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_exact_modes_and_affine_drift(self, params, phase):
+        sol = solve_phase(params, phase)
+        p = params
+        c = green.coefficients(sol, p)
+        C_bar, A_bar, Keps = sol.C_bar_phase, sol.A_bar_phase, p.K_bar ** p.epsilon
+        x = AgentState(C=C_bar + 0.2, K=p.K_bar - 1.5, A=A_bar + 0.7)
+        for t in (0.3, 4.0):
+            mu = green.mean_state(x, t, sol, p)
+            # consumption and technology modes decouple and are exact exponentials
+            assert mu[0] == pytest.approx(C_bar + 0.2 * math.exp((c.alpha + c.beta) * t), rel=1e-13)
+            assert mu[2] == pytest.approx(A_bar + 0.7 * math.exp(-t / (2.0 * p.lambda_sq)), rel=1e-13)
+            # the central difference in t follows the affine drift
+            h = 1e-4
+            slope = (green.mean_state(x, t + h, sol, p) - green.mean_state(x, t - h, sol, p)) / (2.0 * h)
+            G0 = A_bar * Keps - p.delta * p.K_bar - C_bar
+            C, K, A = mu
+            drift = [
+                (c.alpha + c.beta) * (C - C_bar),
+                -c.alpha * (K - p.K_bar) + Keps * (A - A_bar) - (C - C_bar) + G0,
+                -(A - A_bar) / (2.0 * p.lambda_sq),
+            ]
+            np.testing.assert_allclose(slope, drift, rtol=1e-6, atol=1e-9)
 
 
 class TestLaplacePropagator:
