@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from itertools import count
 
 from cyclefield import corrections, green, montecarlo
@@ -32,9 +32,12 @@ from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
 
+# phase-scan result columns: (CSV header, PhaseSolution field)
 _SCAN_COLUMNS = (
-    "gamma_eta", "Gamma1", "Gamma2", "Gamma3", "C1", "K1p", "A1",
-    "m", "avgA", "avgC", "avgK", "avgY", "feasible", "stable",
+    ("gamma_eta", "gamma_eta"), ("Gamma1", "Gamma1"), ("Gamma2", "Gamma2"),
+    ("Gamma3", "Gamma3"), ("C1", "C1"), ("K1p", "K1p"), ("A1", "A1"), ("m", "mass"),
+    ("avgA", "avg_A"), ("avgC", "avg_C"), ("avgK", "avg_K"), ("avgY", "avg_Y"),
+    ("feasible", "feasible"), ("stable", "stable"),
 )
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
 
@@ -98,17 +101,6 @@ def _ensemble_csv(ensemble):
 # ---------------------------------------------------------------------------
 
 
-def _parse_state(text: str) -> AgentState:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ParameterError(f"expected 'C,K,A', got {text!r}")
-    try:
-        c, k, a = (float(p) for p in parts)
-    except ValueError as exc:
-        raise ParameterError(f"invalid state triple {text!r}") from exc
-    return AgentState(C=c, K=k, A=a)
-
-
 def _parse_triple(text: str) -> tuple:
     parts = text.split(",")
     if len(parts) != 3:
@@ -130,12 +122,6 @@ def _check_format(args, natural: str) -> None:
         )
 
 
-def _solution_record(sol) -> dict:
-    rec = asdict(sol)
-    rec["phase"] = int(rec["phase"])
-    return rec
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -144,10 +130,7 @@ def _solution_record(sol) -> dict:
 def _cmd_phases(args) -> int:
     _check_format(args, "json")
     p = _load_params(args)
-    records = [
-        _solution_record(solve_phase(p, ph, paper_k1_approx=args.paper_k1_approx))
-        for ph in (0, 1)
-    ]
+    records = [asdict(solve_phase(p, ph, paper_k1_approx=args.paper_k1_approx)) for ph in (0, 1)]
     _emit(_json_dumps({"phases": records}) + "\n", args.output)
     return 0
 
@@ -181,22 +164,15 @@ def _cmd_phase_scan(args) -> int:
     param_keys = tuple(f.name for f in fields(ModelParams))
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
-    lines = [",".join(param_keys + _SCAN_COLUMNS)]
+    lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS))]
     for value in _scan_values(args):
         p = base.replace(**{args.key: value})
         try:
             sol = solve_phase(p, 1, paper_k1_approx=args.paper_k1_approx)
-            feasible = sol.feasible
         except InfeasiblePhaseError:
-            sol = solve_phase(p, 0, paper_k1_approx=args.paper_k1_approx)
-            feasible = False
+            sol = replace(solve_phase(p, 0, paper_k1_approx=args.paper_k1_approx), feasible=False)
         row = [_fmt(getattr(p, k)) for k in param_keys]
-        row += [
-            _fmt(sol.gamma_eta), _fmt(sol.Gamma1), _fmt(sol.Gamma2), _fmt(sol.Gamma3),
-            _fmt(sol.C1), _fmt(sol.K1p), _fmt(sol.A1), _fmt(sol.mass),
-            _fmt(sol.avg_A), _fmt(sol.avg_C), _fmt(sol.avg_K), _fmt(sol.avg_Y),
-            _fmt(feasible), _fmt(sol.stable),
-        ]
+        row += [_fmt(getattr(sol, field)) for _, field in _SCAN_COLUMNS]
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
@@ -206,8 +182,8 @@ def _cmd_transit(args) -> int:
     _check_format(args, "json")
     p = _load_params(args)
     sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
-    from_state = _parse_state(getattr(args, "from"))
-    to_state = _parse_state(args.to)
+    from_state = AgentState(*_parse_triple(getattr(args, "from")))
+    to_state = AgentState(*_parse_triple(args.to))
     density, log_density = green.transition_density(
         from_state, to_state, args.t, sol, p, maintext=args.maintext_convention
     )
@@ -227,7 +203,7 @@ def _cmd_path(args) -> int:
     _check_format(args, "csv")
     p = _load_params(args)
     sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
-    x0 = _parse_state(args.x0)
+    x0 = AgentState(*_parse_triple(args.x0))
     path = green.average_path(x0, args.t, sol, p, n_steps=args.n_steps)
     _emit(path.to_csv(), args.output)
     return 0
@@ -238,7 +214,7 @@ def _cmd_deviations(args) -> int:
     p = _load_params(args)
     sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
     query = corrections.DeviationQuery(
-        x0=_parse_state(args.x0), v0=_parse_triple(args.v0), t=args.t
+        x0=AgentState(*_parse_triple(args.x0)), v0=_parse_triple(args.v0), t=args.t
     )
     dC, dK, dA = corrections.path_deviation(query, sol, p)
     table = corrections.elasticity_table(args.t, sol, p)
@@ -252,10 +228,10 @@ def _cmd_two_agent(args) -> int:
     p = _load_params(args)
     sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
     query = corrections.TwoAgentQuery(
-        from1=_parse_state(args.from1),
-        to1=_parse_state(args.to1),
-        from2=_parse_state(args.from2),
-        to2=_parse_state(args.to2),
+        from1=AgentState(*_parse_triple(args.from1)),
+        to1=AgentState(*_parse_triple(args.to1)),
+        from2=AgentState(*_parse_triple(args.from2)),
+        to2=AgentState(*_parse_triple(args.to2)),
         t=args.t,
     )
     out = corrections.two_agent_correction(query, sol, p)
@@ -285,8 +261,7 @@ def _cmd_mc_validate(args) -> int:
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global options, accepted both before and after the subcommand."""
-    d = argparse.SUPPRESS if suppress else None
-    kw = {"default": d} if suppress else {}
+    kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--config", help="flat key=value parameter file", **kw)
     parser.add_argument(
         "--seed", type=int, help="RNG seed (64-bit)",
@@ -294,18 +269,17 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     )
     parser.add_argument("--format", choices=("csv", "json"), help="output format", **kw)
     parser.add_argument("--output", help="output file (default stdout)", **kw)
-    flag_default = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument(
         "--paper-k1-approx",
         action="store_true",
         help="use the surrogate capital boundary shift instead of the exact form",
-        **flag_default,
+        **kw,
     )
     parser.add_argument(
         "--maintext-convention",
         action="store_true",
         help="use the alternative kernel convention (single marginal-product beta)",
-        **flag_default,
+        **kw,
     )
 
 

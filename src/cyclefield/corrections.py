@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclefield.errors import DomainError
-from cyclefield.green import GreenCoefficients, coefficients, transition_density
+from cyclefield.green import GreenCoefficients, _drift_matrix, coefficients, transition_density
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
@@ -200,7 +200,6 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
     if s < 0.0:
         raise DomainError(f"s must be >= 0, got {s}")
     coeffs = coefficients(solution, params)
-    alpha, beta = coeffs.alpha, coeffs.beta
     a = 2.0 * params.varpi ** 2
     b = coeffs.b_coef
     c = coeffs.c_coef
@@ -223,7 +222,7 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
         ]
     )
     R3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, s2], [0.0, s2, 0.0]])
-    M = np.array([[alpha + beta, 0.0, 0.0], [1.0, alpha, -Keps], [0.0, 0.0, 0.0]])
+    M = _drift_matrix(solution, params)
     H = np.diag([a, b, c])
     Hs = s * H
 

@@ -29,6 +29,7 @@ from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import PhaseSolution
 
 _TWO_PI = 2.0 * math.pi
+_SMALL_S_THRESHOLD = 0.05  # t max(|alpha|, |beta|) above which SmallTimeWarning is issued
 
 
 class SmallTimeWarning(UserWarning):
@@ -121,13 +122,13 @@ def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def _N_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
+def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
+    """Reference drift matrix ``M`` of the kernel; the covariance system's ``N`` is ``-2 M``."""
     a0, b0 = _alpha_beta(solution.A_bar_phase, params.K_bar, params)
-    Keps = params.K_bar ** params.epsilon
     return np.array(
         [
-            [-2.0 * (a0 + b0), 0.0, 0.0],
-            [-2.0, -2.0 * a0, 2.0 * Keps],
+            [a0 + b0, 0.0, 0.0],
+            [1.0, a0, -params.K_bar ** params.epsilon],
             [0.0, 0.0, 0.0],
         ]
     )
@@ -159,20 +160,22 @@ def covariance_ode(
     """Solve the covariance system exactly by matrix exponential.
 
     ``dH/ds = 2 Omega_hat - N H - H N^T`` and ``dJ/ds = -N J / 2`` with
+    ``N = -2 M`` (:func:`_drift_matrix`),
     ``Omega_hat = diag(varpi^2, nu^2, 1/lambda^2)``, ``H(0) = 0`` and
     ``J(0) = (C' - C_bar_phase, K' - K_bar, A')``, so ``H(s)`` is the
     integral of ``e^{-N u} 2 Omega_hat e^{-N^T u}`` over ``[0, s]`` and
-    ``J(s) = e^{-N s/2} J(0)``.
+    ``J(s) = e^{-N s/2} J(0)``.  Without ``from_state``, ``J = 0`` and
+    its exponential is not computed.
     """
     if s < 0.0:
         raise DomainError(f"horizon s must be >= 0, got {s}")
-    N = _N_matrix(solution, params)
+    M = _drift_matrix(solution, params)
     omega = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
-    _, H = _propagate(-N, s, 2.0 * omega)
-    decay, _ = _propagate(-0.5 * N, s)
-    J0 = np.zeros(3) if from_state is None else np.array(
-        [from_state.C - solution.C_bar_phase, from_state.K - params.K_bar, from_state.A]
-    )
+    _, H = _propagate(2.0 * M, s, 2.0 * omega)
+    if from_state is None:
+        return CovarianceState(H=H, J=np.zeros(3), s=s)
+    decay, _ = _propagate(M, s)
+    J0 = np.array([from_state.C - solution.C_bar_phase, from_state.K - params.K_bar, from_state.A])
     return CovarianceState(H=H, J=decay @ J0, s=s)
 
 
@@ -286,12 +289,12 @@ def _log_gaussian(X, v, log_norm: float | None = None) -> float:
     return log_norm - quad
 
 
-def _check_small_time(t, coeffs, small_s_threshold):
+def _check_small_time(t, coeffs):
     scale = t * max(abs(coeffs.alpha), abs(coeffs.beta))
-    if scale > small_s_threshold:
+    if scale > _SMALL_S_THRESHOLD:
         warnings.warn(
             f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
-            f"threshold {small_s_threshold:.3g}",
+            f"threshold {_SMALL_S_THRESHOLD:.3g}",
             SmallTimeWarning,
             stacklevel=3,
         )
@@ -304,7 +307,6 @@ def transition_density(
     solution: PhaseSolution,
     params: ModelParams,
     maintext: bool = False,
-    small_s_threshold: float = 0.05,
 ):
     """Small-time transition density between two states.
 
@@ -318,7 +320,7 @@ def transition_density(
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state, maintext=maintext)
-    _check_small_time(t, coeffs, small_s_threshold)
+    _check_small_time(t, coeffs)
     X, v = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
     log_norm = None
     if maintext:

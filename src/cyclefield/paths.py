@@ -87,10 +87,6 @@ class AgentPath:
     def state(self, i: int) -> AgentState:
         return AgentState(C=self.C[i], K=self.K[i], A=self.A[i])
 
-    def as_arrays(self):
-        """Return (t, C, K, A) arrays."""
-        return self.times, self.C, self.K, self.A
-
     # -- CSV round trip -----------------------------------------------------
 
     CSV_HEADER = "t,C,K,A"

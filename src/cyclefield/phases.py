@@ -119,12 +119,9 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
 
 def _gamma3_rhs(params: ModelParams, g3: float, gamma_eta: float, paper_k1_approx: bool) -> float:
     p = params
-    Y = _Y_of(p, g3)
-    if Y == 0.0:
-        raise SingularityError("Y = delta - Gamma3 eps K_bar^(eps-1)")
     C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
-    AFp = g3 * p.epsilon * p.K_bar ** (p.epsilon - 1.0)
-    ab = p.varpi ** 2 / (p.varsigma ** 2 * p.varpi ** 2 + (AFp + p.r_c) ** 2) + p.nu ** 2
+    Y = _Y_of(p, g3)
+    ab = p.varpi ** 2 / _consumption_denom(p, g3) + p.nu ** 2
     Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
     num = 2.0 * (
         2.0 * ((1.0 - p.kappa) * p.A0 + (2.0 - p.kappa) * p.kappa * g3 + A1) * Y * Y
@@ -167,12 +164,36 @@ def gamma3_first_order(params: ModelParams, gamma_eta: float, paper_k1_approx: b
     """First-order expansion of Gamma_3 in ``gamma_eta`` around A0/(1-kappa)."""
     p = params
     g0 = p.A_bar0
-    Y0 = _Y_of(p, g0)
     C1, K1p, _ = boundary_shifts(p, g0, paper_k1_approx=paper_k1_approx)
-    x = p.C_bar + C1 - K1p
+    _, slope = _gamma3_slope(p, p.C_bar + C1 - K1p, _Y_of(p, g0))
+    return g0 - slope * gamma_eta
+
+
+def _gamma3_slope(params: ModelParams, x: float, Y0: float):
+    """Numerator and value of the first-order slope ``-dGamma3/dgamma_eta``.
+
+    ``0.5 (K_bar^eps A0 (1-eps) - x Y0 (1-kappa)) / (Y0^2 (1-kappa)^3)`` at
+    ``A0/(1-kappa)``, with ``x`` the consumption anchor less the capital
+    shift (``C_bar + C1 - K1p`` for Gamma_3, ``avg_C0 - K1p0`` for the
+    phase averages).
+    """
+    p = params
     num = p.K_bar ** p.epsilon * p.A0 * (1.0 - p.epsilon) - x * Y0 * (1.0 - p.kappa)
-    slope = -0.5 * num / (Y0 * Y0 * (1.0 - p.kappa) ** 3)
-    return g0 + slope * gamma_eta
+    return num, 0.5 * num / (Y0 * Y0 * (1.0 - p.kappa) ** 3)
+
+
+def _consumption_denom(params: ModelParams, g: float) -> float:
+    """``varsigma^2 varpi^2 + (g eps K_bar^(eps-1) + r_c)^2`` at technology background ``g``."""
+    p = params
+    AFp = g * p.epsilon * p.K_bar ** (p.epsilon - 1.0)
+    return p.varsigma ** 2 * p.varpi ** 2 + (AFp + p.r_c) ** 2
+
+
+def _consumption_shift(params: ModelParams, gamma_eta: float, g: float) -> float:
+    """First-order consumption shift ``varpi^2 A_bar0 gamma_eta / (2 denom |Y|)`` at ``g``."""
+    p = params
+    denom = 2.0 * _consumption_denom(p, g) * abs(_Y_of(p, g))
+    return p.varpi ** 2 * p.A_bar0 * gamma_eta / denom
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +231,8 @@ def compatibility_root(params: ModelParams, paper_k1_approx: bool = False) -> di
     """Solve the compatibility quadratic for the condensate ``gamma_eta``.
 
     Returns a dict with ``gamma_eta``, the auxiliary root ``x``, the gate
-    quantity ``D``, the C0 window, and the upper admissibility bound.
+    quantity ``D``, the C0 window, the upper admissibility bound, and the
+    zeroth-order capital shift ``K1p0`` (``boundary_shifts`` at ``A0/(1-kappa)``).
     Raises :class:`InfeasiblePhaseError` if the window, the ``D > 0``
     gate, or the ``gamma_eta`` bracket is violated.
     """
@@ -260,6 +282,7 @@ def compatibility_root(params: ModelParams, paper_k1_approx: bool = False) -> di
         "window_floor": floor,
         "window_width": U,
         "gamma_eta_bound": bound,
+        "K1p0": K1p,
     }
 
 
@@ -313,25 +336,17 @@ def phase_existence(params: ModelParams) -> dict:
 
 
 def _trivial_averages(params: ModelParams, K1p: float):
-    """Trivial-phase averages and the signed capital base ratio."""
+    """Trivial-phase averages of C, K (signed) and Y, and ``x = avg_C - K1p``."""
     p = params
     g0 = p.A_bar0
-    Y0 = _Y_of(p, g0)
     avg_C = p.C_bar + _SQRT_2_OVER_PI * p.varpi
     x = avg_C - K1p
     Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
-    avg_K = (g0 * Keps1 - x) / Y0
+    avg_K = (g0 * Keps1 - x) / _Y_of(p, g0)
     base = abs(avg_K)  # magnitude is the capital scale (see module sign note)
     if base <= 0.0:
         raise DomainError("trivial-phase capital scale is nonpositive")
-    avg_Y = g0 * base ** p.epsilon
-    return g0, avg_C, avg_K, avg_Y, x, base
-
-
-def production_average(params: ModelParams, phase: int, paper_k1_approx: bool = False) -> float:
-    """Average production of a phase (upper bound in the nontrivial phase)."""
-    sol = solve_phase(params, phase, paper_k1_approx=paper_k1_approx)
-    return sol.avg_Y
+    return avg_C, avg_K, g0 * base ** p.epsilon, x
 
 
 def stability_check(
@@ -378,7 +393,7 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
     if phase == 0:
         g3 = gamma3_fixed_point(p, 0.0, paper_k1_approx=paper_k1_approx)
         C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
-        g0, avg_C, avg_K, avg_Y, _, _ = _trivial_averages(p, K1p)
+        avg_C, avg_K, avg_Y, _ = _trivial_averages(p, K1p)
         return PhaseSolution(
             phase=0,
             gamma_eta=0.0,
@@ -388,10 +403,10 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
             C1=C1,
             K1p=K1p,
             A1=A1,
-            A_bar_phase=g0,
+            A_bar_phase=p.A_bar0,
             C_bar_phase=avg_C,
             mass=0.0,
-            avg_A=g0,
+            avg_A=p.A_bar0,
             avg_C=avg_C,
             avg_K=avg_K,
             avg_Y=avg_Y,
@@ -408,25 +423,20 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
     Y = _Y_of(p, g3)
     C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
 
-    g0 = p.A_bar0
+    g0, K1p0 = p.A_bar0, comp["K1p0"]
     Y0 = _Y_of(p, g0)
-    C10, K1p0, _ = boundary_shifts(p, g0, paper_k1_approx=paper_k1_approx)
     eps, Kb = p.epsilon, p.K_bar
     Keps = Kb ** eps
     Keps1 = Keps * (1.0 - eps)
 
-    AFp = g3 * eps * Kb ** (eps - 1.0)
-    denomC = p.varsigma ** 2 * p.varpi ** 2 + (AFp + p.r_c) ** 2
-    Gamma1 = p.C_bar + C1 - p.varpi ** 2 * g0 * ge / (2.0 * denomC * abs(Y))
+    Gamma1 = p.C_bar + C1 - _consumption_shift(p, ge, g3)
     Gamma2 = K1p - (p.nu ** 2 * g0 * Y + Keps1 * (1.0 - Y) * K1p) * ge / (2.0 * Y * Y)
 
     # first-order averages, correction coefficients at zeroth order
-    _, avg_C0, avg_K0, avg_Y0, x, base = _trivial_averages(p, K1p0)
-    AFp0 = g0 * eps * Kb ** (eps - 1.0)
-    denomC0 = p.varsigma ** 2 * p.varpi ** 2 + (AFp0 + p.r_c) ** 2
-    slope_num = Keps * p.A0 * (1.0 - eps) - x * Y0 * (1.0 - p.kappa)
-    avg_A = g0 - 0.5 * slope_num / (Y0 * Y0 * (1.0 - p.kappa) ** 3) * ge
-    avg_C = avg_C0 - p.varpi ** 2 * g0 * ge / (2.0 * denomC0 * abs(Y0))
+    avg_C0, avg_K0, avg_Y0, x = _trivial_averages(p, K1p0)
+    slope_num, slope = _gamma3_slope(p, x, Y0)
+    avg_A = g0 - slope * ge
+    avg_C = avg_C0 - _consumption_shift(p, ge, g0)
     t1 = (
         -0.5
         * Keps
@@ -437,15 +447,11 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
     )
     t2 = -Keps1 * (1.0 - Y0) * K1p0 * ge / (2.0 * Y0 ** 3)
     t3 = -p.nu ** 2 * g0 * ge / (2.0 * Y0 * Y0)
-    t4 = -p.varpi ** 2 * g0 * ge / (2.0 * denomC0 * Y0 * Y0)
+    t4 = -p.varpi ** 2 * g0 * ge / (2.0 * _consumption_denom(p, g0) * Y0 * Y0)
     avg_K = avg_K0 + t1 + t2 + t3 + t4
     r_bar = eps * Keps * p.A0 / (1.0 - p.kappa)
-    coef = (
-        slope_num
-        / (2.0 * Y0 * Y0 * (1.0 - p.kappa) ** 3)
-        * (1.0 - eps * (1.0 + p.delta / r_bar))
-    )
-    avg_Y = avg_Y0 - coef * base ** eps * ge
+    coef = slope * (1.0 - eps * (1.0 + p.delta / r_bar))
+    avg_Y = avg_Y0 - coef * abs(avg_K0) ** eps * ge
 
     # mass gap
     A_bar1 = p.A0 + p.kappa * g3

@@ -70,7 +70,7 @@ def production_derivative(K, A, params: ModelParams, mode: str = "exact"):
 
 
 def _forward_rates(path: AgentPath):
-    """Forward-difference rates and left-endpoint values of a path."""
+    """Forward-difference rates ``(dC, dK, dA)`` of a path, one per step."""
     dt = path.dt
     dC = np.diff(path.C) / dt
     dK = np.diff(path.K) / dt

@@ -1,12 +1,14 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from cyclefield import cli, green, montecarlo
 from cyclefield.cli import run
+from cyclefield.errors import InfeasiblePhaseError
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentPath, AgentState
-from cyclefield.phases import solve_phase
+from cyclefield.phases import compatibility_root, solve_phase
 
 
 def invoke(tmp_path, *argv, name="out.txt"):
@@ -73,6 +75,37 @@ class TestPhaseScan:
         assert float(rows[0]["gamma_eta"]) == sol.gamma_eta
         assert rows[0]["feasible"] == "true"
         assert rows[0]["stable"] == "true"
+
+    # result columns and the PhaseSolution fields they hold
+    FIELDS = {
+        "gamma_eta": "gamma_eta", "Gamma1": "Gamma1", "Gamma2": "Gamma2", "Gamma3": "Gamma3",
+        "C1": "C1", "K1p": "K1p", "A1": "A1", "m": "mass", "avgA": "avg_A", "avgC": "avg_C",
+        "avgK": "avg_K", "avgY": "avg_Y", "feasible": "feasible", "stable": "stable",
+    }
+
+    def test_every_column_matches_library(self, tmp_path, params):
+        code_c0, c0_text = invoke(tmp_path, "phase-scan", "--key", "C0", "--values", "0.1,0.5")
+        code_g, gamma_text = invoke(tmp_path, "phase-scan", "--key", "gamma", "--values", "0.0")
+        assert code_c0 == code_g == 0
+        rows = self.parse(c0_text) + self.parse(gamma_text)
+        # C0 = 0.1 lies below the offset window: the trivial phase is written,
+        # flagged infeasible; gamma = 0 solves phase 1 but fails existence
+        with pytest.raises(InfeasiblePhaseError):
+            compatibility_root(params.replace(C0=0.1))
+        low, mid, free = params.replace(C0=0.1), params.replace(C0=0.5), params.replace(gamma=0.0)
+        cases = [
+            (low, replace(solve_phase(low, 0), feasible=False)),
+            (mid, solve_phase(mid, 1)),
+            (free, solve_phase(free, 1)),
+        ]
+        assert len(rows) == len(cases)
+        assert list(rows[0]) == list(vars(params)) + list(self.FIELDS)
+        for row, (p, sol) in zip(rows, cases):
+            expected = {k: cli._fmt(v) for k, v in vars(p).items()}
+            expected.update({col: cli._fmt(getattr(sol, f)) for col, f in self.FIELDS.items()})
+            assert row == expected
+        assert rows[0]["gamma_eta"] == "0"
+        assert [r["feasible"] for r in rows] == ["false", "true", "false"]
 
     def test_gamma_sweep_flags_free_limit_infeasible(self, tmp_path):
         code, text = invoke(

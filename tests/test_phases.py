@@ -109,6 +109,7 @@ class TestCompatibility:
         root = compatibility_root(params)
         assert 0.0 < root["gamma_eta"] < root["gamma_eta_bound"]
         assert root["D"] > 0.0
+        assert root["K1p0"] == boundary_shifts(params, params.A_bar0)[1]
 
     def test_offset_window_gates_the_phase(self, params):
         floor, U = c0_window(params)
