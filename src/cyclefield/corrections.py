@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclefield.errors import DomainError
-from cyclefield.green import GreenCoefficients, _drift_matrix, coefficients, transition_density
+from cyclefield.green import _drift_matrix, _exp_density, coefficients, transition_density
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
@@ -112,7 +112,7 @@ def corrected_density(
     _, log_g = transition_density(from_state, to_state, t, solution, params, maintext=maintext)
     V = correction_potential(from_state, to_state, t, solution, params)
     log_density = log_g - params.gamma * V
-    return math.exp(log_density) if log_density > -745.0 else 0.0, log_density
+    return _exp_density(log_density), log_density
 
 
 # ---------------------------------------------------------------------------
@@ -126,40 +126,24 @@ def path_deviation(
     """Deviations (dC, dK, dA) from the average path due to self-interaction.
 
     Closed-form polynomials in the horizon, linear in the initial state
-    and the initial velocities, and proportional to ``gamma``.
+    and the initial velocities, and proportional to ``gamma``: the dot
+    product of :func:`elasticity_table` with ``(x0, v0)``; ``dC = 0``.
     """
-    coeffs = coefficients(solution, params)
-    b, c = coeffs.b_coef, coeffs.c_coef
-    A2 = solution.A_bar_phase ** 2
-    Keps = params.K_bar ** params.epsilon
-    g = params.gamma
-    t = query.t
-    C0, K0, A0 = query.x0.C, query.x0.K, query.x0.A
-    dC0, dK0, dA0 = query.v0
-    t3, t4, t5, t6 = t ** 3, t ** 4, t ** 5, t ** 6
-
-    dC = 0.0
-    dK = g * (
-        7.0 * c * t5 / (720.0 * A2) * C0
-        + c * t4 / (48.0 * A2) * K0
-        + (b * t3 / (6.0 * Keps * A2) + Keps * c * t5 / 90.0) * A0
-    )
-    dK += g * (
-        -7.0 * c * t6 / (1440.0 * A2) * dC0
-        + c * t5 / (60.0 * A2) * dK0
-        + (b * t4 / (24.0 * Keps * A2) + 3.0 * Keps * c * t6 / (160.0 * A2)) * dA0
-    )
-    dA = g * (c * t3 / (6.0 * Keps * A2) * K0)
-    dA += g * (c * t4 / 24.0 * dK0 + t * dA0)
-    return dC, dK, dA
+    x0, v0 = query.x0, query.v0
+    inputs = {"C0": x0.C, "K0": x0.K, "A0": x0.A, "Cdot0": v0[0], "Kdot0": v0[1], "Adot0": v0[2]}
+    dev = {"dC": 0.0, "dK": 0.0, "dA": 0.0}
+    for key, coef in elasticity_table(query.t, solution, params).items():
+        out, wrt = key.split("_")  # "dK_dCdot0" -> "dK", "dCdot0"
+        dev[out] += coef * inputs[wrt[1:]]
+    return dev["dC"], dev["dK"], dev["dA"]
 
 
 def elasticity_table(t: float, solution: PhaseSolution, params: ModelParams) -> dict:
     """All nonzero partials of the path deviations at horizon t.
 
-    These are the exact derivatives of :func:`path_deviation` (each
-    carries the overall ``gamma``); the signs encode the synergy and
-    eviction effects.
+    These are the coefficients of :func:`path_deviation`, which is linear
+    in the initial state and velocities (each carries the overall
+    ``gamma``); the signs encode the synergy and eviction effects.
     """
     coeffs = coefficients(solution, params)
     b, c = coeffs.b_coef, coeffs.c_coef
@@ -254,22 +238,17 @@ def two_agent_correction(
     t = query.t
     t3 = t ** 3
 
-    mean_A1 = 0.5 * (query.from1.A + query.to1.A)
-    mean_K1 = 0.5 * (query.from1.K + query.to1.K)
-    mean_A2 = 0.5 * (query.from2.A + query.to2.A)
-    mean_K2 = 0.5 * (query.from2.K + query.to2.K)
-    dC1 = query.to1.C - query.from1.C
-    dC2 = query.to2.C - query.from2.C
-    dA1 = query.to1.A - query.from1.A
-    dA2 = query.to2.A - query.from2.A
+    def moments(start, end):  # (mean A, mean K, change in C, change in A) along one path
+        return 0.5 * (start.A + end.A), 0.5 * (start.K + end.K), end.C - start.C, end.A - start.A
 
+    def push(mean_A, mean_K, dC, dA):  # deviation of one path caused by the other's moments
+        dA_term = g * (c * dC / 12.0 - c * Keps * dA / 12.0) * t3
+        return {"K": g * b * t * mean_A, "A": dA_term + g * c * t * mean_K}
+
+    m1, m2 = moments(query.from1, query.to1), moments(query.from2, query.to2)
+    (mean_A1, mean_K1, dC1, dA1), (mean_A2, mean_K2, dC2, dA2) = m1, m2
     V_I = g * t * t * (mean_A1 * mean_K2 + mean_K1 * mean_A2)
     V_I += (g * t3 / 24.0) * (
         mean_A1 * dC2 + dC1 * mean_A2 - Keps * (mean_A1 * dA2 + dA1 * mean_A2)
     )
-
-    dK21 = g * b * t * mean_A2
-    dA21 = g * (c * dC2 / 12.0 - c * Keps * dA2 / 12.0) * t3 + g * c * t * mean_K2
-    dK12 = g * b * t * mean_A1
-    dA12 = g * (c * dC1 / 12.0 - c * Keps * dA1 / 12.0) * t3 + g * c * t * mean_K1
-    return {"V_I": V_I, "d21": {"K": dK21, "A": dA21}, "d12": {"K": dK12, "A": dA12}}
+    return {"V_I": V_I, "d21": push(*m2), "d12": push(*m1)}

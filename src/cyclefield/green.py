@@ -13,11 +13,18 @@ Two coefficient conventions coexist:
 * *reference* coefficients with ``A_m = A_bar_phase`` and ``K_m = K_bar``
   — used for covariance propagation, mean propagation, equilibria, and
   average paths, where the expansion point is the phase background.
+
+:func:`_drift` is the one linearised kernel drift.  The density's
+displacement, the most likely endpoint (through :func:`dmcvr_residuals`)
+and the Laplace propagator's drift velocity derive from it;
+:func:`mean_state` writes the same rows as an affine matrix for the
+matrix exponential, and a test ties the two.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -29,7 +36,11 @@ from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import PhaseSolution
 
 _TWO_PI = 2.0 * math.pi
+_LOG_TWO_PI_CUBED = 3.0 * math.log(_TWO_PI)
 _SMALL_S_THRESHOLD = 0.05  # t max(|alpha|, |beta|) above which SmallTimeWarning is issued
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+_ENDPOINT_TOL = 1e-13  # most-likely-endpoint step size at which the iteration stops
+_ENDPOINT_MAX_ITER = 200
 
 
 class SmallTimeWarning(UserWarning):
@@ -259,25 +270,33 @@ def covariance_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_parts(from_state, to_state, t, solution, params, coeffs):
+def _drift(state: AgentState, coeffs: GreenCoefficients, params: ModelParams):
+    """Linearised kernel drift ``(dC/dt, dK/dt)`` at ``state``, the one drift of the kernels.
+
+    ``dC/dt = (alpha+beta)(C - C_bar)`` and
+    ``dK/dt = -(alpha (K - K_bar) + delta K_bar + C - A K_bar^eps)``;
+    technology has no drift at this order.
+    """
     p = params
-    C_bar = coeffs.C_bar
-    alpha, beta = coeffs.alpha, coeffs.beta
     Keps = p.K_bar ** p.epsilon
-    off = (p.delta * p.K_bar + C_bar) / alpha
-    X1 = (to_state.C - C_bar) - (from_state.C - C_bar) * (1.0 + (alpha + beta) * t)
-    X2 = (to_state.K - p.K_bar + off) - (
-        (from_state.K - p.K_bar + off) * (1.0 - alpha * t)
-        - (from_state.C - C_bar) * t
-        + from_state.A * Keps * t
+    dK = -(coeffs.alpha * (state.K - p.K_bar) + p.delta * p.K_bar + state.C - state.A * Keps)
+    return (coeffs.alpha + coeffs.beta) * (state.C - coeffs.C_bar), dK
+
+
+def _gaussian_parts(from_state, to_state, t, params, coeffs):
+    """Displacement ``X = (to - from) - t drift(from)`` and the variances ``v`` of the kernel."""
+    dC, dK = _drift(from_state, coeffs, params)
+    X = (
+        (to_state.C - from_state.C) - t * dC,
+        (to_state.K - from_state.K) - t * dK,
+        to_state.A - from_state.A,
     )
-    X3 = to_state.A - from_state.A
-    v1 = p.varpi ** 2 * t
-    v2 = 0.5 * coeffs.b_coef * t
-    v3 = 0.5 * coeffs.c_coef * t
-    if v2 <= 0.0:
+    if coeffs.b_coef <= 0.0:
         raise SingularityError("capital variance rate b")
-    return (X1, X2, X3), (v1, v2, v3)
+    v1, v2, v3 = params.varpi ** 2 * t, 0.5 * coeffs.b_coef * t, 0.5 * coeffs.c_coef * t
+    if v1 <= 0.0 or v2 <= 0.0 or v3 <= 0.0:  # t <= 0, or so small that a variance underflows
+        raise DomainError(f"kernel variances vanish at t = {t!r}")
+    return X, (v1, v2, v3)
 
 
 def _log_gaussian(X, v, log_norm: float | None = None) -> float:
@@ -285,8 +304,16 @@ def _log_gaussian(X, v, log_norm: float | None = None) -> float:
     (X1, X2, X3), (v1, v2, v3) = X, v
     quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
     if log_norm is None:
-        log_norm = -0.5 * math.log(_TWO_PI ** 3 * v1 * v2 * v3)
+        # a sum of logs: the product v1 v2 v3 underflows at tiny t
+        log_norm = -0.5 * (_LOG_TWO_PI_CUBED + math.log(v1) + math.log(v2) + math.log(v3))
     return log_norm - quad
+
+
+def _exp_density(log_density: float) -> float:
+    """``exp(log_density)``, 0 below the underflow edge; raises past the largest double."""
+    if log_density > _LOG_DBL_MAX:
+        raise DomainError(f"density exp({log_density:.17g}) exceeds the largest double")
+    return math.exp(log_density) if log_density > -745.0 else 0.0
 
 
 def _check_small_time(t, coeffs):
@@ -321,16 +348,16 @@ def transition_density(
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state, maintext=maintext)
     _check_small_time(t, coeffs)
-    X, v = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
+    X, v = _gaussian_parts(from_state, to_state, t, params, coeffs)
     log_norm = None
     if maintext:
-        log_norm = -math.log(2.0) - 0.5 * math.log(
-            _TWO_PI * (params.varpi ** 2 / params.lambda_sq) * (0.5 * coeffs.b_coef) * t
+        log_norm = -math.log(2.0) - 0.5 * (
+            math.log(_TWO_PI * (params.varpi ** 2 / params.lambda_sq)) + math.log(v[1])
         )
     a_mid = 0.5 * (from_state.A + to_state.A)
     potential = 0.5 * (a_mid - coeffs.A_bar) ** 2 * t + coeffs.mass * t
     log_density = _log_gaussian(X, v, log_norm) - potential
-    return math.exp(log_density) if log_density > -745.0 else 0.0, log_density
+    return _exp_density(log_density), log_density
 
 
 def gaussian_factor(
@@ -344,8 +371,7 @@ def gaussian_factor(
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state)
-    val = _log_gaussian(*_gaussian_parts(from_state, to_state, t, solution, params, coeffs))
-    return math.exp(val) if val > -745.0 else 0.0
+    return _exp_density(_log_gaussian(*_gaussian_parts(from_state, to_state, t, params, coeffs)))
 
 
 def dmcvr_residuals(from_state, to_state, t, solution, params):
@@ -356,7 +382,7 @@ def dmcvr_residuals(from_state, to_state, t, solution, params):
     ``lambda^2 (A - A') + ((A+A')/2 - A_bar) t/2``.
     """
     coeffs = coefficients(solution, params, from_state, to_state)
-    (X1, X2, _), _ = _gaussian_parts(from_state, to_state, t, solution, params, coeffs)
+    (X1, X2, _), _ = _gaussian_parts(from_state, to_state, t, params, coeffs)
     a_mid = 0.5 * (from_state.A + to_state.A)
     r3 = params.lambda_sq * (to_state.A - from_state.A) + 0.5 * (a_mid - coeffs.A_bar) * t
     return X1, X2, r3
@@ -367,41 +393,26 @@ def most_likely_endpoint(
     t: float,
     solution: PhaseSolution,
     params: ModelParams,
-    tol: float = 1e-13,
-    max_iter: int = 200,
 ) -> AgentState:
-    """Solve the zero-exponent relations for the most likely endpoint.
+    """Solve the zero-exponent relations (:func:`dmcvr_residuals`) for the most likely endpoint.
 
-    The coefficients are held fixed during each solve and re-evaluated at
-    the updated midpoint until self-consistency.
+    Each sweep holds the midpoint coefficients fixed and steps the endpoint
+    to the zero of every residual, which is linear in the endpoint; the
+    coefficients are then re-evaluated at the new midpoint until the step
+    falls below ``_ENDPOINT_TOL``.
     """
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
-    p = params
-    Keps = p.K_bar ** p.epsilon
+    slope_A = params.lambda_sq + 0.25 * t  # d r3 / dA'
     to = from_state
-    for _ in range(max_iter):
-        coeffs = coefficients(solution, p, from_state, to)
-        alpha, beta = coeffs.alpha, coeffs.beta
-        C_bar, A_bar = coeffs.C_bar, coeffs.A_bar
-        off = (p.delta * p.K_bar + C_bar) / alpha
-        C = C_bar + (from_state.C - C_bar) * (1.0 + (alpha + beta) * t)
-        K = (
-            p.K_bar
-            - off
-            + (from_state.K - p.K_bar + off) * (1.0 - alpha * t)
-            - (from_state.C - C_bar) * t
-            + from_state.A * Keps * t
-        )
-        A = (from_state.A * (p.lambda_sq - 0.25 * t) + 0.5 * t * A_bar) / (
-            p.lambda_sq + 0.25 * t
-        )
-        new = AgentState(C=C, K=K, A=A)
-        delta = max(abs(new.C - to.C), abs(new.K - to.K), abs(new.A - to.A))
-        to = new
-        if delta < tol:
+    for _ in range(_ENDPOINT_MAX_ITER):
+        r1, r2, r3 = dmcvr_residuals(from_state, to, t, solution, params)
+        step_A = r3 / slope_A
+        to = AgentState(C=to.C - r1, K=to.K - r2, A=to.A - step_A)
+        delta = max(abs(r1), abs(r2), abs(step_A))
+        if delta < _ENDPOINT_TOL:
             return to
-    raise ConvergenceError("most-likely endpoint iteration did not converge", delta, max_iter)
+    raise ConvergenceError("most-likely endpoint iteration did not converge", delta, _ENDPOINT_MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -547,53 +558,36 @@ def laplace_propagator(
     to_state: AgentState,
     solution: PhaseSolution,
     params: ModelParams,
-    alpha_rate: float | None = None,
 ) -> float:
-    """Propagator over an exponential lifespan with rate ``alpha_rate``.
+    """Propagator over an exponential lifespan with rate ``params.alpha_laplace``.
 
     The small-time kernel is Gaussian in each coordinate with variance
-    rate ``v_i`` and drift velocity ``Y_i``, damped at the constant rate
+    rate ``v_i`` and drift velocity ``Y = (drift(from), 0)``
+    (:func:`_drift`), damped at the constant rate
     ``m~ = m + ((A+A')/2 - A_bar)^2 / 2``; its Laplace transform over the
     horizon is exact:
 
     ``exp(CT - sqrt(2(m~+alpha) + P) sqrt(Q)) / (2 pi sqrt(v1 v2 v3 Q))``
 
     with ``P = sum Y_i^2/v_i``, ``Q = sum X_i^2/v_i``,
-    ``CT = sum X_i Y_i/v_i`` and displacement ``X = to - from``.  The
-    rate defaults to ``params.alpha_laplace``.  Coincident endpoints make
-    the transform diverge (``Q = 0``) and raise :class:`DomainError`.
+    ``CT = sum X_i Y_i/v_i`` and displacement ``X = to - from``.
+    Coincident endpoints make the transform diverge (``Q = 0``) and raise
+    :class:`DomainError`.
     """
     p = params
-    if alpha_rate is None:
-        alpha_rate = p.alpha_laplace
     coeffs = coefficients(solution, p, from_state, to_state)
-    alpha, beta = coeffs.alpha, coeffs.beta
-    Keps = p.K_bar ** p.epsilon
-    v = (p.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef)
-    X = (
-        to_state.C - from_state.C,
-        to_state.K - from_state.K,
-        to_state.A - from_state.A,
-    )
-    Y = (
-        (alpha + beta) * (from_state.C - coeffs.C_bar),
-        -(
-            alpha * (from_state.K - p.K_bar)
-            + p.delta * p.K_bar
-            + from_state.C
-            - from_state.A * Keps
-        ),
-        0.0,
-    )
-    P = sum(y * y / vi for y, vi in zip(Y, v))
-    Q = sum(x * x / vi for x, vi in zip(X, v))
-    CT = sum(x * y / vi for x, y, vi in zip(X, Y, v))
+    v1, v2, v3 = p.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef
+    X1, X2, X3 = to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A
+    Y1, Y2 = _drift(from_state, coeffs, p)  # Y3 = 0 drops out of P and CT
+    P = Y1 * Y1 / v1 + Y2 * Y2 / v2
+    Q = X1 * X1 / v1 + X2 * X2 / v2 + X3 * X3 / v3
+    CT = X1 * Y1 / v1 + X2 * Y2 / v2
     if Q == 0.0:
         raise DomainError("Laplace propagator diverges at coincident endpoints")
     a_mid = 0.5 * (from_state.A + to_state.A)
     m_eff = coeffs.mass + 0.5 * (a_mid - coeffs.A_bar) ** 2
-    rate = 2.0 * (m_eff + alpha_rate) + P
+    rate = 2.0 * (m_eff + p.alpha_laplace) + P
     if rate <= 0.0:
         raise DomainError("Laplace propagator decay rate must be positive")
-    prefactor = _TWO_PI * math.sqrt(v[0] * v[1] * v[2] * Q)
+    prefactor = _TWO_PI * math.sqrt(v1 * v2 * v3 * Q)
     return math.exp(CT - math.sqrt(rate) * math.sqrt(Q)) / prefactor

@@ -31,6 +31,7 @@ from cyclefield.errors import (
 from cyclefield.params import ModelParams
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_GAMMA3_DAMPING = 0.5  # weight of the new iterate in the Gamma_3 damped iteration
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,6 @@ def gamma3_fixed_point(
     gamma_eta: float,
     tol: float = 1e-12,
     max_iter: int = 1000,
-    damping: float = 0.5,
     paper_k1_approx: bool = False,
 ) -> float:
     """Solve the Gamma_3 self-consistency equation by damped iteration.
@@ -147,6 +147,7 @@ def gamma3_fixed_point(
     on every sweep.  Raises :class:`ConvergenceError` (carrying the last
     residual) if the residual does not fall below ``tol``.
     """
+    damping = _GAMMA3_DAMPING
     g = params.A_bar0
     residual = math.inf
     for it in range(1, max_iter + 1):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -158,6 +159,28 @@ class TestTransit:
         _, a = invoke(tmp_path, *self.ARGS, "--t", "0.01")
         _, b = invoke(tmp_path, *self.ARGS, "--t", "0.01", "--maintext-convention")
         assert json.loads(a)["coefficients"]["beta"] != json.loads(b)["coefficients"]["beta"]
+
+    COINCIDENT = ("transit", "--from", "1.1,10.2,10.0", "--to", "1.1,10.2,10.0")
+
+    @pytest.mark.parametrize("t,maintext", [(1e-120, False), (1e-320, True)])
+    def test_tiny_horizon_keeps_finite_density(self, tmp_path, trivial, params, t, maintext):
+        # the product of the variances in the normaliser underflows to 0 here
+        flags = ["--maintext-convention"] if maintext else []
+        code, text = invoke(tmp_path, *self.COINCIDENT, "--t", repr(t), *flags)
+        assert code == 0
+        doc = json.loads(text)
+        x = AgentState(C=1.1, K=10.2, A=10.0)
+        assert doc["log_density"] == green.transition_density(x, x, t, trivial, params, maintext)[1]
+        assert doc["density"] == math.exp(doc["log_density"])
+
+    @pytest.mark.parametrize("t", ["1e-250", "2e-322", "5e-324"])
+    def test_unrepresentable_density_is_usage_error(self, tmp_path, capsys, t):
+        # 1e-250: the density exceeds the largest double; 2e-322: the
+        # consumption variance underflows to 0; 5e-324: all three do
+        code, text = invoke(tmp_path, *self.COINCIDENT, "--t", t)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPath:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,6 +128,60 @@ class TestTransitionDensity:
             assert green.gaussian_factor(x, other, t, trivial, params) <= f_peak * (1 + 1e-9)
 
 
+class TestDrift:
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_displacement_matches_exact_arithmetic(self, params, phase):
+        # X = (to - from) - t drift(from), against the same float inputs in
+        # exact rational arithmetic; endpoints lie one to three standard
+        # deviations off the drifted start, so X is well conditioned
+        p = params
+        sol = solve_phase(p, phase)
+        ref = green.coefficients(sol, p)
+        Keps = p.K_bar ** p.epsilon
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(250):
+            C, K, A = rng.uniform([0.5, 5.0, 9.0], [3.0, 15.0, 11.0])
+            x = AgentState(C=float(C), K=float(K), A=float(A))
+            t = float(rng.uniform(1e-3, 1e-2))
+            sd = np.sqrt([p.varpi ** 2 * t, 0.5 * ref.b_coef * t, 0.5 * ref.c_coef * t])
+            z = rng.choice([-1.0, 1.0], 3) * rng.uniform(1.0, 3.0, 3) * sd
+            dC = (ref.alpha + ref.beta) * (x.C - ref.C_bar)
+            dK = -(ref.alpha * (x.K - p.K_bar) + p.delta * p.K_bar + x.C - x.A * Keps)
+            y = AgentState(*(float(v) for v in (x.C + t * dC + z[0], x.K + t * dK + z[1], x.A + z[2])))
+            c = green.coefficients(sol, p, x, y)
+            X, _ = green._gaussian_parts(x, y, t, p, c)
+            F = Fraction
+            a, Kb = F(c.alpha), F(p.K_bar)
+            exact_dK = -(a * (F(x.K) - Kb) + F(p.delta) * Kb + F(x.C) - F(x.A) * F(Keps))
+            exact = (
+                F(y.C) - F(x.C) - F(t) * (a + F(c.beta)) * (F(x.C) - F(c.C_bar)),
+                F(y.K) - F(x.K) - F(t) * exact_dK,
+                F(y.A) - F(x.A),
+            )
+            worst = max(worst, *(float(abs(F(got) - e) / abs(e)) for got, e in zip(X, exact)))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_mean_state_matrix_rows_are_the_drift(self, params, phase, monkeypatch):
+        p = params
+        sol = solve_phase(p, phase)
+        matrices = []
+        propagate = green._propagate
+
+        def spy(F, s, Q=None):
+            matrices.append(F)
+            return propagate(F, s, Q)
+
+        monkeypatch.setattr(green, "_propagate", spy)
+        green.mean_state(AgentState(C=1.0, K=10.0, A=10.0), 0.1, sol, p)
+        (F,) = matrices
+        coeffs = green.coefficients(sol, p)
+        for x in (AgentState(C=1.3, K=11.5, A=9.0), AgentState(C=0.6, K=7.0, A=10.8)):
+            rows = F[:2] @ np.append(x.as_array(), 1.0)
+            np.testing.assert_allclose(rows, green._drift(x, coeffs, p), rtol=1e-12, atol=0)
+
+
 class TestMostLikelyEndpoint:
     def test_zero_exponent_relations(self, trivial, params):
         x = AgentState(C=1.2, K=10.5, A=9.8)
@@ -226,13 +281,15 @@ class TestLaplacePropagator:
     def test_matches_quadrature_in_t(self, trivial, params):
         x = AgentState(C=1.1, K=10.2, A=10.0)
         y = AgentState(C=1.15, K=10.4, A=10.05)
-        value = green.laplace_propagator(x, y, trivial, params, alpha_rate=0.2)
+        rate = 5.0  # far enough from the default 0.2 that the propagator must read it
+        p = params.replace(alpha_laplace=rate)
+        value = green.laplace_propagator(x, y, trivial, p)
 
         def integrand(t):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", green.SmallTimeWarning)
-                d, _ = green.transition_density(x, y, t, trivial, params)
-            return d * math.exp(-0.2 * t)
+                d, _ = green.transition_density(x, y, t, trivial, p)
+            return d * math.exp(-rate * t)
 
         # the integrand is sharply peaked near its saddle; steer the
         # quadrature through it
@@ -240,15 +297,9 @@ class TestLaplacePropagator:
             integrand, 0.0, 5.0, limit=800, points=[0.005, 0.02, 0.05, 0.2, 1.0]
         )[0]
         numeric += quad(integrand, 5.0, 80.0, limit=200)[0]
-        assert value == pytest.approx(numeric, rel=2e-2)
+        assert value == pytest.approx(numeric, rel=2e-2, abs=0)  # values are ~1e-12
 
     def test_coincident_endpoints_diverge(self, trivial, params):
         x = AgentState(C=1.1, K=10.2, A=10.0)
         with pytest.raises(DomainError):
             green.laplace_propagator(x, x, trivial, params)
-
-    def test_default_rate_comes_from_params(self, trivial, params):
-        x = AgentState(C=1.1, K=10.2, A=10.0)
-        y = AgentState(C=1.15, K=10.4, A=10.05)
-        explicit = green.laplace_propagator(x, y, trivial, params, alpha_rate=params.alpha_laplace)
-        assert green.laplace_propagator(x, y, trivial, params) == explicit
