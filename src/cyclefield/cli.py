@@ -158,23 +158,43 @@ def _scan_values(args):
     return [start + i * step for i in range(count)]
 
 
+def _scan_point(p: ModelParams, paper_k1_approx: bool):
+    """``(solution, status)`` of one scan value: phase 1, or phase 0 flagged infeasible."""
+    try:
+        return solve_phase(p, 1, paper_k1_approx=paper_k1_approx), "ok"
+    except InfeasiblePhaseError:
+        sol = solve_phase(p, 0, paper_k1_approx=paper_k1_approx)
+        return replace(sol, feasible=False), "infeasible"
+
+
 def _cmd_phase_scan(args) -> int:
     _check_format(args, "csv")
     base = _load_params(args)
     param_keys = tuple(f.name for f in fields(ModelParams))
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
-    lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS))]
-    for value in _scan_values(args):
+    values = _scan_values(args)
+    lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS) + ("status",))]
+    failures = []
+    for value in values:
         p = base.replace(**{args.key: value})
-        try:
-            sol = solve_phase(p, 1, paper_k1_approx=args.paper_k1_approx)
-        except InfeasiblePhaseError:
-            sol = replace(solve_phase(p, 0, paper_k1_approx=args.paper_k1_approx), feasible=False)
         row = [_fmt(getattr(p, k)) for k in param_keys]
-        row += [_fmt(getattr(sol, field)) for _, field in _SCAN_COLUMNS]
-        lines.append(",".join(row))
+        try:
+            sol, status = _scan_point(p, args.paper_k1_approx)
+            row += [_fmt(getattr(sol, field)) for _, field in _SCAN_COLUMNS]
+        except (ConvergenceError, SingularityError) as exc:
+            # a failed row keeps its parameters and leaves the solution empty
+            status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
+            failures.append(f"{args.key}={_fmt(value)}: {exc}")
+            row += [""] * len(_SCAN_COLUMNS)
+        lines.append(",".join(row + [status]))
     _emit("\n".join(lines) + "\n", args.output)
+    if failures:
+        print(
+            f"error: numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 

@@ -24,7 +24,6 @@ matrix exponential, and a test ties the two.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -33,12 +32,11 @@ import numpy as np
 from cyclefield.errors import ConvergenceError, DomainError, SingularityError, TrajectoryTerminated
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentPath, AgentState
-from cyclefield.phases import PhaseSolution
+from cyclefield.phases import _LOG_DBL_MAX, PhaseSolution
 
 _TWO_PI = 2.0 * math.pi
 _LOG_TWO_PI_CUBED = 3.0 * math.log(_TWO_PI)
 _SMALL_S_THRESHOLD = 0.05  # t max(|alpha|, |beta|) above which SmallTimeWarning is issued
-_LOG_DBL_MAX = math.log(sys.float_info.max)
 _ENDPOINT_TOL = 1e-13  # most-likely-endpoint step size at which the iteration stops
 _ENDPOINT_MAX_ITER = 200
 

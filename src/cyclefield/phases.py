@@ -18,6 +18,7 @@ stability product, equilibrium quantities).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from scipy.special import erfc, erfcx
@@ -31,7 +32,7 @@ from cyclefield.errors import (
 from cyclefield.params import ModelParams
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_GAMMA3_DAMPING = 0.5  # weight of the new iterate in the Gamma_3 damped iteration
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
     p = params
     # C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))
     xc = p.C_bar / (math.sqrt(2.0) * p.varpi)
-    C1 = float(_SQRT_2_OVER_PI * p.varpi / erfcx(xc))
+    C1 = _SQRT_2_OVER_PI * p.varpi / float(erfcx(xc))
 
     # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2))
     lam = p.lam
@@ -109,6 +110,8 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
         else:
             log_den = math.log(erfcx(-u / math.sqrt(2.0))) - u * u / 2.0
         expo = log_num - log_den
+        if expo > _LOG_DBL_MAX:
+            raise SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))")
         K1p = 0.0 if expo < -745.0 else -math.exp(expo)
     return C1, K1p, A1
 
@@ -141,24 +144,64 @@ def gamma3_fixed_point(
     max_iter: int = 1000,
     paper_k1_approx: bool = False,
 ) -> float:
-    """Solve the Gamma_3 self-consistency equation by damped iteration.
+    """Solve the Gamma_3 self-consistency equation ``rhs(g) = g``.
 
-    Starts from ``A0 / (1 - kappa)`` and re-evaluates the boundary shifts
-    on every sweep.  Raises :class:`ConvergenceError` (carrying the last
-    residual) if the residual does not fall below ``tol``.
+    The root is the one continued from ``A0 / (1 - kappa)``.  The first
+    step from there is the undamped fixed-point step ``f(A0 / (1 - kappa))``
+    with ``f(g) = rhs(g) - g``.  While ``f`` keeps its sign, each next step
+    goes to where the secant through the last two points meets zero, or
+    doubles the last step where that lies farther or behind.  Once ``f``
+    changes sign the bracket is narrowed by regula falsi with the Illinois
+    modification (the retained end's value is halved whenever the same
+    end is kept twice).  It returns the first iterate with ``|f| < tol``;
+    ``max_iter`` caps the evaluations of ``rhs``.  Raises
+    :class:`ConvergenceError`, carrying the last residual and naming the
+    bracket, if no iterate reaches ``tol``.
     """
-    damping = _GAMMA3_DAMPING
-    g = params.A_bar0
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        rhs = _gamma3_rhs(params, g, gamma_eta, paper_k1_approx)
-        residual = abs(rhs - g)
-        if residual < tol:
-            return (1.0 - damping) * g + damping * rhs
-        g = (1.0 - damping) * g + damping * rhs
-        if not math.isfinite(g):
-            raise ConvergenceError("Gamma3 iteration diverged", residual, it)
-    raise ConvergenceError("Gamma3 iteration did not converge", residual, max_iter)
+    n = 0
+
+    def residual_at(g: float) -> float:
+        nonlocal n
+        n += 1
+        r = _gamma3_rhs(params, g, gamma_eta, paper_k1_approx) - g
+        if not math.isfinite(r):
+            raise ConvergenceError(f"Gamma3 residual is not finite at g={g!r}", abs(r), n)
+        return r
+
+    a = params.A_bar0
+    fa = residual_at(a)
+    if abs(fa) < tol:
+        return a
+    # bracket search: a is the last point, b the newest, both with the sign of f(A_bar0)
+    step = fa
+    while True:
+        if n >= max_iter:
+            raise ConvergenceError(f"Gamma3 root not bracketed, searched up to g={a!r}", abs(fa), n)
+        b = a + step
+        fb = residual_at(b)
+        if abs(fb) < tol:
+            return b
+        if (fb < 0.0) != (fa < 0.0):
+            break
+        q = fb / fa  # > 0; the secant step is q / (1 - q) times the last one
+        step *= q / (1.0 - q) if q <= 2.0 / 3.0 else 2.0
+        a, fa = b, fb
+    # Illinois: b is the newest iterate, a the retained end of the bracket
+    while n < max_iter:
+        c = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < c < max(a, b):
+            break  # the bracket has no float left inside it
+        fc = residual_at(c)
+        if abs(fc) < tol:
+            return c
+        if (fc < 0.0) != (fb < 0.0):
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+    raise ConvergenceError(
+        f"Gamma3 root not found in the bracket [{min(a, b)!r}, {max(a, b)!r}]", abs(fb), n
+    )
 
 
 def gamma3_first_order(params: ModelParams, gamma_eta: float, paper_k1_approx: bool = False) -> float:
@@ -389,7 +432,23 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
     mass).  ``phase=1`` solves the compatibility condition for
     ``gamma_eta``, the Gamma_3 fixed point, the first-order shifts and
     averages, the mass gap, and the stability brackets.
+
+    Parameters far enough out that a closed form leaves the double range
+    (a power that overflows, a division by an underflowed factor, the log
+    of an underflowed tail mass, a field that comes out infinite or NaN)
+    raise :class:`SingularityError`.
     """
+    try:
+        sol = _solve_phase(params, phase, paper_k1_approx)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise SingularityError(f"phase-{phase} closed forms left the double range ({exc})") from exc
+    bad = [k for k, v in vars(sol).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise SingularityError(f"phase-{phase} closed forms left the double range in {', '.join(bad)}")
+    return sol
+
+
+def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> PhaseSolution:
     p = params
     if phase == 0:
         g3 = gamma3_fixed_point(p, 0.0, paper_k1_approx=paper_k1_approx)

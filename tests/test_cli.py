@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,15 @@ class TestPhases:
         code, _ = invoke(tmp_path, "--config", cfg, "phases")
         assert code == 3
 
+    @pytest.mark.parametrize("overrides", [{"kappa": 0.996}, {"nu": 2.3, "A0": 27.0}])
+    def test_overflowing_capital_shift_exits_four(self, tmp_path, capsys, overrides):
+        # K1p = -exp(expo) with expo past log(DBL_MAX): its denominator
+        # erf(u/sqrt2) + 1 vanishes faster than its numerator
+        cfg = write_config(tmp_path, **overrides)
+        code, text = invoke(tmp_path, "--config", cfg, "phases")
+        assert (code, text) == (4, "")
+        assert "vanishing factor in closed form: K1p" in capsys.readouterr().err
+
 
 class TestPhaseScan:
     def parse(self, text):
@@ -95,15 +108,16 @@ class TestPhaseScan:
             compatibility_root(params.replace(C0=0.1))
         low, mid, free = params.replace(C0=0.1), params.replace(C0=0.5), params.replace(gamma=0.0)
         cases = [
-            (low, replace(solve_phase(low, 0), feasible=False)),
-            (mid, solve_phase(mid, 1)),
-            (free, solve_phase(free, 1)),
+            (low, replace(solve_phase(low, 0), feasible=False), "infeasible"),
+            (mid, solve_phase(mid, 1), "ok"),
+            (free, solve_phase(free, 1), "ok"),
         ]
         assert len(rows) == len(cases)
-        assert list(rows[0]) == list(vars(params)) + list(self.FIELDS)
-        for row, (p, sol) in zip(rows, cases):
+        assert list(rows[0]) == list(vars(params)) + list(self.FIELDS) + ["status"]
+        for row, (p, sol, status) in zip(rows, cases):
             expected = {k: cli._fmt(v) for k, v in vars(p).items()}
             expected.update({col: cli._fmt(getattr(sol, f)) for col, f in self.FIELDS.items()})
+            expected["status"] = status
             assert row == expected
         assert rows[0]["gamma_eta"] == "0"
         assert [r["feasible"] for r in rows] == ["false", "true", "false"]
@@ -117,6 +131,37 @@ class TestPhaseScan:
         assert [r["feasible"] for r in rows] == ["false", "true", "true"]
         # the compatibility root itself does not depend on the coupling
         assert float(rows[0]["gamma_eta"]) == float(rows[1]["gamma_eta"])
+
+    def test_failed_row_keeps_the_others(self, tmp_path, capsys, params):
+        code, text = invoke(
+            tmp_path, "phase-scan", "--key", "kappa", "--values", "0.5,0.996,0.6"
+        )
+        assert code == 4
+        assert "numerical failure in 1 of 3 rows" in capsys.readouterr().err
+        rows = self.parse(text)
+        assert [r["status"] for r in rows] == ["ok", "singular", "ok"]
+        assert [float(r["kappa"]) for r in rows] == [0.5, 0.996, 0.6]
+        assert [rows[1][col] for col in self.FIELDS] == [""] * len(self.FIELDS)
+        for row, kappa in ((rows[0], 0.5), (rows[2], 0.6)):
+            sol = solve_phase(params.replace(kappa=kappa), 1)
+            assert row["Gamma3"] == cli._fmt(sol.Gamma3)
+
+    def test_kappa_scan_finishes(self, tmp_path):
+        # the damped Gamma3 iteration hit its cap before kappa = 0.8
+        code, text = invoke(tmp_path, "phase-scan", "--key", "kappa", "--range", "0,0.99,100")
+        assert code == 0
+        rows = self.parse(text)
+        assert len(rows) == 100
+        assert {r["status"] for r in rows} <= {"ok", "infeasible"}
+
+    @pytest.mark.parametrize(
+        "key,value,status", [("kappa", "0.996", "singular"), ("nu", "2.3", "no_convergence")]
+    )
+    def test_numerical_failure_is_a_typed_row(self, tmp_path, capsys, key, value, status):
+        code, text = invoke(tmp_path, "phase-scan", "--key", key, "--values", value)
+        assert code == 4
+        assert "error: numerical failure" in capsys.readouterr().err
+        assert [r["status"] for r in self.parse(text)] == [status]
 
     def test_range_grid(self, tmp_path):
         code, text = invoke(
@@ -320,3 +365,10 @@ class TestUsage:
         code = run(["phases", "--output", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # importing scipy.optimize would add ~0.27 s to every cold start
+        src = str(Path(cli.__file__).resolve().parents[1])
+        check = "import sys, cyclefield.cli; sys.exit('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,7 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cyclefield.errors import ConvergenceError, DomainError, InfeasiblePhaseError
+from cyclefield.errors import (
+    ConvergenceError,
+    CycleFieldError,
+    DomainError,
+    InfeasiblePhaseError,
+)
 from cyclefield.params import ModelParams
 from cyclefield.phases import (
     _gamma3_rhs,
@@ -103,6 +110,13 @@ class TestGamma3:
         assert err.value.iterations == 5
         assert err.value.residual >= 0.0
 
+    def test_nonconvergence_names_a_bracket_around_the_root(self, params):
+        root = gamma3_fixed_point(params, 0.003)
+        with pytest.raises(ConvergenceError, match="bracket") as err:
+            gamma3_fixed_point(params, 0.003, tol=1e-30, max_iter=5)
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(err.value)).groups())
+        assert lo <= root <= hi and lo < hi
+
 
 class TestCompatibility:
     def test_base_configuration_admits_condensate(self, params):
@@ -183,3 +197,44 @@ class TestSolvePhase:
         assert sol.mass == 0.0
         assert sol.avg_Y > 0.0
         assert sol.avg_K < 0.0  # signed average; magnitude is the capital scale
+
+
+# every finite value ModelParams accepts, field by field
+_POSITIVE = ("varpi", "nu", "lambda_sq", "delta", "K_bar", "C_bar", "A0", "theta_sq")
+_NONNEGATIVE = ("varsigma", "r_c", "gamma", "C0", "sigma_sq", "eta_sq")
+_FIELDS = tuple(f.name for f in fields(ModelParams))
+
+
+def validated_domain(name):
+    if name == "epsilon":
+        return st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    if name == "kappa":
+        return st.floats(0.0, 1.0, exclude_max=True)
+    if name in _POSITIVE:
+        return st.floats(0.0, exclude_min=True, allow_infinity=False)
+    if name in _NONNEGATIVE:
+        return st.floats(0.0, allow_infinity=False)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+def assert_finite_or_typed(p):
+    """Each phase either solves with every field finite or raises a typed error."""
+    for phase in (0, 1):
+        try:
+            sol = solve_phase(p, phase)
+        except CycleFieldError:
+            continue
+        bad = {k: v for k, v in vars(sol).items() if isinstance(v, float) and not math.isfinite(v)}
+        assert not bad, (p, phase, bad)
+
+
+class TestSolvePhaseDomain:
+    @pytest.mark.parametrize("name", _FIELDS)
+    @given(data=st.data())
+    def test_one_field_across_its_domain(self, name, data):
+        value = data.draw(validated_domain(name), label=name)
+        assert_finite_or_typed(ModelParams().replace(**{name: value}))
+
+    @given(st.fixed_dictionaries({name: validated_domain(name) for name in _FIELDS}))
+    def test_all_fields_at_once(self, values):
+        assert_finite_or_typed(ModelParams(**values))
