@@ -213,7 +213,7 @@ def _cmd_transit(args) -> int:
     out = {
         "density": density,
         "log_density": log_density,
-        "coefficients": asdict(coeffs),
+        "coefficients": coeffs._asdict(),
     }
     _emit(_json_dumps(out) + "\n", args.output)
     return 0

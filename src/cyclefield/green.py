@@ -19,6 +19,13 @@ displacement, the most likely endpoint (through :func:`dmcvr_residuals`)
 and the Laplace propagator's drift velocity derive from it;
 :func:`mean_state` writes the same rows as an affine matrix for the
 matrix exponential, and a test ties the two.
+
+The kernels evaluated for one pair of states share their work: the
+per-pair coefficient record (:func:`coefficients`) and the density
+(:func:`transition_density`) are built once per pair through a one-entry
+memo each, keyed on the identity of the arguments, so
+:func:`corrections.corrected_density` and :func:`laplace_propagator` on
+the pair just scored reuse them.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +53,7 @@ class SmallTimeWarning(UserWarning):
     """The requested time lies outside the small-time validity regime."""
 
 
-@dataclass(frozen=True)
-class GreenCoefficients:
+class GreenCoefficients(NamedTuple):
     """Coefficients entering the transition kernels of one phase."""
 
     alpha: float     # alpha = delta - A_m F'(K_m)
@@ -68,6 +75,14 @@ class CovarianceState:
     s: float       # horizon
 
 
+# One-entry memos of the last kernel record and the last density, each
+# stored as one tuple ``(*key, value)``.  Every key object is immutable
+# (frozen dataclasses, the record itself), and the memo holds it, so an
+# identity match means equal arguments.
+_coefficients_memo = (None,) * 6
+_density_memo = (None,) * 3
+
+
 def coefficients(
     solution: PhaseSolution,
     params: ModelParams,
@@ -78,8 +93,20 @@ def coefficients(
     """Kernel coefficients, midpoint if both endpoints are given.
 
     ``maintext=True`` selects the main-text convention
-    ``beta = A_m F'(K_m) + r_c - delta``.
+    ``beta = A_m F'(K_m) + r_c - delta``.  A call with the same five
+    argument objects (``is``) as the previous call returns the previous
+    record, so the kernels evaluated for one pair of states build it once.
     """
+    global _coefficients_memo
+    memo_sol, memo_params, memo_from, memo_to, memo_maintext, record = _coefficients_memo
+    if (
+        memo_sol is solution
+        and memo_params is params
+        and memo_from is from_state
+        and memo_to is to_state
+        and memo_maintext is maintext
+    ):
+        return record
     p = params
     if from_state is not None and to_state is not None:
         Am = 0.5 * (from_state.A + to_state.A)
@@ -108,7 +135,7 @@ def coefficients(
     Omega_sq = (p.varpi ** 2 / lam_sq) * (
         p.nu ** 2 + 2.0 * K2e / (lam_sq * alpha ** 2) + 3.0 * p.varpi ** 2 / (2.0 * bb_aa)
     )
-    return GreenCoefficients(
+    record = GreenCoefficients(
         alpha=alpha,
         beta=beta,
         Omega_sq=Omega_sq,
@@ -118,6 +145,8 @@ def coefficients(
         A_bar=solution.A_bar_phase,
         C_bar=solution.C_bar_phase,
     )
+    _coefficients_memo = (solution, params, from_state, to_state, maintext, record)
+    return record
 
 
 def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = False):
@@ -341,11 +370,19 @@ def transition_density(
     it and is excluded from the normalization.  With ``maintext=True``
     the printed (unnormalized) prefactor and the main-text beta
     convention are used instead.
+
+    A repeated call with the same argument objects gets the previous
+    record from :func:`coefficients`; with that record and an equal ``t``
+    it returns the previous result (the small-time check still runs).
     """
+    global _density_memo
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     coeffs = coefficients(solution, params, from_state, to_state, maintext=maintext)
     _check_small_time(t, coeffs)
+    memo_coeffs, memo_t, result = _density_memo
+    if memo_coeffs is coeffs and memo_t == t:
+        return result
     X, v = _gaussian_parts(from_state, to_state, t, params, coeffs)
     log_norm = None
     if maintext:
@@ -355,7 +392,9 @@ def transition_density(
     a_mid = 0.5 * (from_state.A + to_state.A)
     potential = 0.5 * (a_mid - coeffs.A_bar) ** 2 * t + coeffs.mass * t
     log_density = _log_gaussian(X, v, log_norm) - potential
-    return _exp_density(log_density), log_density
+    result = _exp_density(log_density), log_density
+    _density_memo = (coeffs, t, result)
+    return result
 
 
 def gaussian_factor(

@@ -88,26 +88,34 @@ def _path_noise(seed: int, start: int, count: int, n_steps: int, antithetic: boo
     order; each view is overwritten by the next one.  One Philox generator
     is re-pointed at each path's counter, which is far cheaper than
     building one per path, and draws straight into a path-major buffer.
+    Between chunks each path keeps only the Philox counter, output buffer,
+    buffer position and spare 32-bit word, in arrays of 88 bytes a path.
     """
     chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * count)))
     buf = np.empty((count, chunk, 3))
     rng = np.random.Generator(np.random.Philox(key=seed))
     bitgen = rng.bit_generator
     fresh = bitgen.state  # counter [0, 0, 0, 0], empty output buffer
-    saved = [None] * count
+    if chunk < n_steps:
+        counters = np.empty((count, 4), dtype=np.uint64)
+        buffers = np.empty((count, 4), dtype=np.uint64)
+        positions = np.empty((count, 3), dtype=np.int64)  # buffer_pos, has_uint32, uinteger
     for k in range(0, n_steps, chunk):
         m = min(chunk, n_steps - k)
         for j in range(count):
             i = start + j
             if k == 0:
                 fresh["state"]["counter"][2] = i // 2 if antithetic else i
-                bitgen.state = fresh
             else:
-                bitgen.state = saved[j]
+                fresh["state"]["counter"], fresh["buffer"] = counters[j], buffers[j]
+                fresh["buffer_pos"], fresh["has_uint32"], fresh["uinteger"] = positions[j].tolist()
+            bitgen.state = fresh
             row = buf[j, :m]
             rng.standard_normal(out=row)
             if k + m < n_steps:
-                saved[j] = bitgen.state
+                state = bitgen.state
+                counters[j], buffers[j] = state["state"]["counter"], state["buffer"]
+                positions[j] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
             if antithetic and i % 2 == 1:
                 np.negative(row, out=row)
         yield buf[:, :m].transpose(1, 0, 2)

@@ -102,19 +102,25 @@ class AgentPath:
     def from_csv(cls, text: str) -> "AgentPath":
         """Parse a path from CSV text with header ``t,C,K,A``.
 
-        The time column must be uniformly spaced (relative tolerance 1e-9).
+        Spaces around the header names are allowed.  The time column must be
+        uniformly spaced (relative tolerance 1e-9).
         """
-        rows = np.genfromtxt(io.StringIO(text), delimiter=",", names=True)
-        if rows.dtype.names is None or tuple(rows.dtype.names) != ("t", "C", "K", "A"):
-            raise ShapeError(
-                f"path CSV must have header '{cls.CSV_HEADER}', got {rows.dtype.names}"
-            )
-        rows = np.atleast_1d(rows)
-        t = rows["t"]
+        header, _, body = text.partition("\n")
+        if tuple(name.strip() for name in header.split(",")) != ("t", "C", "K", "A"):
+            raise ShapeError(f"path CSV must have header '{cls.CSV_HEADER}', got {header!r}")
+        if not body.strip():
+            raise ShapeError("a path needs at least 2 samples, got 0")
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ShapeError(f"path CSV rows must hold four numbers: {exc}") from exc
+        if rows.shape[1] != 4:
+            raise ShapeError(f"path CSV rows must hold four numbers, got {rows.shape[1]}")
+        t = rows[:, 0]
         if t.size < 2:
             raise ShapeError(f"a path needs at least 2 samples, got {t.size}")
         steps = np.diff(t)
         dt = steps[0]
         if dt <= 0 or not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
             raise ShapeError("path CSV time grid is not uniformly increasing")
-        return cls(rows["C"], rows["K"], rows["A"], dt=float(dt), t0=float(t[0]))
+        return cls(rows[:, 1], rows[:, 2], rows[:, 3], dt=float(dt), t0=float(t[0]))

@@ -121,17 +121,26 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
 # ---------------------------------------------------------------------------
 
 
+def _gamma3_den(params: ModelParams, g3: float, gamma_eta: float, Y: float) -> float:
+    """Denominator of :func:`_gamma3_rhs`, given ``Y = _Y_of(params, g3)``.
+
+    Where it changes sign ``rhs`` has a pole.
+    """
+    p = params
+    ab = p.varpi ** 2 / _consumption_denom(p, g3) + p.nu ** 2
+    Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
+    return 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * Keps1
+
+
 def _gamma3_rhs(params: ModelParams, g3: float, gamma_eta: float, paper_k1_approx: bool) -> float:
     p = params
     C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
     Y = _Y_of(p, g3)
-    ab = p.varpi ** 2 / _consumption_denom(p, g3) + p.nu ** 2
-    Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
     num = 2.0 * (
         2.0 * ((1.0 - p.kappa) * p.A0 + (2.0 - p.kappa) * p.kappa * g3 + A1) * Y * Y
         + ((p.C_bar + C1) - K1p) * gamma_eta * Y
     )
-    den = 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * Keps1
+    den = _gamma3_den(p, g3, gamma_eta, Y)
     if den == 0.0:
         raise SingularityError("Gamma3 self-consistency denominator")
     return num / den
@@ -153,10 +162,13 @@ def gamma3_fixed_point(
     doubles the last step where that lies farther or behind.  Once ``f``
     changes sign the bracket is narrowed by regula falsi with the Illinois
     modification (the retained end's value is halved whenever the same
-    end is kept twice).  It returns the first iterate with ``|f| < tol``;
-    ``max_iter`` caps the evaluations of ``rhs``.  Raises
+    end is kept twice); where that point rounds onto an end, the step
+    bisects.  It returns the first iterate with ``|f| < tol``; ``max_iter``
+    caps the evaluations of ``rhs``.  If no iterate reaches ``tol`` it raises
+    :class:`SingularityError` when the denominator of ``rhs`` changes sign
+    between the bracket's ends (the sign change of ``f`` is a pole), and
     :class:`ConvergenceError`, carrying the last residual and naming the
-    bracket, if no iterate reaches ``tol``.
+    bracket, otherwise.
     """
     n = 0
 
@@ -190,7 +202,9 @@ def gamma3_fixed_point(
     while n < max_iter:
         c = b - fb * (b - a) / (fb - fa)
         if not min(a, b) < c < max(a, b):
-            break  # the bracket has no float left inside it
+            c = 0.5 * (a + b)  # the secant point rounds onto an end: bisect
+            if not min(a, b) < c < max(a, b):
+                break  # the bracket has no float left inside it
         fc = residual_at(c)
         if abs(fc) < tol:
             return c
@@ -199,6 +213,11 @@ def gamma3_fixed_point(
         else:
             fa *= 0.5
         b, fb = c, fc
+    den_a, den_b = (_gamma3_den(params, g, gamma_eta, _Y_of(params, g)) for g in (a, b))
+    if (den_a < 0.0) != (den_b < 0.0):
+        raise SingularityError(
+            f"Gamma3 pole: the rhs denominator changes sign in [{min(a, b)!r}, {max(a, b)!r}]"
+        )
     raise ConvergenceError(
         f"Gamma3 root not found in the bracket [{min(a, b)!r}, {max(a, b)!r}]", abs(fb), n
     )

@@ -155,7 +155,8 @@ class TestPhaseScan:
         assert {r["status"] for r in rows} <= {"ok", "infeasible"}
 
     @pytest.mark.parametrize(
-        "key,value,status", [("kappa", "0.996", "singular"), ("nu", "2.3", "no_convergence")]
+        "key,value,status",
+        [("kappa", "0.996", "singular"), ("A0", "3.691903901261551", "singular")],
     )
     def test_numerical_failure_is_a_typed_row(self, tmp_path, capsys, key, value, status):
         code, text = invoke(tmp_path, "phase-scan", "--key", key, "--values", value)

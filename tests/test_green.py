@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cyclefield import green
+from cyclefield import corrections, green
 from cyclefield.errors import DomainError, SingularityError, TrajectoryTerminated
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
@@ -38,6 +38,76 @@ class TestCoefficients:
     def test_mass_carried_from_phase(self, trivial, nontrivial, params):
         assert green.coefficients(trivial, params).mass == 0.0
         assert green.coefficients(nontrivial, params).mass == nontrivial.mass
+
+    def test_record_is_an_immutable_named_tuple(self, trivial, params):
+        rec = green.coefficients(trivial, params)
+        assert list(rec._asdict()) == [
+            "alpha", "beta", "Omega_sq", "b_coef", "c_coef", "mass", "A_bar", "C_bar"
+        ]
+        with pytest.raises(AttributeError):
+            rec.alpha = 0.0
+
+
+def copy_state(x):
+    """An equal state that is a distinct object, so the kernel memos miss."""
+    return AgentState(C=x.C, K=x.K, A=x.A)
+
+
+class TestKernelMemo:
+    """The one-entry memos return what a fresh evaluation returns."""
+
+    @pytest.fixture
+    def pair(self, trivial, params):
+        x = anchor_state(trivial, params)
+        return x, AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A + 0.002)
+
+    def test_repeated_call_shares_one_record(self, trivial, params, pair):
+        x, y = pair
+        rec = green.coefficients(trivial, params, x, y)
+        assert green.coefficients(trivial, params, x, y) is rec
+        assert green.coefficients(trivial, params, copy_state(x), copy_state(y)) == rec
+
+    def test_same_states_at_two_times(self, trivial, params, pair):
+        x, y = pair
+        first = green.transition_density(x, y, 0.01, trivial, params)
+        second = green.transition_density(x, y, 0.02, trivial, params)
+        assert first[1] != second[1]
+        fresh = green.transition_density(copy_state(x), copy_state(y), 0.02, trivial, params)
+        assert second == fresh
+        assert green.transition_density(x, y, 0.01, trivial, params) == first
+
+    def test_switching_maintext(self, trivial, params, pair):
+        x, y = pair
+        appendix = green.coefficients(trivial, params, x, y)
+        maintext = green.coefficients(trivial, params, x, y, maintext=True)
+        assert maintext.beta != appendix.beta
+        d_app = green.transition_density(x, y, 0.01, trivial, params)
+        d_main = green.transition_density(x, y, 0.01, trivial, params, maintext=True)
+        assert d_main[1] != d_app[1]
+        assert d_main == green.transition_density(
+            copy_state(x), copy_state(y), 0.01, trivial, params, maintext=True
+        )
+        assert green.transition_density(x, y, 0.01, trivial, params) == d_app
+
+    def test_equal_params_object_gives_same_values(self, trivial, params, pair):
+        x, y = pair
+        twin = params.replace()
+        assert twin == params and twin is not params
+        rec = green.coefficients(trivial, params, x, y)
+        assert green.coefficients(trivial, twin, x, y) == rec
+        assert green.transition_density(x, y, 0.01, trivial, twin) == green.transition_density(
+            x, y, 0.01, trivial, params
+        )
+
+    def test_corrected_log_density_subtracts_gamma_v_exactly(self, nontrivial, params, pair):
+        x, y = pair
+        t = 0.01
+        _, log_g = green.transition_density(x, y, t, nontrivial, params)
+        _, log_c = corrections.corrected_density(x, y, t, nontrivial, params)
+        V = corrections.correction_potential(x, y, t, nontrivial, params)
+        assert log_c == log_g - params.gamma * V
+        fresh = corrections.corrected_density(copy_state(x), copy_state(y), t, nontrivial, params)
+        assert fresh[1] == log_c
 
 
 class TestCovariance:
@@ -110,6 +180,13 @@ class TestTransitionDensity:
         x = anchor_state(trivial, params)
         with pytest.warns(green.SmallTimeWarning):
             green.transition_density(x, x, 1.0, trivial, params)
+        # a repeated call is a memo hit and still warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                green.transition_density(x, x, 1.0, trivial, params)
+        assert [w.category for w in caught] == [green.SmallTimeWarning] * 2
+        assert {w.filename for w in caught} == {__file__}
 
     def test_zero_horizon_rejected(self, trivial, params):
         x = anchor_state(trivial, params)

@@ -164,6 +164,23 @@ class TestMemory:
             long = self._peak(lambda: run(10))
             assert long <= 1.5 * short, (name, short, long)
 
+    @pytest.mark.parametrize("n_paths", [128, 512])
+    def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
+        # 50 steps in chunks of 21 or 5: every path's stream position is
+        # saved between chunks.  Beyond the noise buffer a path may hold its
+        # state, its coordinates and the step's temporaries, not a state dict.
+        budget = 64 * 1024
+        monkeypatch.setattr(mc, "_NOISE_BYTES", budget)
+        p = ModelParams().replace(
+            A0=1.0, gamma=0.0, kappa=0.0, r_c=0.0, varpi=0.05, nu=0.5
+        )
+        sol = solve_phase(p, 0)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        cfg = mc.MCConfig(n_paths=n_paths, dt=1e-2, seed=1)
+        mc.sample_paths(x0, 0.1, sol, p, cfg)  # warm-up
+        peak = self._peak(lambda: mc.sample_paths(x0, 0.5, sol, p, cfg))
+        assert peak <= budget + 384 * n_paths, peak
+
 
 class TestDynamics:
     def test_drift_equilibrium_is_fixed_point_without_noise(self):

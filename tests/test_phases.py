@@ -13,10 +13,13 @@ from cyclefield.errors import (
     CycleFieldError,
     DomainError,
     InfeasiblePhaseError,
+    SingularityError,
 )
 from cyclefield.params import ModelParams
 from cyclefield.phases import (
+    _gamma3_den,
     _gamma3_rhs,
+    _Y_of,
     boundary_shifts,
     c0_window,
     compatibility_root,
@@ -116,6 +119,30 @@ class TestGamma3:
             gamma3_fixed_point(params, 0.003, tol=1e-30, max_iter=5)
         lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(err.value)).groups())
         assert lo <= root <= hi and lo < hi
+
+    def test_stalled_regula_falsi_bisects_to_the_root(self, params):
+        # nu = 2.3: f is +377 and -6.1e20 at the ends of [-11.5, 9.47], so the
+        # regula falsi point rounds onto an end; the bisection step that takes
+        # over reaches the root the damped iteration finds (0.0953898568889)
+        p = params.replace(nu=2.3)
+        ge = compatibility_root(p)["gamma_eta"]
+        g3 = gamma3_fixed_point(p, ge)
+        assert abs(_gamma3_rhs(p, g3, ge, False) - g3) < 1e-12
+        assert g3 == pytest.approx(0.09538985688890404, rel=1e-10)
+        assert solve_phase(p, 1).Gamma3 == g3
+
+    def test_pole_in_the_bracket_is_a_singularity(self, params):
+        # the bracket narrows onto a pole of rhs, not a root: the
+        # denominator of rhs changes sign between its ends
+        p = params.replace(A0=3.691903901261551)
+        ge = compatibility_root(p)["gamma_eta"]
+        with pytest.raises(SingularityError, match="Gamma3 pole") as err:
+            gamma3_fixed_point(p, ge)
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(err.value)).groups())
+        den_lo, den_hi = (_gamma3_den(p, g, ge, _Y_of(p, g)) for g in (lo, hi))
+        assert lo < hi and (den_lo < 0.0) != (den_hi < 0.0)
+        with pytest.raises(SingularityError, match="Gamma3 pole"):
+            solve_phase(p, 1)
 
 
 class TestCompatibility:

@@ -213,10 +213,34 @@ class TestPathRoundTrip:
         rng = np.random.default_rng(seed)
         path = make_path(n=7, dt=0.125, rng=rng)
         back = AgentPath.from_csv(path.to_csv())
+        np.testing.assert_array_equal(back.times, path.times)
         np.testing.assert_array_equal(back.C, path.C)
         np.testing.assert_array_equal(back.K, path.K)
         np.testing.assert_array_equal(back.A, path.A)
-        assert back.dt == pytest.approx(path.dt, rel=1e-12)
+        assert back.dt == path.dt
+
+    def test_header_names_may_carry_spaces(self):
+        path = make_path(n=4, dt=0.25)
+        body = path.to_csv().partition("\n")[2]
+        back = AgentPath.from_csv("t, C, K, A\n" + body)
+        np.testing.assert_array_equal(back.K, path.K)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,C,K\n0,1,10,10\n0.5,1,10,10\n",        # wrong header
+            "t,K,C,A\n0,1,10,10\n0.5,1,10,10\n",      # names out of order
+            "t,C,K,A\n0,1,10,10\n",                    # a single data row
+            "t,C,K,A\n",                                # an empty body
+            "t,C,K,A",                                   # no body at all
+            "t,C,K,A\n0,1,10,10\n0.5,1,10,10\n1.5,1,10,10\n",  # non-uniform grid
+            "t,C,K,A\n0,1,10\n0.5,1,10\n",             # three numbers a row
+            "t,C,K,A\n0,1,10,10\n0.5,1,10\n",          # a short row
+        ],
+    )
+    def test_malformed_csv_raises_shape_error(self, text):
+        with pytest.raises(ShapeError):
+            AgentPath.from_csv(text)
 
     def test_state_validation(self):
         with pytest.raises(DomainError):
