@@ -1,9 +1,9 @@
 """Analytic transition kernels per phase.
 
-Covariance and mean propagation (exact matrix exponential, plus the
-covariance in closed form), the small-time transition density with its
-technology potential factor, most-likely endpoints, average paths,
-equilibria, linearized dynamics, and the Laplace-domain propagator.
+The linear-Gaussian mean and covariance (one exact matrix exponential),
+the small-time transition density with its technology potential factor,
+most-likely endpoints, average paths, equilibria, linearized dynamics,
+and the Laplace-domain propagator.
 
 Two coefficient conventions coexist:
 
@@ -11,14 +11,17 @@ Two coefficient conventions coexist:
   ``beta = 2 A_m F'(K_m) + r_c - delta`` with ``A_m, K_m`` the endpoint
   midpoints — used when evaluating the density between two given states;
 * *reference* coefficients with ``A_m = A_bar_phase`` and ``K_m = K_bar``
-  — used for covariance propagation, mean propagation, equilibria, and
-  average paths, where the expansion point is the phase background.
+  — used for the mean and covariance, equilibria, and average paths,
+  where the expansion point is the phase background.
 
 :func:`_drift` is the one linearised kernel drift.  The density's
 displacement, the most likely endpoint (through :func:`dmcvr_residuals`)
 and the Laplace propagator's drift velocity derive from it;
-:func:`mean_state` writes the same rows as an affine matrix for the
-matrix exponential, and a test ties the two.
+:func:`_drift_matrix` writes the same rows as an affine matrix ``F``, and
+a test ties the two.  :func:`mean_state` propagates ``F`` with the
+Langevin sampler's noise, so its mean and covariance are what the Monte
+Carlo oracle checks.  The density's own variances (capital rate ``b/2``)
+are a paper-kernel convention the sampler does not check.
 
 The kernels evaluated for one pair of states share their work: the
 per-pair coefficient record (:func:`coefficients`) and the density
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,15 +66,6 @@ class GreenCoefficients(NamedTuple):
     mass: float      # phase mass gap
     A_bar: float     # phase technology anchor
     C_bar: float     # phase consumption anchor
-
-
-@dataclass(frozen=True)
-class CovarianceState:
-    """Propagated covariance H and linear response J at horizon s."""
-
-    H: np.ndarray  # 3x3 symmetric covariance accumulator
-    J: np.ndarray  # length-3 linear response vector
-    s: float       # horizon
 
 
 # One-entry memos of the last kernel record and the last density, each
@@ -156,140 +149,71 @@ def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# covariance propagation
+# mean and covariance propagation
 # ---------------------------------------------------------------------------
 
 
 def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
-    """Reference drift matrix ``M`` of the kernel; the covariance system's ``N`` is ``-2 M``."""
-    a0, b0 = _alpha_beta(solution.A_bar_phase, params.K_bar, params)
+    """Affine drift ``F`` of the kernel mean: ``d(C, K, A)/dt = F (C, K, A, 1)``.
+
+    The linearised drift at the phase anchor (reference coefficients):
+    the consumption mode grows at ``alpha+beta``, the capital row is
+    ``-alpha (K - K_bar) + K_bar^eps (A - A_bar) - (C - C_bar) + G0`` with
+    the offset ``G0 = A_bar K_bar^eps - delta K_bar - C_bar``, and
+    technology relaxes at ``1/(2 lambda^2)``.  ``F[:3, :3]`` is the
+    Jacobian of the Langevin sampler's drift at the anchor; the fourth row
+    is zero and the fourth column carries the offsets.
+    """
+    p = params
+    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
+    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
+    relax = 1.0 / (2.0 * p.lambda_sq)
     return np.array(
         [
-            [a0 + b0, 0.0, 0.0],
-            [1.0, a0, -params.K_bar ** params.epsilon],
-            [0.0, 0.0, 0.0],
+            [a0 + b0, 0.0, 0.0, -(a0 + b0) * C_bar],
+            [-1.0, -a0, p.K_bar ** p.epsilon, (a0 - p.delta) * p.K_bar],
+            [0.0, 0.0, -relax, relax * A_bar],
+            [0.0, 0.0, 0.0, 0.0],
         ]
     )
 
 
-def _propagate(F: np.ndarray, s: float, Q: np.ndarray | None = None):
-    """``e^{F s}`` and, given a diffusion ``Q``, ``int_0^s e^{F u} Q e^{F^T u} du``.
+def _propagate(F: np.ndarray, s: float, Q: np.ndarray):
+    """``e^{F s}`` and ``int_0^s e^{F u} Q e^{F^T u} du``.
 
     Both come from one matrix exponential of the Van Loan block matrix
-    ``[[-F, Q], [0, F^T]] s`` (C. Van Loan, IEEE TAC 23, 1978); the
-    integral is ``None`` without ``Q``.
+    ``[[-F, Q], [0, F^T]] s`` (C. Van Loan, IEEE TAC 23, 1978).
     """
     from scipy.linalg import expm
 
-    if Q is None:
-        return expm(F * s), None
     n = F.shape[0]
     E = expm(np.block([[-F, Q], [np.zeros_like(F), F.T]]) * s)
     phi = E[n:, n:].T
     return phi, phi @ E[:n, n:]
 
 
-def covariance_ode(
+def mean_state(
+    from_state: AgentState,
+    t: float,
     solution: PhaseSolution,
     params: ModelParams,
-    s: float,
-    from_state: AgentState | None = None,
-) -> CovarianceState:
-    """Solve the covariance system exactly by matrix exponential.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the linear-Gaussian kernel after time ``t``.
 
-    ``dH/ds = 2 Omega_hat - N H - H N^T`` and ``dJ/ds = -N J / 2`` with
-    ``N = -2 M`` (:func:`_drift_matrix`),
-    ``Omega_hat = diag(varpi^2, nu^2, 1/lambda^2)``, ``H(0) = 0`` and
-    ``J(0) = (C' - C_bar_phase, K' - K_bar, A')``, so ``H(s)`` is the
-    integral of ``e^{-N u} 2 Omega_hat e^{-N^T u}`` over ``[0, s]`` and
-    ``J(s) = e^{-N s/2} J(0)``.  Without ``from_state``, ``J = 0`` and
-    its exponential is not computed.
+    Returns ``(mean, cov)``.  The state follows the affine drift
+    :func:`_drift_matrix` with additive noise of variance rates
+    ``diag(varpi^2, nu^2, 1/lambda^2)``, the Langevin sampler's noise, so
+    the mean is ``e^{F t} (x0, 1)`` and the covariance solves the Lyapunov
+    equation ``dV/dt = F V + V F^T + Q`` from ``V(0) = 0``; one matrix
+    exponential (:func:`_propagate`) gives both.
     """
-    if s < 0.0:
-        raise DomainError(f"horizon s must be >= 0, got {s}")
-    M = _drift_matrix(solution, params)
-    omega = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
-    _, H = _propagate(2.0 * M, s, 2.0 * omega)
-    if from_state is None:
-        return CovarianceState(H=H, J=np.zeros(3), s=s)
-    decay, _ = _propagate(M, s)
-    J0 = np.array([from_state.C - solution.C_bar_phase, from_state.K - params.K_bar, from_state.A])
-    return CovarianceState(H=H, J=decay @ J0, s=s)
-
-
-def covariance_closed_form(
-    solution: PhaseSolution,
-    params: ModelParams,
-    s: float,
-    from_state: AgentState | None = None,
-) -> CovarianceState:
-    """Closed-form covariance entries (a, b, c, d, e, f) at horizon s.
-
-    Integration constants are fixed by H(0) = 0.  Raises
-    :class:`SingularityError` naming the offending factor when a
-    denominator vanishes.  The J vector uses the exact exponential
-    response (decaying capital mode).
-    """
-    if s < 0.0:
-        raise DomainError(f"horizon s must be >= 0, got {s}")
+    if t < 0.0:
+        raise DomainError(f"t must be >= 0, got {t}")
     p = params
-    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
-    pp = a0 + b0          # r_c + A_bar eps K_bar^(eps-1)
-    q = a0                # delta - A_bar eps K_bar^(eps-1)
-    dpr = 2.0 * a0 + b0   # delta + r_c
-    for name, val in (("r_c + AF'", pp), ("delta - AF'", q), ("beta0", b0), ("delta + r_c", dpr)):
-        if val == 0.0:
-            raise SingularityError(name)
-    lam_sq = p.lambda_sq
-    Keps = p.K_bar ** p.epsilon
-    K2e = Keps * Keps
-    w2 = p.varpi ** 2
-
-    e4p = math.exp(4.0 * pp * s)
-    e2q = math.exp(2.0 * q * s)
-    e4q = math.exp(4.0 * q * s)
-    edr = math.exp(2.0 * dpr * s)
-
-    a = w2 * (e4p - 1.0) / (2.0 * pp)
-    f = (2.0 / lam_sq) * s
-    c = 0.0
-    b = (
-        -w2 * edr / (b0 * dpr)
-        + w2 * e4p / (2.0 * pp * b0)
-        + w2 / (2.0 * dpr * pp)
-    )
-    e = -Keps * (e2q - 1.0) / (lam_sq * q * q) + 2.0 * Keps * s / (lam_sq * q)
-
-    dc_const = (
-        -p.nu ** 2 / (2.0 * q)
-        + 3.0 * K2e / (2.0 * lam_sq * q ** 3)
-        - w2 / (2.0 * q * dpr * pp)
-    )
-    dc2 = -2.0 * K2e / (lam_sq * q ** 3)            # coefficient of e^{2 q s}
-    dc3 = 2.0 * K2e / (lam_sq * q * q)              # coefficient of s
-    dc6 = w2 / (2.0 * pp * b0 * b0)                 # coefficient of e^{4 p s}
-    dc7 = -2.0 * w2 / (b0 * b0 * dpr)               # coefficient of e^{2(delta+r_c)s}
-    a4 = -(dc_const + dc2 + dc6 + dc7)              # fixed by d(0) = 0
-    d = dc_const + a4 * e4q + dc2 * e2q + dc3 * s + dc6 * e4p + dc7 * edr
-
-    H = np.array([[a, b, c], [b, d, e], [c, e, f]])
-
-    if from_state is None:
-        J = np.zeros(3)
-    else:
-        dC = from_state.C - solution.C_bar_phase
-        x1 = dC / b0
-        x2 = Keps * from_state.A / q
-        J = np.array(
-            [
-                dC * math.exp(pp * s),
-                (from_state.K - p.K_bar - x1 - x2) * math.exp(q * s)
-                + x1 * math.exp(pp * s)
-                + x2,
-                from_state.A,
-            ]
-        )
-    return CovarianceState(H=H, J=J, s=s)
+    F = _drift_matrix(solution, p)
+    Q = np.diag([p.varpi ** 2, p.nu ** 2, 1.0 / p.lambda_sq, 0.0])
+    phi, cov = _propagate(F, t, Q)
+    return phi[:3] @ np.append(from_state.as_array(), 1.0), cov[:3, :3]
 
 
 # ---------------------------------------------------------------------------
@@ -548,41 +472,6 @@ def linearized_eigenvalues(solution: PhaseSolution, params: ModelParams) -> dict
         0.5 * p.r_c - p.delta + 0.5 * root + AFp_e,
     )
     return {"jacobian": jac, "jacobian_eigenvalues": eigs, "printed_eigenvalues": printed}
-
-
-def mean_state(
-    from_state: AgentState,
-    t: float,
-    solution: PhaseSolution,
-    params: ModelParams,
-) -> np.ndarray:
-    """Mean of the transition kernel via the linearized drift at K_bar.
-
-    Solves the affine mean system (reference coefficients) exactly by
-    matrix exponential, with a constant fourth coordinate carrying the
-    offsets: the consumption mode grows at ``alpha+beta``, the capital
-    mode decays at ``alpha`` with consumption/technology coupling, the
-    technology mode relaxes at ``1/(2 lambda^2)``.
-    """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = params
-    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
-    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    relax = 1.0 / (2.0 * p.lambda_sq)
-    # d(C, K, A)/dt = F (C, K, A, 1).  The capital row is
-    # -a0 (K - K_bar) + K_bar^eps (A - A_bar) - (C - C_bar) + G0 with the
-    # offset G0 = A_bar K_bar^eps - delta K_bar - C_bar at the anchor.
-    F = np.array(
-        [
-            [a0 + b0, 0.0, 0.0, -(a0 + b0) * C_bar],
-            [-1.0, -a0, p.K_bar ** p.epsilon, (a0 - p.delta) * p.K_bar],
-            [0.0, 0.0, -relax, relax * A_bar],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-    phi, _ = _propagate(F, t)
-    return phi[:3] @ np.append(from_state.as_array(), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 Convention: a path weight ``exp(-int (xdot - mu)^2 / w^2 dt)`` is
 simulated as a diffusion with variance rate ``w^2`` per unit time, i.e.
 noise amplitudes ``varpi``, ``nu`` and ``1/lambda`` for consumption,
-capital and technology.  This matches the analytic kernel variances
-(``varpi^2 t`` for consumption at leading order) and is unit-tested
-against the small-horizon covariance.
+capital and technology.  :func:`compare_to_green` checks the ensemble
+against :func:`green.mean_state`, which propagates the same noise through
+the sampler's drift linearised at the phase anchor.  The mean of capital
+is the linearisation's gap: production is linearised at ``K_bar`` while
+the sampler integrates ``A K^eps``.
 
 Determinism: path ``i`` always draws from the counter-based stream
 ``Philox(key=seed, counter=[0, 0, i, 0])``, which is the stream
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from cyclefield.errors import DomainError, ParameterError
-from cyclefield.green import covariance_ode, mean_state
+from cyclefield.green import mean_state
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
@@ -210,16 +212,16 @@ def compare_to_green(
 ) -> dict:
     """Compare an ensemble against the analytic kernel marginals.
 
-    The analytic reference is the propagated mean (linearized drift at
-    the phase anchor) and half the propagated covariance accumulator
-    (the density-convention variance).  Returns per-coordinate z-scores
-    for mean and variance, Kolmogorov-Smirnov p-proxies, and an overall
-    verdict (all |z| <= 4 and all p >= 1e-3).
+    The analytic reference is the linear-Gaussian kernel of
+    :func:`green.mean_state`: the sampler's drift linearised at the phase
+    anchor, with the sampler's noise, so its mean and covariance come from
+    one propagation.  Returns per-coordinate z-scores for mean and
+    variance, Kolmogorov-Smirnov p-proxies, and an overall verdict (all
+    |z| <= 4 and all p >= 1e-3).
     """
     t = ensemble.t
-    mu = mean_state(initial, t, solution, params)
-    H = covariance_ode(solution, params, t).H
-    var_an = 0.5 * np.array([H[0, 0], H[1, 1], H[2, 2]])
+    mu, cov = mean_state(initial, t, solution, params)
+    var_an = np.diag(cov)
     n = ensemble.n_paths
     zscores: dict[str, float] = {}
     ks: dict[str, float] = {}

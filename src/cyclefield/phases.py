@@ -265,13 +265,13 @@ def _consumption_shift(params: ModelParams, gamma_eta: float, g: float) -> float
 
 
 def c0_window(params: ModelParams) -> tuple[float, float]:
-    """Admissible window (floor, floor + U) for the offset C0."""
+    """Admissible window (floor, floor + U) for the offset C0.
+
+    The floor's consumption scale ``sqrt(varsigma^2 varpi^2 + r_c^2)`` is
+    the one the ``D`` gate of :func:`compatibility_root` uses.
+    """
     p = params
-    floor = (
-        p.alpha_laplace
-        + math.sqrt(p.varsigma ** 2 * p.varpi ** 2 + p.r_c ** 2 * p.varpi ** 2)
-        + 1.0 / p.lam
-    )
+    floor = p.alpha_laplace + math.sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam
     eps, Kb = p.epsilon, p.K_bar
     g0 = p.A_bar0
     Y0 = _Y_of(p, g0)
@@ -311,11 +311,7 @@ def compatibility_root(params: ModelParams, paper_k1_approx: bool = False) -> di
     Y0 = _Y_of(p, g0)
     Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
     D = Keps1 * (
-        p.alpha_laplace
-        - p.C0
-        + math.sqrt(p.varsigma ** 2 * p.varpi ** 2 + p.r_c ** 2)
-        + 1.0 / p.lam
-        + abs(Y0)
+        p.alpha_laplace - p.C0 + math.sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam + abs(Y0)
     )
     if D < 0.0:
         raise InfeasiblePhaseError(f"compatibility gate D={D:.6g} is negative")
@@ -560,7 +556,9 @@ def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> Phas
         avg_C=avg_C,
         avg_K=avg_K,
         avg_Y=avg_Y,
-        feasible=existence["feasible"],
+        # the existence conditions, a positive mass gap and anchors an
+        # AgentState accepts
+        feasible=existence["feasible"] and mass > 0.0 and Gamma1 >= 0.0 and A_bar1 >= 0.0,
         stable=stab["stable"],
         Y_coef=Y,
     )

@@ -63,4 +63,4 @@ def test_mc_validate_export_pinned(tmp_path):
     argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1", "--export", str(export)]
     assert run(["--config", CONFIG, *argv, "--output", str(report)]) == 0
     assert sha256(export) == "221faeb3f6b202612c597f72c159909bfe6bb83f5d70f560ea1678ee9330c96b"
-    assert sha256(report) == "abf2654b981a396e42d6756cbf3bfa44cd56b06adc65d5510de531040024ae66"
+    assert sha256(report) == "063926fcfc762e262b659e04cb5f47a7c5a0d029cf4341ca2b4b0c9cbfc29b05"

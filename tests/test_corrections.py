@@ -132,6 +132,22 @@ class TestModifiedMatrices:
         np.testing.assert_allclose(m["R1"], m["R1"].T, atol=0)
         np.testing.assert_allclose(m["R3"], m["R3"].T, atol=0)
 
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_display_drift_is_the_kernel_drift_with_the_capital_row_negated(self, params, phase):
+        # M = [[alpha+beta, 0, 0], [1, alpha, -K_bar^eps], [0, 0, 0]] at the
+        # reference coefficients, every zero positive
+        sol = solve_phase(params, phase)
+        c = green.coefficients(sol, params)
+        expected = np.array(
+            [
+                [c.alpha + c.beta, 0.0, 0.0],
+                [1.0, c.alpha, -params.K_bar ** params.epsilon],
+                [0.0, 0.0, 0.0],
+            ]
+        )
+        M = corrections.modified_matrices(0.1, sol, params)["M"]
+        assert M.tobytes() == expected.tobytes()
+
     def test_modified_covariance_symmetric(self, trivial, params):
         m = corrections.modified_matrices(0.5, trivial, params)
         np.testing.assert_allclose(m["H_bar"], m["H_bar"].T, rtol=1e-12)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
+from scipy.linalg import expm
 
-from cyclefield import corrections, green
+from cyclefield import corrections, green, montecarlo as mc
 from cyclefield.errors import DomainError, SingularityError, TrajectoryTerminated
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
@@ -110,50 +111,81 @@ class TestKernelMemo:
         assert fresh[1] == log_c
 
 
+def lyapunov_closed_form(solution, params, s):
+    """``e^{F s}`` and ``int_0^s e^{F u} Q e^{F^T u} du`` on the (C, K, A) block, by eigendecomposition.
+
+    With ``F = V diag(w) V^-1`` and ``Q~ = V^-1 Q V^-T`` the integral is
+    ``V [Q~_ij (e^{(w_i + w_j) s} - 1) / (w_i + w_j)] V^T``.
+    """
+    F = green._drift_matrix(solution, params)[:3, :3]
+    Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
+    w, V = np.linalg.eig(F)
+    Vinv = np.linalg.inv(V)
+    Qt = Vinv @ Q @ Vinv.T
+    rate = w[:, None] + w[None, :]
+    W = Qt * np.expm1(rate * s) / rate
+    return np.real(V @ np.diag(np.exp(w * s)) @ Vinv), np.real(V @ W @ V.T)
+
+
 class TestCovariance:
+    """The covariance of :func:`green.mean_state`, the Lyapunov solution with the sampler's noise."""
+
     @pytest.mark.parametrize("phase", [0, 1])
     def test_ode_matches_closed_form(self, params, phase):
         sol = solve_phase(params, phase)
+        x = anchor_state(sol, params)
         for s in (0.05, 0.2, 0.5):
-            ode = green.covariance_ode(sol, params, s)
-            cf = green.covariance_closed_form(sol, params, s)
-            scale = np.max(np.abs(cf.H))
-            assert np.max(np.abs(ode.H - cf.H)) / scale < 1e-9
+            _, cov = green.mean_state(x, s, sol, params)
+            _, exact = lyapunov_closed_form(sol, params, s)
+            assert np.max(np.abs(cov - exact)) / np.max(np.abs(exact)) < 1e-9
+
+    def test_matches_quadrature(self, trivial, params):
+        F = green._drift_matrix(trivial, params)[:3, :3]
+        Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
+        s = 0.4
+        integral, _ = quad_vec(lambda u: expm(F * u) @ Q @ expm(F.T * u), 0.0, s, epsabs=0, epsrel=1e-12)
+        _, cov = green.mean_state(anchor_state(trivial, params), s, trivial, params)
+        np.testing.assert_allclose(cov, integral, rtol=1e-10, atol=1e-14 * np.max(np.abs(integral)))
 
     def test_response_vector_matches(self, trivial, params):
-        x = AgentState(C=1.3, K=11.5, A=9.0)
-        ode = green.covariance_ode(trivial, params, 0.4, from_state=x)
-        cf = green.covariance_closed_form(trivial, params, 0.4, from_state=x)
-        np.testing.assert_allclose(ode.J, cf.J, rtol=1e-9, atol=1e-12)
+        # the mean responds to the start state through e^{F s} alone
+        x, y = AgentState(C=1.3, K=11.5, A=9.0), anchor_state(trivial, params)
+        decay, _ = lyapunov_closed_form(trivial, params, 0.4)
+        response = green.mean_state(x, 0.4, trivial, params)[0] - green.mean_state(y, 0.4, trivial, params)[0]
+        np.testing.assert_allclose(response, decay @ (x.as_array() - y.as_array()), rtol=1e-9, atol=1e-12)
 
     def test_long_horizon_matches_closed_form(self, nontrivial, params):
-        x = AgentState(C=1.3, K=11.5, A=9.0)
-        ode = green.covariance_ode(nontrivial, params, 10.0, from_state=x)
-        cf = green.covariance_closed_form(nontrivial, params, 10.0, from_state=x)
-        assert np.max(np.abs(ode.H - cf.H)) / np.max(np.abs(cf.H)) < 1e-10
-        np.testing.assert_allclose(ode.J, cf.J, rtol=1e-12, atol=0)
+        x, y = AgentState(C=1.3, K=11.5, A=9.0), anchor_state(nontrivial, params)
+        decay, exact = lyapunov_closed_form(nontrivial, params, 10.0)
+        mean, cov = green.mean_state(x, 10.0, nontrivial, params)
+        assert np.max(np.abs(cov - exact)) / np.max(np.abs(exact)) < 1e-10
+        response = mean - green.mean_state(y, 10.0, nontrivial, params)[0]
+        np.testing.assert_allclose(response, decay @ (x.as_array() - y.as_array()), rtol=1e-10, atol=0)
 
     def test_small_horizon_limit(self, trivial, params):
         s = 1e-5
-        H = green.covariance_ode(trivial, params, s).H
-        expected = 2.0 * s * np.diag(
-            [params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq]
-        )
-        np.testing.assert_allclose(H, expected, rtol=1e-2, atol=1e-11)
+        _, cov = green.mean_state(anchor_state(trivial, params), s, trivial, params)
+        expected = s * np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
+        np.testing.assert_allclose(cov, expected, rtol=1e-2, atol=1e-11)
 
     @given(st.floats(0.01, 1.0))
     def test_accumulator_symmetric_with_positive_diagonal(self, s):
         params = ModelParams()
         sol = solve_phase(params, 0)
-        H = green.covariance_closed_form(sol, params, s).H
-        np.testing.assert_allclose(H, H.T, rtol=0, atol=0)
-        assert np.all(np.diag(H) > 0.0)
+        _, cov = green.mean_state(anchor_state(sol, params), s, sol, params)
+        np.testing.assert_allclose(cov, cov.T, rtol=1e-12, atol=1e-14 * np.max(np.abs(cov)))
+        assert np.all(np.diag(cov) > 0.0)
+        assert np.all(np.linalg.eigvalsh(cov) > 0.0)
 
     def test_zero_horizon(self, trivial, params):
-        state = green.covariance_ode(trivial, params, 0.0)
-        assert np.all(state.H == 0.0)
-        cf = green.covariance_closed_form(trivial, params, 0.0)
-        np.testing.assert_allclose(cf.H, 0.0, atol=1e-12)
+        x = AgentState(C=1.4, K=9.0, A=10.5)
+        mean, cov = green.mean_state(x, 0.0, trivial, params)
+        np.testing.assert_array_equal(mean, x.as_array())
+        assert np.all(cov == 0.0)
+
+    def test_negative_horizon_rejected(self, trivial, params):
+        with pytest.raises(DomainError):
+            green.mean_state(anchor_state(trivial, params), -1e-3, trivial, params)
 
 
 class TestTransitionDensity:
@@ -246,7 +278,7 @@ class TestDrift:
         matrices = []
         propagate = green._propagate
 
-        def spy(F, s, Q=None):
+        def spy(F, s, Q):
             matrices.append(F)
             return propagate(F, s, Q)
 
@@ -316,13 +348,13 @@ class TestAveragePath:
 class TestMeanState:
     def test_zero_horizon_identity(self, trivial, params):
         x = AgentState(C=1.4, K=9.0, A=10.5)
-        np.testing.assert_array_equal(green.mean_state(x, 0.0, trivial, params), x.as_array())
+        np.testing.assert_array_equal(green.mean_state(x, 0.0, trivial, params)[0], x.as_array())
 
     def test_anchor_drift(self, trivial, params):
         # at the anchor only the affine capital offset acts
         x = anchor_state(trivial, params)
         t = 1e-3
-        mu = green.mean_state(x, t, trivial, params)
+        mu, _ = green.mean_state(x, t, trivial, params)
         Keps = params.K_bar ** params.epsilon
         G0 = trivial.A_bar_phase * Keps - params.delta * params.K_bar - trivial.C_bar_phase
         assert mu[0] == pytest.approx(x.C, abs=1e-12)
@@ -337,13 +369,13 @@ class TestMeanState:
         C_bar, A_bar, Keps = sol.C_bar_phase, sol.A_bar_phase, p.K_bar ** p.epsilon
         x = AgentState(C=C_bar + 0.2, K=p.K_bar - 1.5, A=A_bar + 0.7)
         for t in (0.3, 4.0):
-            mu = green.mean_state(x, t, sol, p)
+            mu, _ = green.mean_state(x, t, sol, p)
             # consumption and technology modes decouple and are exact exponentials
             assert mu[0] == pytest.approx(C_bar + 0.2 * math.exp((c.alpha + c.beta) * t), rel=1e-13)
             assert mu[2] == pytest.approx(A_bar + 0.7 * math.exp(-t / (2.0 * p.lambda_sq)), rel=1e-13)
             # the central difference in t follows the affine drift
             h = 1e-4
-            slope = (green.mean_state(x, t + h, sol, p) - green.mean_state(x, t - h, sol, p)) / (2.0 * h)
+            slope = (green.mean_state(x, t + h, sol, p)[0] - green.mean_state(x, t - h, sol, p)[0]) / (2.0 * h)
             G0 = A_bar * Keps - p.delta * p.K_bar - C_bar
             C, K, A = mu
             drift = [
@@ -352,6 +384,33 @@ class TestMeanState:
                 -(A - A_bar) / (2.0 * p.lambda_sq),
             ]
             np.testing.assert_allclose(slope, drift, rtol=1e-6, atol=1e-9)
+
+
+class TestPaperKernelConventions:
+    """Paper-kernel conventions the Monte Carlo oracle does not check, pinned as they are."""
+
+    def test_density_capital_variance_rate_is_half_b_not_nu_squared(self, trivial, params):
+        # the density's capital variance grows at b/2, the sampler's (and
+        # mean_state's) at nu^2, twenty times smaller at the defaults
+        t = 1e-3
+        x = anchor_state(trivial, params)
+        c = green.coefficients(trivial, params, x, x)
+        _, (_, v_K, _) = green._gaussian_parts(x, x, t, params, c)
+        assert v_K / t == pytest.approx(0.20144106368924605, rel=1e-12)
+        _, cov = green.mean_state(x, t, trivial, params)
+        assert cov[1, 1] / t == pytest.approx(params.nu ** 2, rel=1e-2)
+        assert params.nu ** 2 == pytest.approx(0.01, rel=1e-12)
+
+    def test_average_path_consumption_rate_subtracts_delta(self, trivial, params):
+        # average_path_rhs grows C - C_bar at A F'(K) + r_c - delta, the
+        # Langevin sampler at A F'(K) + r_c
+        C, K, A = trivial.C_bar_phase + 0.1, 10.5, 9.5
+        AFp = A * params.epsilon * K ** (params.epsilon - 1.0)
+        dC = green.average_path_rhs(np.array([C, K, A]), trivial, params, K_e=10.0)[0]
+        assert dC / (C - trivial.C_bar_phase) == pytest.approx(AFp + params.r_c - params.delta, rel=1e-12)
+        step = mc._euler_step(trivial, params, 1e-3)
+        *_, rate = step(np.array([C]), np.array([K]), np.array([A]), np.zeros((1, 3)))
+        assert rate[0] == pytest.approx(AFp + params.r_c, rel=1e-12)
 
 
 class TestLaplacePropagator:

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cyclefield import green, montecarlo as mc
 from cyclefield.errors import DomainError, ParameterError
-from cyclefield.params import ModelParams
+from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
 
@@ -256,9 +257,8 @@ class TestCompareToGreen:
         # an ensemble drawn from the analytic marginals must pass
         p, sol, x0 = quiet_setup
         t = 0.05
-        mu = green.mean_state(x0, t, sol, p)
-        H = green.covariance_ode(sol, p, t, from_state=x0).H
-        sd = np.sqrt(0.5 * np.diag(H))
+        mu, cov = green.mean_state(x0, t, sol, p)
+        sd = np.sqrt(np.diag(cov))
         rng = np.random.default_rng(0)
         n = 20000
         ens = mc.PathEnsemble(
@@ -275,9 +275,8 @@ class TestCompareToGreen:
     def test_biased_ensemble_fails(self, quiet_setup):
         p, sol, x0 = quiet_setup
         t = 0.05
-        mu = green.mean_state(x0, t, sol, p)
-        H = green.covariance_ode(sol, p, t, from_state=x0).H
-        sd = np.sqrt(0.5 * np.diag(H))
+        mu, cov = green.mean_state(x0, t, sol, p)
+        sd = np.sqrt(np.diag(cov))
         rng = np.random.default_rng(1)
         n = 20000
         shift = 10.0 * sd[0] / math.sqrt(n)
@@ -297,6 +296,36 @@ class TestCompareToGreen:
         p, sol, x0 = quiet_setup
         ens = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=20000, dt=1e-3, seed=7))
         assert mc.compare_to_green(ens, x0, sol, p)["pass"]
+
+    def test_one_propagation_per_comparison(self, quiet_setup, monkeypatch):
+        p, sol, x0 = quiet_setup
+        ens = mc.sample_paths(x0, 0.02, sol, p, mc.MCConfig(n_paths=200, dt=1e-3, seed=1))
+        calls = []
+        propagate = green._propagate
+
+        def spy(F, s, Q):
+            calls.append(s)
+            return propagate(F, s, Q)
+
+        monkeypatch.setattr(green, "_propagate", spy)
+        mc.compare_to_green(ens, x0, sol, p)
+        assert calls == [0.02]
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_shipped_parameters(self, phase):
+        # base.cfg (A0 = 8): variances and the C, A means and marginals
+        # agree; the K mean and marginal carry the linearisation gap
+        # (production linearised at K_bar), left for the linear-noise
+        # approximation
+        p = load_config(str(Path(__file__).resolve().parent.parent / "base.cfg"))
+        sol = solve_phase(p, phase)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        ens = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=20000, dt=1e-3, seed=0))
+        report = mc.compare_to_green(ens, x0, sol, p)
+        z, ks = report["zscores"], report["ks"]
+        for key in ("var_C", "var_K", "var_A", "mean_C", "mean_A"):
+            assert abs(z[key]) <= 4.0, (key, z)
+        assert ks["C"] >= 1e-3 and ks["A"] >= 1e-3, ks
 
 
 class TestBudgetBrownian:

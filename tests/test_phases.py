@@ -160,6 +160,16 @@ class TestCompatibility:
         with pytest.raises(InfeasiblePhaseError):
             compatibility_root(params.replace(C0=floor + 2.0 * U))
 
+    @pytest.mark.parametrize("change", [{}, {"varpi": 0.2, "r_c": 0.1}])
+    def test_window_floor_and_d_gate_share_one_scale(self, params, change):
+        p = params.replace(**change)
+        floor, _ = c0_window(p)
+        root = compatibility_root(p)
+        Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
+        # D = Keps1 (alpha_laplace - C0 + scale + 1/lambda + |Y0|) and
+        # floor = alpha_laplace + scale + 1/lambda
+        assert root["D"] == pytest.approx(Keps1 * (floor - p.C0 + abs(_Y_of(p, p.A_bar0))), rel=1e-12)
+
     def test_existence_report(self, params):
         report = phase_existence(params)
         assert report["feasible"]
@@ -189,6 +199,14 @@ class TestSolvePhase:
         assert nontrivial.avg_C < trivial.avg_C
         assert nontrivial.avg_A < trivial.avg_A
         assert nontrivial.avg_Y < trivial.avg_Y
+
+    def test_feasible_needs_a_physical_solution(self, params):
+        # the existence conditions hold, but the mass gap and the
+        # consumption anchor come out negative
+        sol = solve_phase(params.replace(nu=2.3), 1)
+        assert phase_existence(params.replace(nu=2.3))["feasible"]
+        assert sol.mass < 0.0 and sol.C_bar_phase < 0.0
+        assert not sol.feasible
 
     def test_invalid_phase_rejected(self, params):
         with pytest.raises(DomainError):
