@@ -6,7 +6,8 @@ printed with 17 significant digits, so identical inputs produce
 byte-identical artifacts.
 
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
-nontrivial phase; 4 numerical failure.
+nontrivial phase; 4 numerical failure; 5 ``mc-validate --strict`` wrote a
+report whose check failed.
 """
 
 from __future__ import annotations
@@ -271,7 +272,7 @@ def _cmd_mc_validate(args) -> int:
     report = montecarlo.compare_to_green(ensemble, initial, sol, p)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}
     _emit(_json_dumps(out) + "\n", args.output)
-    return 0
+    return 5 if args.strict and not report["pass"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mcv = sub.add_parser("mc-validate", help="Monte Carlo check of the analytic kernel")
     mcv.add_argument("--t", type=float, required=True, help="horizon")
     mcv.add_argument("--n", type=int, default=10000, help="number of paths")
-    mcv.add_argument("--dt", type=float, default=1e-3, help="Euler step")
+    mcv.add_argument("--dt", type=float, default=1e-2, help="Heun step")
     mcv.add_argument("--phase", type=int, choices=(0, 1), default=0)
     mcv.add_argument("--export", help="write the endpoint ensemble CSV to this file")
+    mcv.add_argument("--strict", action="store_true", help="exit 5 after the report if the check fails")
     mcv.set_defaults(func=_cmd_mc_validate)
 
     for sp in (phases, scan, transit, path, dev, two, mcv):

@@ -9,23 +9,22 @@ the sampler's drift linearised at the phase anchor.  The mean of capital
 is the linearisation's gap: production is linearised at ``K_bar`` while
 the sampler integrates ``A K^eps``.
 
-Determinism: path ``i`` always draws from the counter-based stream
-``Philox(key=seed, counter=[0, 0, i, 0])``, which is the stream
-``Philox(key=seed).jumped(i)``, so artifacts match those of versions that
-built the latter.  Partitioning paths over blocks or workers cannot change
-any path's stream, so ensembles are byte-identical for a fixed seed
-regardless of scheduling.
+Determinism: paths come in tiles of ``_TILE``; tile ``j`` draws its
+noise step-major from the counter-based stream ``Philox(key=seed,
+counter=[0, 0, j, 0])``, which is ``Philox(key=seed).jumped(j)``.  Blocks
+are whole tiles and a partial last tile is simulated whole, so ensembles
+are byte-identical for a fixed seed whatever the block size or
+``n_paths``.
 
 Memory: noise is drawn in time chunks under a fixed per-block budget of
-``_NOISE_BYTES``, so a simulation's memory grows with the block size, not
-with the horizon.  Drawing a stream in chunks yields the same numbers as
-drawing it in one go.
+``_NOISE_BYTES``, so memory grows with the block size, not the horizon;
+a stream drawn in chunks gives the numbers it gives in one go.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import kolmogorov, ndtr
@@ -37,6 +36,7 @@ from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
 
 _NOISE_BYTES = 16 * 2**20  # noise buffer budget per block of paths
+_TILE = 64  # paths per random stream
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class MCConfig:
     """Monte Carlo sampling configuration."""
 
     n_paths: int = 10000       # number of independent paths
-    dt: float = 1e-3           # Euler step
-    seed: int = 0              # Philox key
-    antithetic: bool = False   # pair path 2j+1 with the negated noise of 2j
+    dt: float = 1e-2           # Heun step
+    seed: int = 0              # Philox key of every tile stream
+    antithetic: bool = False   # path 2j+1 takes the negated noise of 2j, within a tile
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -63,10 +63,9 @@ class PathEnsemble:
     K: np.ndarray              # endpoint capital, shape (n_paths,)
     A: np.ndarray              # endpoint technology, shape (n_paths,)
     t: float                   # horizon
-    dt: float                  # Euler step used
+    dt: float                  # Heun step used
     seed: int                  # Philox key used
     n_negative_K: int = 0      # paths that visited K <= 0 (flagged, retained)
-    negative_K_mask: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_paths(self) -> int:
@@ -83,71 +82,78 @@ class PathEnsemble:
         }
 
 
-def _path_noise(seed: int, start: int, count: int, n_steps: int, antithetic: bool):
-    """Noise for paths [start, start+count) in consecutive time chunks.
+def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, antithetic: bool):
+    """Noise for tiles [tile, tile+n_tiles) in consecutive time chunks.
 
-    Yields views of shape ``(m, count, 3)`` covering steps ``[k, k+m)`` in
-    order; each view is overwritten by the next one.  One Philox generator
-    is re-pointed at each path's counter, which is far cheaper than
-    building one per path, and draws straight into a path-major buffer.
-    Between chunks each path keeps only the Philox counter, output buffer,
-    buffer position and spare 32-bit word, in arrays of 88 bytes a path.
+    Yields views of shape ``(m, n_tiles, _TILE, 3)`` covering steps
+    ``[k, k+m)`` in order; each view is overwritten by the next one.  One
+    Philox generator is re-pointed at each tile's stream and fills the
+    tile's chunk in one call.  With ``antithetic`` each odd column of a
+    tile is the negated noise of the even column before it.
     """
-    chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * count)))
-    buf = np.empty((count, chunk, 3))
+    chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * _TILE * n_tiles)))
+    buf = np.empty((n_tiles, chunk, _TILE, 3))
     rng = np.random.Generator(np.random.Philox(key=seed))
     bitgen = rng.bit_generator
-    fresh = bitgen.state  # counter [0, 0, 0, 0], empty output buffer
-    if chunk < n_steps:
-        counters = np.empty((count, 4), dtype=np.uint64)
-        buffers = np.empty((count, 4), dtype=np.uint64)
-        positions = np.empty((count, 3), dtype=np.int64)  # buffer_pos, has_uint32, uinteger
+    states = []
+    for j in range(tile, tile + n_tiles):
+        states.append(bitgen.state)  # counter [0, 0, 0, 0], empty output buffer
+        states[-1]["state"]["counter"][2] = j
     for k in range(0, n_steps, chunk):
         m = min(chunk, n_steps - k)
-        for j in range(count):
-            i = start + j
-            if k == 0:
-                fresh["state"]["counter"][2] = i // 2 if antithetic else i
-            else:
-                fresh["state"]["counter"], fresh["buffer"] = counters[j], buffers[j]
-                fresh["buffer_pos"], fresh["has_uint32"], fresh["uinteger"] = positions[j].tolist()
-            bitgen.state = fresh
-            row = buf[j, :m]
-            rng.standard_normal(out=row)
+        for j in range(n_tiles):
+            bitgen.state = states[j]
+            rng.standard_normal(out=buf[j, :m])
             if k + m < n_steps:
-                state = bitgen.state
-                counters[j], buffers[j] = state["state"]["counter"], state["buffer"]
-                positions[j] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
-            if antithetic and i % 2 == 1:
-                np.negative(row, out=row)
-        yield buf[:, :m].transpose(1, 0, 2)
+                states[j] = bitgen.state
+        if antithetic:
+            np.negative(buf[:, :m, 0::2], out=buf[:, :m, 1::2])
+        yield buf[:, :m].swapaxes(0, 1)
 
 
-def _euler_step(solution: PhaseSolution, params: ModelParams, dt: float):
-    """One Euler-Maruyama step of the phase Langevin system.
+def _drift(solution: PhaseSolution, params: ModelParams):
+    """Nonlinear drift of the phase Langevin system.
 
-    Drifts: ``dC = (A F'(K) + r_c)(C - C_bar_phase) dt``,
-    ``dK = (A F(K) - C - delta K) dt``,
-    ``dA = -(A - A_bar_phase)/(2 lambda^2) dt``; noise amplitudes
-    ``varpi, nu, 1/lambda``.  ``F(K) = K^eps`` and ``F'(K)`` are clamped to
-    zero where ``K <= 0``.  Returns ``step(C, K, A, z)``, which gives the new
-    ``(C, K, A)``, the mask of paths with ``K > 0`` before the step and the
-    consumption rate ``A F'(K) + r_c``.
+    ``dC = (A F'(K) + r_c)(C - C_bar_phase)``, ``dK = A F(K) - C - delta K``,
+    ``dA = -(A - A_bar_phase)/(2 lambda^2)`` with ``F = K^eps`` and
+    ``F' = eps F / K`` clamped to zero where ``K <= 0``.  ``drift(C, K, A)``
+    gives the three rates, the mask ``K > 0`` and the rate ``A F' + r_c``;
+    its Jacobian at the phase anchor is ``green._drift_matrix[:3, :3]``.
     """
     eps, r_c, delta = params.epsilon, params.r_c, params.delta
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
     relax_A = 1.0 / (2.0 * params.lambda_sq)
-    sdt = math.sqrt(dt)
-    amp_C, amp_K, amp_A = params.varpi * sdt, params.nu * sdt, 1.0 / params.lam * sdt
 
-    def step(C, K, A, z):
+    def drift(C, K, A):
         pos = K > 0.0
         Kp = np.where(pos, K, 1.0)  # placeholder, masked below
-        F, Fp = np.where(pos, Kp ** eps, 0.0), np.where(pos, eps * Kp ** (eps - 1.0), 0.0)
-        rate = A * Fp + r_c
-        C_new = C + rate * (C - C_bar) * dt + amp_C * z[:, 0]
-        K_new = K + (A * F - C - delta * K) * dt + amp_K * z[:, 1]
-        return C_new, K_new, A - (A - A_bar) * relax_A * dt + amp_A * z[:, 2], pos, rate
+        F = np.where(pos, Kp ** eps, 0.0)
+        rate = A * (eps * F / Kp) + r_c
+        return rate * (C - C_bar), A * F - C - delta * K, (A_bar - A) * relax_A, pos, rate
+
+    return drift
+
+
+def _heun_step(solution: PhaseSolution, params: ModelParams, dt: float):
+    """One stochastic Heun step of the phase Langevin system (:func:`_drift`).
+
+    An Euler predictor, then the trapezoidal drift, with the same Gaussian
+    increment in both: with the constant noise amplitudes ``varpi, nu,
+    1/lambda`` this has weak order 2 (Kloeden & Platen 1992, sec. 15.1).
+    ``step(C, K, A, z)`` gives the new ``(C, K, A)``, the mask of ``K > 0``
+    at the step start and the predictor, and the start's rate ``A F' + r_c``.
+    """
+    drift = _drift(solution, params)
+    sdt = math.sqrt(dt)
+    amp_C, amp_K, amp_A = params.varpi * sdt, params.nu * sdt, sdt / params.lam
+    half = 0.5 * dt
+
+    def step(C, K, A, z):
+        wC, wK, wA = amp_C * z[..., 0], amp_K * z[..., 1], amp_A * z[..., 2]
+        dC, dK, dA, pos, rate = drift(C, K, A)
+        eC, eK, eA, pos_p, _ = drift(C + dC * dt + wC, K + dK * dt + wK, A + dA * dt + wA)
+        C_new, K_new = C + (dC + eC) * half + wC, K + (dK + eK) * half + wK
+        return C_new, K_new, A + (dA + eA) * half + wA, pos & pos_p, rate
 
     return step
 
@@ -160,10 +166,13 @@ def sample_paths(
     mc: MCConfig,
     block_size: int = 4096,
 ) -> PathEnsemble:
-    """Euler-Maruyama sample of the phase Langevin system (:func:`_euler_step`).
+    """Stochastic Heun sample of the phase Langevin system (:func:`_heun_step`).
 
-    Negative-capital excursions are flagged and retained, never reflected
-    or killed.
+    Paths run in blocks of whole tiles (``block_size`` is rounded up to a
+    multiple of ``_TILE``); a partial last tile is simulated whole and
+    truncated, so the first paths of an ensemble do not depend on
+    ``n_paths``.  Negative-capital excursions are flagged and retained,
+    never reflected or killed.
     """
     if t <= 0.0:
         raise DomainError(f"t must be > 0, got {t}")
@@ -171,37 +180,25 @@ def sample_paths(
     n_steps = round(n_steps_f)
     if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps):
         raise ParameterError(f"horizon t={t} is not an integer multiple of dt={mc.dt}")
-    step = _euler_step(solution, params, mc.dt)
+    step = _heun_step(solution, params, mc.dt)
 
     n = mc.n_paths
-    out_C = np.empty(n)
-    out_K = np.empty(n)
-    out_A = np.empty(n)
-    neg_mask = np.zeros(n, dtype=bool)
-    for start in range(0, n, block_size):
-        count = min(block_size, n - start)
-        C = np.full(count, initial.C)
-        K = np.full(count, initial.K)
-        A = np.full(count, initial.A)
-        neg = np.zeros(count, dtype=bool)
-        for noise in _path_noise(mc.seed, start, count, n_steps, mc.antithetic):
+    n_tiles, per_block = -(-n // _TILE), -(-block_size // _TILE)
+    out = np.empty((3, n_tiles, _TILE))
+    ok = np.ones((n_tiles, _TILE), dtype=bool)
+    for first in range(0, n_tiles, per_block):
+        count = min(per_block, n_tiles - first)
+        sl = slice(first, first + count)
+        C, K, A = (np.full((count, _TILE), v) for v in (initial.C, initial.K, initial.A))
+        for noise in _tile_noise(mc.seed, first, count, n_steps, mc.antithetic):
             for z in noise:
                 C, K, A, pos, _ = step(C, K, A, z)
-                neg |= ~pos
-        neg |= K <= 0.0
-        sl = slice(start, start + count)
-        out_C[sl], out_K[sl], out_A[sl] = C, K, A
-        neg_mask[sl] = neg
-    return PathEnsemble(
-        C=out_C,
-        K=out_K,
-        A=out_A,
-        t=t,
-        dt=mc.dt,
-        seed=mc.seed,
-        n_negative_K=int(np.count_nonzero(neg_mask)),
-        negative_K_mask=neg_mask,
-    )
+                ok[sl] &= pos
+        ok[sl] &= K > 0.0
+        out[:, sl] = C, K, A
+    C, K, A = out.reshape(3, -1)[:, :n]
+    n_negative_K = n - int(np.count_nonzero(ok.reshape(-1)[:n]))
+    return PathEnsemble(C=C, K=K, A=A, t=t, dt=mc.dt, seed=mc.seed, n_negative_K=n_negative_K)
 
 
 def compare_to_green(
@@ -313,7 +310,7 @@ def appendix5_negligibility(
     The term is small only near the weak-drift point (A0=1, gamma=0,
     kappa=0, r_c=0, varpi=0.05, nu=0.5, phase 0), where the ratios stay
     below 0.1.  At ``base.cfg``, phase 1, T=40, dt=0.02, 1000 paths and
-    seed 12345 they are 7.76, 1.92, 0.71 and 0.22 for r = 0, 0.05, 0.1
+    seed 12345 they are 7.54, 1.91, 0.72 and 0.22 for r = 0, 0.05, 0.1
     and 0.2: there the term is not negligible unless discounting is strong.
     """
     p = params
@@ -321,8 +318,10 @@ def appendix5_negligibility(
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
     n_steps = round(T / dt)
 
+    drift = _drift(solution, p)
+
     def k_drift(k):
-        return A_bar * k ** eps - C_bar - p.delta * k
+        return float(drift(C_bar, k, A_bar)[1])
 
     # the stable root lies above the drift maximum at (A_bar eps/delta)^(1/(1-eps))
     lo = (A_bar * eps / p.delta) ** (1.0 / (1.0 - eps))
@@ -337,31 +336,25 @@ def appendix5_negligibility(
 
     K_eq = brentq(k_drift, lo, hi, xtol=1e-12)
 
-    times = dt * np.arange(n_steps)
     rates = [float(r) for r in r_values]
-    disc = np.ones((n_steps, len(rates)))  # e^{-r s} per step and rate; r <= 0 undiscounted
-    for c, r in enumerate(rates):
-        if r > 0:
-            disc[:, c] = np.exp(-r * times)
-    I = np.zeros((len(rates), n_paths))  # running sums of Kdot e^{-r s} per rate
-    weight_mag = np.zeros(n_paths)
-    C = np.full(n_paths, C_bar)
-    K = np.full(n_paths, K_eq)
-    A = np.full(n_paths, A_bar)
-    step = _euler_step(solution, p, dt)
-    k = 0
-    for noise in _path_noise(seed, 0, n_paths, n_steps, False):
-        for z in noise:
-            C_new, K_new, A_new, _, r_pt = step(C, K, A, z)
-            cdot = (C_new - C) / dt
-            weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
-            I += disc[k][:, None] * ((K_new - K) / dt)
-            C, K, A = C_new, K_new, A_new
-            k += 1
-    mean_weight = float(np.mean(weight_mag))
+    # e^{-r s} per step and rate; r <= 0 undiscounted
+    disc = np.exp(-np.outer(dt * np.arange(n_steps), np.maximum(rates, 0.0)))
+    shape = (-(-n_paths // _TILE), _TILE)  # whole tiles, truncated to n_paths below
+    I = np.zeros((len(rates),) + shape)  # running sums of Kdot e^{-r s} per rate
+    weight_mag = np.zeros(shape)
+    C, K, A = (np.full(shape, v) for v in (C_bar, K_eq, A_bar))
+    step = _heun_step(solution, p, dt)
+    noise = (z for chunk in _tile_noise(seed, 0, shape[0], n_steps, False) for z in chunk)
+    for d, z in zip(disc, noise):
+        C_new, K_new, A_new, _, r_pt = step(C, K, A, z)
+        cdot = (C_new - C) / dt
+        weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
+        I += d[:, None, None] * ((K_new - K) / dt)
+        C, K, A = C_new, K_new, A_new
+    mean_weight = float(np.mean(weight_mag.reshape(-1)[:n_paths]))
     ratios = {}
     for r, I_r in zip(rates, I):
         r_bar = r / (1.0 - math.exp(-r * T)) if r > 0 else 1.0 / T
-        term = 2.0 * r_bar / p.nu ** 2 * (I_r * dt) ** 2
+        term = 2.0 * r_bar / p.nu ** 2 * (I_r.reshape(-1)[:n_paths] * dt) ** 2
         ratios[r] = float(np.mean(term) / mean_weight)
     return ratios

@@ -62,5 +62,5 @@ def test_mc_validate_export_pinned(tmp_path):
     export, report = tmp_path / "endpoints.csv", tmp_path / "report.json"
     argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1", "--export", str(export)]
     assert run(["--config", CONFIG, *argv, "--output", str(report)]) == 0
-    assert sha256(export) == "221faeb3f6b202612c597f72c159909bfe6bb83f5d70f560ea1678ee9330c96b"
-    assert sha256(report) == "063926fcfc762e262b659e04cb5f47a7c5a0d029cf4341ca2b4b0c9cbfc29b05"
+    assert sha256(export) == "a10acf034f1bc9c692060c5f1cde7335a478f00e98f97805d74ad4227b077d00"
+    assert sha256(report) == "d91d0afd4ba1ae0155633ccef3ef860d91b5fbb57d1f49107109d44e557ad006"

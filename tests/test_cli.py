@@ -310,6 +310,22 @@ class TestMCValidate:
         assert lines[0] == "path_id,C,K,A"
         assert len(lines) == 2001
 
+    def test_strict_exits_5_after_writing_a_failed_report(self, tmp_path):
+        argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1"]
+        code, plain = invoke(tmp_path, *argv, name="plain.json")
+        assert code == 0
+        assert json.loads(plain)["pass"] is False
+        code, strict = invoke(tmp_path, *argv, "--strict", name="strict.json")
+        assert code == 5
+        assert strict == plain
+
+    def test_strict_exits_0_when_the_check_passes(self, tmp_path):
+        cfg = write_config(tmp_path, A0=1.0, gamma=0.0)
+        argv = ["--config", cfg, "mc-validate", "--t", "0.05", "--n", "2000"]
+        code, text = invoke(tmp_path, *argv, "--strict")
+        assert code == 0
+        assert json.loads(text)["pass"] is True
+
     def test_export_written_in_blocks(self, tmp_path, monkeypatch, capsys):
         # 20 rows in blocks of 7 give the same bytes as one formatted text,
         # to a file and to stdout

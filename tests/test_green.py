@@ -408,9 +408,9 @@ class TestPaperKernelConventions:
         AFp = A * params.epsilon * K ** (params.epsilon - 1.0)
         dC = green.average_path_rhs(np.array([C, K, A]), trivial, params, K_e=10.0)[0]
         assert dC / (C - trivial.C_bar_phase) == pytest.approx(AFp + params.r_c - params.delta, rel=1e-12)
-        step = mc._euler_step(trivial, params, 1e-3)
-        *_, rate = step(np.array([C]), np.array([K]), np.array([A]), np.zeros((1, 3)))
-        assert rate[0] == pytest.approx(AFp + params.r_c, rel=1e-12)
+        dC_mc, *_, rate = mc._drift(trivial, params)(C, K, A)
+        assert rate == pytest.approx(AFp + params.r_c, rel=1e-12)
+        assert dC_mc == pytest.approx(rate * (C - trivial.C_bar_phase), rel=1e-12)
 
 
 class TestLaplacePropagator:

@@ -47,14 +47,24 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.A, b.A)
 
     def test_block_size_invariance(self, quiet_setup):
-        # per-path counter streams: the scheduling block cannot matter
+        # tile-keyed streams and whole-tile blocks: the scheduling block
+        # cannot matter
         p, sol, x0 = quiet_setup
-        cfg = mc.MCConfig(n_paths=100, dt=1e-2, seed=5)
-        a = mc.sample_paths(x0, 0.1, sol, p, cfg, block_size=7)
-        b = mc.sample_paths(x0, 0.1, sol, p, cfg, block_size=4096)
-        np.testing.assert_array_equal(a.C, b.C)
-        np.testing.assert_array_equal(a.K, b.K)
-        np.testing.assert_array_equal(a.A, b.A)
+        cfg = mc.MCConfig(n_paths=300, dt=1e-2, seed=5)
+        whole = mc.sample_paths(x0, 0.1, sol, p, cfg, block_size=4096)
+        for block_size in (7, 64):
+            part = mc.sample_paths(x0, 0.1, sol, p, cfg, block_size=block_size)
+            for name in "CKA":
+                np.testing.assert_array_equal(getattr(part, name), getattr(whole, name))
+
+    def test_first_paths_independent_of_n_paths(self, quiet_setup):
+        # a partial last tile is simulated whole and truncated
+        p, sol, x0 = quiet_setup
+        few = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=100, dt=1e-2, seed=5))
+        many = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=300, dt=1e-2, seed=5))
+        assert few.n_paths == 100
+        for name in "CKA":
+            np.testing.assert_array_equal(getattr(few, name), getattr(many, name)[:100])
 
     def test_different_seeds_differ(self, quiet_setup):
         p, sol, x0 = quiet_setup
@@ -69,56 +79,58 @@ class TestDeterminism:
         plain = mc.sample_paths(
             x0, 0.05, sol, p, mc.MCConfig(n_paths=4, dt=1e-2, seed=9)
         )
-        # even antithetic paths reproduce the plain paths of streams 0, 1
+        # even antithetic paths keep their own column of the tile's stream;
+        # odd ones take the negated noise of the even path before them
         assert ens.C[0] == plain.C[0]
-        assert ens.C[2] == plain.C[1]
+        assert ens.C[2] == plain.C[2]
         assert ens.C[1] != plain.C[1]
 
 
-def _reference_noise(seed, i, n_steps, antithetic=False):
-    """Path i's noise as one draw from its own jumped Philox stream."""
-    stream = i // 2 if antithetic else i
-    draw = np.random.Generator(np.random.Philox(key=seed).jumped(stream)).standard_normal((n_steps, 3))
-    return -draw if antithetic and i % 2 == 1 else draw
+def _reference_noise(seed, tile, n_steps, antithetic=False):
+    """Tile ``tile``'s noise as one step-major draw from its own jumped Philox stream."""
+    rng = np.random.Generator(np.random.Philox(key=seed).jumped(tile))
+    draw = rng.standard_normal((n_steps, mc._TILE, 3))
+    if antithetic:
+        draw[:, 1::2] = -draw[:, 0::2]
+    return draw
 
 
 class TestNoiseStreams:
-    """Path i draws the stream Philox(key=seed).jumped(i), whatever the chunking."""
+    """Tile j draws the stream Philox(key=seed).jumped(j), whatever the chunking."""
 
-    def _check(self, seed, start, count, n_steps, antithetic=False):
-        chunks = [c.copy() for c in mc._path_noise(seed, start, count, n_steps, antithetic)]
+    def _check(self, seed, tile, n_tiles, n_steps, antithetic=False):
+        chunks = [c.copy() for c in mc._tile_noise(seed, tile, n_tiles, n_steps, antithetic)]
         noise = np.concatenate(chunks, axis=0)
-        assert noise.shape == (n_steps, count, 3)
-        for j in range(count):
-            ref = _reference_noise(seed, start + j, n_steps, antithetic)
-            np.testing.assert_array_equal(noise[:, j, :], ref)
+        assert noise.shape == (n_steps, n_tiles, mc._TILE, 3)
+        for j in range(n_tiles):
+            ref = _reference_noise(seed, tile + j, n_steps, antithetic)
+            np.testing.assert_array_equal(noise[:, j], ref)
         return chunks
 
     def test_start_offset_beyond_32_bits(self):
-        self._check(seed=2**40 + 1, start=2**32 + 5, count=3, n_steps=17)
+        self._check(seed=2**40 + 1, tile=2**32 + 5, n_tiles=2, n_steps=17)
 
     def test_antithetic_pairs(self):
-        # an odd start splits a pair across blocks
-        self._check(seed=9, start=3, count=6, n_steps=11, antithetic=True)
+        self._check(seed=9, tile=3, n_tiles=2, n_steps=11, antithetic=True)
 
     def test_multi_chunk_horizon(self, monkeypatch):
-        count = 5
-        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * count * 7)
-        chunks = self._check(seed=123, start=10, count=count, n_steps=30)
+        n_tiles = 2
+        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * mc._TILE * n_tiles * 7)
+        chunks = self._check(seed=123, tile=10, n_tiles=n_tiles, n_steps=30)
         assert [c.shape[0] for c in chunks] == [7, 7, 7, 7, 2]
-        self._check(seed=123, start=11, count=count, n_steps=30, antithetic=True)
+        self._check(seed=123, tile=11, n_tiles=n_tiles, n_steps=30, antithetic=True)
 
     def test_chunking_leaves_ensembles_unchanged(self, quiet_setup, monkeypatch):
         p, sol, x0 = quiet_setup
-        cfg = mc.MCConfig(n_paths=30, dt=1e-2, seed=4, antithetic=True)
-        whole = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=16)
-        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * 16 * 3)
-        chunked = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=16)
+        cfg = mc.MCConfig(n_paths=100, dt=1e-2, seed=4, antithetic=True)
+        whole = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=64)
+        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * mc._TILE * 3)
+        chunked = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=64)
         for name in "CKA":
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
     def test_appendix5_ratios_pinned(self):
-        # recorded with the one-draw-per-path sampler; chunking must not move them
+        # recorded with the Heun step on tile streams; chunking must not move them
         p = ModelParams().replace(
             A0=1.0, gamma=0.0, kappa=0.0, r_c=0.0, varpi=0.05, nu=0.5
         )
@@ -126,7 +138,7 @@ class TestNoiseStreams:
         ratios = mc.appendix5_negligibility(
             p, sol, [0.0, 0.01, 0.05], T=4.0, dt=0.02, n_paths=50, seed=2**40 + 3
         )
-        expected = {0.0: 0.010865732156128897, 0.01: 0.010640380746308136, 0.05: 0.009831691833312492}
+        expected = {0.0: 0.01643599264915741, 0.01: 0.01609069227726814, 0.05: 0.014823319973484149}
         assert ratios.keys() == expected.keys()
         for r, value in expected.items():
             assert ratios[r] == pytest.approx(value, rel=1e-12, abs=0.0)
@@ -206,9 +218,9 @@ class TestDynamics:
         np.testing.assert_allclose(ens.K, x0.K, atol=1e-9)
         np.testing.assert_allclose(ens.A, x0.A, atol=1e-9)
 
-    def test_euler_weak_order_one(self):
+    def test_heun_weak_order_two(self):
         # deterministic limit: endpoint error vs a fine-step reference
-        # shrinks with fitted order ~1 in dt
+        # shrinks with fitted order ~2 in dt
         p = ModelParams().replace(
             A0=1.0, gamma=0.0, kappa=0.0, varpi=1e-12, nu=1e-12, lambda_sq=1e24
         )
@@ -223,7 +235,24 @@ class TestDynamics:
         ref = endpoint(t / 3200)
         errs = [np.max(np.abs(endpoint(t / n) - ref)) for n in (10, 20, 40, 80)]
         order = np.polyfit(np.log([10, 20, 40, 80]), np.log(errs), 1)[0]
-        assert -1.25 < order < -0.85
+        assert -2.2 < order < -1.8
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_drift_jacobian_is_kernel_drift_matrix(self, phase):
+        # one nonlinear sampler drift; its central-difference Jacobian at
+        # the phase anchor is the kernel's affine drift
+        p = load_config(str(Path(__file__).resolve().parent.parent / "base.cfg"))
+        sol = solve_phase(p, phase)
+        drift = mc._drift(sol, p)
+        anchor = np.array([sol.C_bar_phase, p.K_bar, sol.A_bar_phase])
+        h = 1e-6
+        jac = np.empty((3, 3))
+        for j in range(3):
+            up, down = anchor.copy(), anchor.copy()
+            up[j] += h
+            down[j] -= h
+            jac[:, j] = (np.array(drift(*up)[:3]) - np.array(drift(*down)[:3])) / (2.0 * h)
+        np.testing.assert_allclose(jac, green._drift_matrix(sol, p)[:3, :3], rtol=0.0, atol=1e-8)
 
     def test_variance_convention(self, quiet_setup):
         # Var(C(t)) ~ varpi^2 t at small horizons: the density convention
@@ -243,6 +272,29 @@ class TestDynamics:
         assert ens.n_negative_K > 0
         assert ens.n_paths == 500  # nothing killed
         assert np.all(np.isfinite(ens.K))
+
+    def test_predictor_excursion_flagged(self, quiet_setup):
+        # K > 0 at the step start and K <= 0 at the predictor: the step
+        # flags the path
+        p, sol, _ = quiet_setup
+        step = mc._heun_step(sol, p, 1e-2)
+        C, K, A = (np.array([v]) for v in (sol.C_bar_phase, 1.0, sol.A_bar_phase))
+        *_, ok, _ = step(C, K, A, np.array([[0.0, -2.0 / (p.nu * 0.1), 0.0]]))
+        assert not ok[0]
+
+    def test_endpoint_excursion_flagged(self, quiet_setup, monkeypatch):
+        # one step with K > 0 at the start and at the predictor (1e-6) but
+        # K <= 0 at the end: the path is flagged
+        p, sol, _ = quiet_setup
+        dt = 1e-2
+        x0 = AgentState(C=sol.C_bar_phase, K=1.0, A=sol.A_bar_phase)
+        dK = mc._drift(sol, p)(x0.C, x0.K, x0.A)[1]
+        z = np.zeros((1, 1, mc._TILE, 3))
+        z[..., 1] = (1e-6 - x0.K - dK * dt) / (p.nu * math.sqrt(dt))
+        monkeypatch.setattr(mc, "_tile_noise", lambda *args: iter([z]))
+        ens = mc.sample_paths(x0, dt, sol, p, mc.MCConfig(n_paths=1, dt=dt))
+        assert ens.K[0] <= 0.0
+        assert ens.n_negative_K == 1
 
     def test_moments_recomputable(self, quiet_setup):
         p, sol, x0 = quiet_setup
