@@ -264,6 +264,9 @@ def _cmd_mc_validate(args) -> int:
     _check_format(args, "json")
     p = _load_params(args)
     sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
+    if not sol.feasible:
+        anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
+        raise InfeasiblePhaseError(f"phase {args.phase} is infeasible; its anchor is {anchor}")
     mc = montecarlo.MCConfig(n_paths=args.n, dt=args.dt, seed=args.seed)
     initial = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
     ensemble = montecarlo.sample_paths(initial, args.t, sol, p, mc)

@@ -206,9 +206,9 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
         ]
     )
     R3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, s2], [0.0, s2, 0.0]])
-    # the display drift M: the kernel drift's (C, K, A) block with the
-    # capital row negated and no technology row
-    M = _drift_matrix(solution, params)[:3, :3].copy()
+    # the display drift M: the kernel drift matrix with the capital row
+    # negated and no technology row
+    M = _drift_matrix(solution, params)
     M[1] = -M[1]
     M[2] = 0.0
     H = np.diag([a, b, c])

@@ -1,7 +1,6 @@
 """Analytic transition kernels per phase.
 
-The linear-Gaussian mean and covariance (one exact matrix exponential),
-the small-time transition density with its technology potential factor,
+The small-time transition density with its technology potential factor,
 most-likely endpoints, average paths, equilibria, linearized dynamics,
 and the Laplace-domain propagator.
 
@@ -11,17 +10,16 @@ Two coefficient conventions coexist:
   ``beta = 2 A_m F'(K_m) + r_c - delta`` with ``A_m, K_m`` the endpoint
   midpoints — used when evaluating the density between two given states;
 * *reference* coefficients with ``A_m = A_bar_phase`` and ``K_m = K_bar``
-  — used for the mean and covariance, equilibria, and average paths,
-  where the expansion point is the phase background.
+  — used for the drift matrix, equilibria, and average paths, where the
+  expansion point is the phase background.
 
 :func:`_drift` is the one linearised kernel drift.  The density's
 displacement, the most likely endpoint (through :func:`dmcvr_residuals`)
 and the Laplace propagator's drift velocity derive from it;
-:func:`_drift_matrix` writes the same rows as an affine matrix ``F``, and
-a test ties the two.  :func:`mean_state` propagates ``F`` with the
-Langevin sampler's noise, so its mean and covariance are what the Monte
-Carlo oracle checks.  The density's own variances (capital rate ``b/2``)
-are a paper-kernel convention the sampler does not check.
+:func:`_drift_matrix` holds its slopes at the anchor.  The Monte Carlo
+oracle checks the Langevin sampler against its own linear-noise
+approximation (:func:`montecarlo.lna_moments`), not these kernels, whose
+variances (capital rate ``b/2``) are a paper-kernel convention.
 
 The kernels evaluated for one pair of states share their work: the
 per-pair coefficient record (:func:`coefficients`) and the density
@@ -149,74 +147,6 @@ def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# mean and covariance propagation
-# ---------------------------------------------------------------------------
-
-
-def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
-    """Affine drift ``F`` of the kernel mean: ``d(C, K, A)/dt = F (C, K, A, 1)``.
-
-    The linearised drift at the phase anchor (reference coefficients):
-    the consumption mode grows at ``alpha+beta``, the capital row is
-    ``-alpha (K - K_bar) + K_bar^eps (A - A_bar) - (C - C_bar) + G0`` with
-    the offset ``G0 = A_bar K_bar^eps - delta K_bar - C_bar``, and
-    technology relaxes at ``1/(2 lambda^2)``.  ``F[:3, :3]`` is the
-    Jacobian of the Langevin sampler's drift at the anchor; the fourth row
-    is zero and the fourth column carries the offsets.
-    """
-    p = params
-    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
-    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    relax = 1.0 / (2.0 * p.lambda_sq)
-    return np.array(
-        [
-            [a0 + b0, 0.0, 0.0, -(a0 + b0) * C_bar],
-            [-1.0, -a0, p.K_bar ** p.epsilon, (a0 - p.delta) * p.K_bar],
-            [0.0, 0.0, -relax, relax * A_bar],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-
-
-def _propagate(F: np.ndarray, s: float, Q: np.ndarray):
-    """``e^{F s}`` and ``int_0^s e^{F u} Q e^{F^T u} du``.
-
-    Both come from one matrix exponential of the Van Loan block matrix
-    ``[[-F, Q], [0, F^T]] s`` (C. Van Loan, IEEE TAC 23, 1978).
-    """
-    from scipy.linalg import expm
-
-    n = F.shape[0]
-    E = expm(np.block([[-F, Q], [np.zeros_like(F), F.T]]) * s)
-    phi = E[n:, n:].T
-    return phi, phi @ E[:n, n:]
-
-
-def mean_state(
-    from_state: AgentState,
-    t: float,
-    solution: PhaseSolution,
-    params: ModelParams,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the linear-Gaussian kernel after time ``t``.
-
-    Returns ``(mean, cov)``.  The state follows the affine drift
-    :func:`_drift_matrix` with additive noise of variance rates
-    ``diag(varpi^2, nu^2, 1/lambda^2)``, the Langevin sampler's noise, so
-    the mean is ``e^{F t} (x0, 1)`` and the covariance solves the Lyapunov
-    equation ``dV/dt = F V + V F^T + Q`` from ``V(0) = 0``; one matrix
-    exponential (:func:`_propagate`) gives both.
-    """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
-    p = params
-    F = _drift_matrix(solution, p)
-    Q = np.diag([p.varpi ** 2, p.nu ** 2, 1.0 / p.lambda_sq, 0.0])
-    phi, cov = _propagate(F, t, Q)
-    return phi[:3] @ np.append(from_state.as_array(), 1.0), cov[:3, :3]
-
-
-# ---------------------------------------------------------------------------
 # transition density
 # ---------------------------------------------------------------------------
 
@@ -232,6 +162,24 @@ def _drift(state: AgentState, coeffs: GreenCoefficients, params: ModelParams):
     Keps = p.K_bar ** p.epsilon
     dK = -(coeffs.alpha * (state.K - p.K_bar) + p.delta * p.K_bar + state.C - state.A * Keps)
     return (coeffs.alpha + coeffs.beta) * (state.C - coeffs.C_bar), dK
+
+
+def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
+    """Drift matrix ``F`` at the phase anchor (reference coefficients).
+
+    Its first two rows are the slopes of :func:`_drift`; the third relaxes
+    technology at ``1/(2 lambda^2)``.  ``F`` is the Jacobian of the
+    Langevin sampler's drift at the anchor.
+    """
+    p = params
+    a0, b0 = _alpha_beta(solution.A_bar_phase, p.K_bar, p)
+    return np.array(
+        [
+            [a0 + b0, 0.0, 0.0],
+            [-1.0, -a0, p.K_bar ** p.epsilon],
+            [0.0, 0.0, -1.0 / (2.0 * p.lambda_sq)],
+        ]
+    )
 
 
 def _gaussian_parts(from_state, to_state, t, params, coeffs):

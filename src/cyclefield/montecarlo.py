@@ -4,10 +4,10 @@ Convention: a path weight ``exp(-int (xdot - mu)^2 / w^2 dt)`` is
 simulated as a diffusion with variance rate ``w^2`` per unit time, i.e.
 noise amplitudes ``varpi``, ``nu`` and ``1/lambda`` for consumption,
 capital and technology.  :func:`compare_to_green` checks the ensemble
-against :func:`green.mean_state`, which propagates the same noise through
-the sampler's drift linearised at the phase anchor.  The mean of capital
-is the linearisation's gap: production is linearised at ``K_bar`` while
-the sampler integrates ``A K^eps``.
+against the sampler's own linear-noise approximation (:func:`lna_moments`):
+the mean follows the sampler's nonlinear drift, and the covariance the
+Lyapunov equation with the drift's Jacobian along that mean, both stepped
+by the sampler's Heun rule.
 
 Determinism: paths come in tiles of ``_TILE``; tile ``j`` draws its
 noise step-major from the counter-based stream ``Philox(key=seed,
@@ -30,7 +30,6 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from cyclefield.errors import DomainError, ParameterError
-from cyclefield.green import mean_state
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
@@ -117,8 +116,8 @@ def _drift(solution: PhaseSolution, params: ModelParams):
     ``dC = (A F'(K) + r_c)(C - C_bar_phase)``, ``dK = A F(K) - C - delta K``,
     ``dA = -(A - A_bar_phase)/(2 lambda^2)`` with ``F = K^eps`` and
     ``F' = eps F / K`` clamped to zero where ``K <= 0``.  ``drift(C, K, A)``
-    gives the three rates, the mask ``K > 0`` and the rate ``A F' + r_c``;
-    its Jacobian at the phase anchor is ``green._drift_matrix[:3, :3]``.
+    takes arrays or scalars and gives the three rates, the mask ``K > 0``
+    and the rate ``A F' + r_c``; :func:`_drift_jacobian` is its Jacobian.
     """
     eps, r_c, delta = params.epsilon, params.r_c, params.delta
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
@@ -126,12 +125,40 @@ def _drift(solution: PhaseSolution, params: ModelParams):
 
     def drift(C, K, A):
         pos = K > 0.0
-        Kp = np.where(pos, K, 1.0)  # placeholder, masked below
-        F = np.where(pos, Kp ** eps, 0.0)
+        Kp = np.maximum(K, 5e-324)  # K where K > 0, else the least positive double (masked below)
+        F = Kp ** eps * pos
         rate = A * (eps * F / Kp) + r_c
         return rate * (C - C_bar), A * F - C - delta * K, (A_bar - A) * relax_A, pos, rate
 
     return drift
+
+
+def _drift_jacobian(x, solution: PhaseSolution, params: ModelParams) -> np.ndarray:
+    """Analytic Jacobian of :func:`_drift` at ``x = (C, K, A)`` with ``K > 0``.
+
+    At the phase anchor it is ``green._drift_matrix``.
+    """
+    C, K, A = x
+    eps = params.epsilon
+    Fp = eps * K ** (eps - 1.0)
+    gap = C - solution.C_bar_phase
+    return np.array(
+        [
+            [A * Fp + params.r_c, A * Fp * (eps - 1.0) / K * gap, Fp * gap],
+            [-1.0, A * Fp - params.delta, K ** eps],
+            [0.0, 0.0, -1.0 / (2.0 * params.lambda_sq)],
+        ]
+    )
+
+
+def _step_count(t: float, dt: float) -> int:
+    """Number of steps ``dt`` in the horizon ``t``; raises unless ``t`` is a positive multiple of ``dt``."""
+    if t <= 0.0:
+        raise DomainError(f"t must be > 0, got {t}")
+    n_steps = round(t / dt)
+    if n_steps < 1 or abs(t / dt - n_steps) > 1e-9 * n_steps:
+        raise ParameterError(f"horizon t={t} is not an integer multiple of dt={dt}")
+    return n_steps
 
 
 def _heun_step(solution: PhaseSolution, params: ModelParams, dt: float):
@@ -174,12 +201,7 @@ def sample_paths(
     ``n_paths``.  Negative-capital excursions are flagged and retained,
     never reflected or killed.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    n_steps_f = t / mc.dt
-    n_steps = round(n_steps_f)
-    if n_steps < 1 or abs(n_steps_f - n_steps) > 1e-9 * max(1.0, n_steps):
-        raise ParameterError(f"horizon t={t} is not an integer multiple of dt={mc.dt}")
+    n_steps = _step_count(t, mc.dt)
     step = _heun_step(solution, params, mc.dt)
 
     n = mc.n_paths
@@ -201,30 +223,55 @@ def sample_paths(
     return PathEnsemble(C=C, K=K, A=A, t=t, dt=mc.dt, seed=mc.seed, n_negative_K=n_negative_K)
 
 
+def lna_moments(initial: AgentState, t: float, dt: float, solution: PhaseSolution, params: ModelParams):
+    """Mean and covariance of the sampler at ``t`` in the linear-noise approximation.
+
+    van Kampen's LNA: the mean follows the sampler's drift (:func:`_drift`)
+    without noise, and the covariance solves ``dV/dt = J V + V J^T + Q``
+    from ``V(0) = 0``, with ``J`` the Jacobian of the drift along that mean
+    (:func:`_drift_jacobian`) and ``Q = diag(varpi^2, nu^2, 1/lambda^2)``
+    the sampler's noise.  Both are stepped together by the sampler's Heun
+    rule at step ``dt``.  Returns ``(mean, cov)``; raises
+    :class:`DomainError` if the mean reaches ``K <= 0``.
+    """
+    n_steps = _step_count(t, dt)
+    drift = _drift(solution, params)
+    Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
+
+    def rates(x, V):
+        if not x[1] > 0.0:
+            raise DomainError(f"the linear-noise mean reached K = {x[1]:.6g} <= 0")
+        JV = _drift_jacobian(x, solution, params) @ V
+        return np.array(drift(*x)[:3]), JV + JV.T + Q
+
+    x, V, half = initial.as_array(), np.zeros((3, 3)), 0.5 * dt
+    for _ in range(n_steps):
+        f, G = rates(x, V)
+        f_p, G_p = rates(x + f * dt, V + G * dt)
+        x, V = x + (f + f_p) * half, V + (G + G_p) * half
+    rates(x, V)  # the endpoint must keep K > 0 too
+    return x, V
+
+
 def compare_to_green(
     ensemble: PathEnsemble,
     initial: AgentState,
     solution: PhaseSolution,
     params: ModelParams,
 ) -> dict:
-    """Compare an ensemble against the analytic kernel marginals.
+    """Compare an ensemble against its linear-noise Gaussian marginals.
 
-    The analytic reference is the linear-Gaussian kernel of
-    :func:`green.mean_state`: the sampler's drift linearised at the phase
-    anchor, with the sampler's noise, so its mean and covariance come from
-    one propagation.  Returns per-coordinate z-scores for mean and
-    variance, Kolmogorov-Smirnov p-proxies, and an overall verdict (all
-    |z| <= 4 and all p >= 1e-3).
+    The reference is :func:`lna_moments` from ``initial`` over the
+    ensemble's horizon at the ensemble's step.  Returns per-coordinate
+    z-scores for mean and variance, Kolmogorov-Smirnov p-proxies, and an
+    overall verdict (all |z| <= 4 and all p >= 1e-3).
     """
-    t = ensemble.t
-    mu, cov = mean_state(initial, t, solution, params)
+    mu, cov = lna_moments(initial, ensemble.t, ensemble.dt, solution, params)
     var_an = np.diag(cov)
     n = ensemble.n_paths
     zscores: dict[str, float] = {}
     ks: dict[str, float] = {}
-    samples = {"C": ensemble.C, "K": ensemble.K, "A": ensemble.A}
-    for idx, name in enumerate(("C", "K", "A")):
-        x = samples[name]
+    for idx, (name, x) in enumerate(zip("CKA", (ensemble.C, ensemble.K, ensemble.A))):
         m_mc = float(np.mean(x))
         v_mc = float(np.var(x, ddof=1))
         se_mean = math.sqrt(v_mc / n)
@@ -316,7 +363,7 @@ def appendix5_negligibility(
     p = params
     eps = p.epsilon
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    n_steps = round(T / dt)
+    n_steps = _step_count(T, dt)
 
     drift = _drift(solution, p)
 

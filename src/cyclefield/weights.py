@@ -107,25 +107,32 @@ def _log_weight_technology_single(path: AgentPath, params: ModelParams, A_bar: f
     return float(-np.sum(kinetic + potential) * path.dt)
 
 
+def _technology_cross_term(paths, params: ModelParams) -> float:
+    """Cross term ``-gamma dt^2 sum_{i != j} sum_s sum_s' A_i(s) K_j(s')`` of paths on one grid.
+
+    The sum runs over ordered pairs of distinct paths and the full double
+    time grid; with per-path sums ``a_i``, ``k_i`` it is
+    ``(sum a)(sum k) - sum a_i k_i``.
+    """
+    a = np.array([np.sum(p.A[:-1]) for p in paths])
+    k = np.array([np.sum(p.K[:-1]) for p in paths])
+    return -params.gamma * paths[0].dt ** 2 * float(np.sum(a) * np.sum(k) - a @ k)
+
+
 def log_weight_technology_pair(
     path_1: AgentPath, path_2: AgentPath, params: ModelParams, A_bar: float
 ) -> float:
     """Two-agent technology log weight.
 
     Per-agent terms ``-sum dt [(Adot - g A)^2 / lambda^2 + (A - A_bar)^2]``
-    plus the nonlocal cross term
-    ``-gamma sum_i sum_j dt^2 [A_1(t_i) K_2(t_j) + A_2(t_i) K_1(t_j)]``
-    taken over the full (unrestricted) double time grid.
+    plus the nonlocal cross term (:func:`_technology_cross_term`)
+    ``-gamma sum_i sum_j dt^2 [A_1(t_i) K_2(t_j) + A_2(t_i) K_1(t_j)]``.
     """
     if len(path_1) != len(path_2) or path_1.dt != path_2.dt:
         raise ShapeError("paired paths must share a time grid")
     w = _log_weight_technology_single(path_1, params, A_bar)
     w += _log_weight_technology_single(path_2, params, A_bar)
-    dt2 = path_1.dt * path_2.dt
-    cross = np.sum(path_1.A[:-1]) * np.sum(path_2.K[:-1]) + np.sum(path_2.A[:-1]) * np.sum(
-        path_1.K[:-1]
-    )
-    return float(w - params.gamma * dt2 * cross)
+    return float(w + _technology_cross_term((path_1, path_2), params))
 
 
 def _log_weight_restoring(path: AgentPath, params: ModelParams) -> float:
@@ -140,9 +147,9 @@ def log_weight_total(
     """Total log weight of a collection of agent paths.
 
     Sums the consumption, capital, restoring, and per-agent technology
-    terms of every path, plus the pairwise cross term for every unordered
-    pair.  The intertemporal budget penalty is *not* included; see
-    :func:`log_weight_intertemporal_constraint`.
+    terms of every path, plus the cross term of every pair
+    (:func:`_technology_cross_term`).  The intertemporal budget penalty is
+    *not* included; see :func:`log_weight_intertemporal_constraint`.
     """
     paths = list(paths)
     if not paths:
@@ -157,14 +164,7 @@ def log_weight_total(
         total += log_weight_capital(p, params, mode=mode)
         total += _log_weight_restoring(p, params)
         total += _log_weight_technology_single(p, params, A_bar)
-    dt2 = dt0 * dt0
-    sums_A = [np.sum(p.A[:-1]) for p in paths]
-    sums_K = [np.sum(p.K[:-1]) for p in paths]
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            cross = sums_A[i] * sums_K[j] + sums_A[j] * sums_K[i]
-            total -= params.gamma * dt2 * cross
-    return float(total)
+    return float(total + _technology_cross_term(paths, params))
 
 
 def log_weight_intertemporal_constraint(

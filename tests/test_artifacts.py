@@ -63,4 +63,4 @@ def test_mc_validate_export_pinned(tmp_path):
     argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1", "--export", str(export)]
     assert run(["--config", CONFIG, *argv, "--output", str(report)]) == 0
     assert sha256(export) == "a10acf034f1bc9c692060c5f1cde7335a478f00e98f97805d74ad4227b077d00"
-    assert sha256(report) == "d91d0afd4ba1ae0155633ccef3ef860d91b5fbb57d1f49107109d44e557ad006"
+    assert sha256(report) == "9e00e626c0a55d381ab6798be537434f233ed8c27213d6f3f475e00a8d861f81"

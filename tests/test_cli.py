@@ -311,7 +311,10 @@ class TestMCValidate:
         assert len(lines) == 2001
 
     def test_strict_exits_5_after_writing_a_failed_report(self, tmp_path):
-        argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1"]
+        # capital near zero with strong capital noise: the linear-noise
+        # reference misses the consumption variance (z ~ 43)
+        cfg = write_config(tmp_path, K_bar=1.0, nu=2.0)
+        argv = ["--config", cfg, "mc-validate", "--t", "1", "--n", "2000"]
         code, plain = invoke(tmp_path, *argv, name="plain.json")
         assert code == 0
         assert json.loads(plain)["pass"] is False
@@ -325,6 +328,15 @@ class TestMCValidate:
         code, text = invoke(tmp_path, *argv, "--strict")
         assert code == 0
         assert json.loads(text)["pass"] is True
+
+    def test_infeasible_phase_exits_3_naming_the_anchor(self, tmp_path, capsys):
+        # base.cfg with nu = 3: the phase-1 technology anchor is negative
+        cfg = write_config(tmp_path, nu=3.0)
+        code, text = invoke(tmp_path, "--config", cfg, "mc-validate", "--t", "0.1", "--n", "64", "--phase", "1")
+        assert code == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "phase 1" in err and "A_bar_phase=-4.92567" in err
 
     def test_export_written_in_blocks(self, tmp_path, monkeypatch, capsys):
         # 20 rows in blocks of 7 give the same bytes as one formatted text,
@@ -390,6 +402,18 @@ class TestUsage:
         check = (
             "import sys, cyclefield.cli; "
             "sys.exit(any(m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
+
+    def test_mc_validate_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the linear-noise reference needs no matrix exponential; scipy.linalg
+        # would add ~6 MB to every mc-validate process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        check = (
+            "import sys; from cyclefield import cli; "
+            f"rc = cli.run(['mc-validate', '--t', '0.1', '--n', '100', '--output', {str(tmp_path / 'r.json')!r}]); "
+            "sys.exit(rc or 'scipy.linalg' in sys.modules)"
         )
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0

@@ -11,6 +11,8 @@ from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
 
+BASE_CFG = str(Path(__file__).resolve().parent.parent / "base.cfg")
+
 
 @pytest.fixture(scope="module")
 def quiet_setup():
@@ -29,11 +31,17 @@ class TestConfig:
             mc.MCConfig(dt=-0.1)
 
     def test_horizon_must_align_with_step(self, quiet_setup):
+        # one step count serves the sampler, appendix 5 and the linear-noise
+        # reference; T = 1 at dt = 0.3 would simulate 0.9
         p, sol, x0 = quiet_setup
         with pytest.raises(ParameterError):
             mc.sample_paths(x0, 0.1234, sol, p, mc.MCConfig(n_paths=2, dt=1e-3))
         with pytest.raises(DomainError):
             mc.sample_paths(x0, 0.0, sol, p, mc.MCConfig(n_paths=2, dt=1e-3))
+        with pytest.raises(ParameterError):
+            mc.appendix5_negligibility(p, sol, [0.0], T=1.0, dt=0.3, n_paths=2)
+        with pytest.raises(ParameterError):
+            mc.lna_moments(x0, 0.1234, 1e-3, sol, p)
 
 
 class TestDeterminism:
@@ -239,20 +247,30 @@ class TestDynamics:
 
     @pytest.mark.parametrize("phase", [0, 1])
     def test_drift_jacobian_is_kernel_drift_matrix(self, phase):
-        # one nonlinear sampler drift; its central-difference Jacobian at
-        # the phase anchor is the kernel's affine drift
-        p = load_config(str(Path(__file__).resolve().parent.parent / "base.cfg"))
+        # one nonlinear sampler drift; its Jacobian at the phase anchor is
+        # the kernels' drift matrix
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, phase)
+        jac = mc._drift_jacobian((sol.C_bar_phase, p.K_bar, sol.A_bar_phase), sol, p)
+        np.testing.assert_allclose(jac, green._drift_matrix(sol, p), rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_drift_jacobian_matches_central_differences(self, phase):
+        # away from the anchor, where the consumption row's K and A entries
+        # do not vanish
+        p = load_config(BASE_CFG)
         sol = solve_phase(p, phase)
         drift = mc._drift(sol, p)
-        anchor = np.array([sol.C_bar_phase, p.K_bar, sol.A_bar_phase])
-        h = 1e-6
-        jac = np.empty((3, 3))
-        for j in range(3):
-            up, down = anchor.copy(), anchor.copy()
-            up[j] += h
-            down[j] -= h
-            jac[:, j] = (np.array(drift(*up)[:3]) - np.array(drift(*down)[:3])) / (2.0 * h)
-        np.testing.assert_allclose(jac, green._drift_matrix(sol, p)[:3, :3], rtol=0.0, atol=1e-8)
+        for x in ([1.3, 11.5, 9.0], [0.6, 7.0, 10.8], [2.5, 300.0, 9.9]):
+            x = np.array(x)
+            jac = np.empty((3, 3))
+            for j in range(3):
+                h = 1e-6 * x[j]
+                up, down = x.copy(), x.copy()
+                up[j] += h
+                down[j] -= h
+                jac[:, j] = (np.array(drift(*up)[:3]) - np.array(drift(*down)[:3])) / (2.0 * h)
+            np.testing.assert_allclose(mc._drift_jacobian(x, sol, p), jac, rtol=1e-7, atol=1e-9)
 
     def test_variance_convention(self, quiet_setup):
         # Var(C(t)) ~ varpi^2 t at small horizons: the density convention
@@ -304,43 +322,52 @@ class TestDynamics:
         assert m["var"]["K"] == pytest.approx(float(np.var(ens.K, ddof=1)), abs=1e-12)
 
 
+class TestLinearNoise:
+    """:func:`montecarlo.lna_moments`, the reference of :func:`compare_to_green`."""
+
+    @pytest.mark.parametrize("phase,t,gap", [(0, 0.1, 3e-5), (1, 10.0, 5e-4)])
+    def test_mean_follows_the_drift(self, phase, t, gap):
+        # the noise-free Heun mean against DOP853 on the same drift; the
+        # Heun error at dt = 1e-2 is -1.9e-5 and -2.8e-4 in K
+        from scipy.integrate import solve_ivp
+
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, phase)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        drift = mc._drift(sol, p)
+        exact = solve_ivp(
+            lambda s, y: [float(v) for v in drift(*y)[:3]], (0.0, t), x0.as_array(),
+            method="DOP853", rtol=1e-12, atol=1e-12,
+        ).y[:, -1]
+        mean, _ = mc.lna_moments(x0, t, 1e-2, sol, p)
+        np.testing.assert_allclose(mean, exact, rtol=0.0, atol=gap)
+
+    def test_capital_crash_raises(self, quiet_setup):
+        p, sol, _ = quiet_setup
+        start = AgentState(C=10.0, K=0.5, A=sol.A_bar_phase)
+        with pytest.raises(DomainError):
+            mc.lna_moments(start, 1.0, 1e-2, sol, p)
+
+
+def lna_ensemble(x0, t, sol, p, seed, n=20000, shift=0.0):
+    """Draws from the linear-noise marginals, consumption shifted by ``shift`` standard errors."""
+    mu, cov = mc.lna_moments(x0, t, 1e-3, sol, p)
+    sd = np.sqrt(np.diag(cov))
+    rng = np.random.default_rng(seed)
+    C, K, A = (mu[i] + sd[i] * rng.standard_normal(n) for i in range(3))
+    return mc.PathEnsemble(C=C + shift * sd[0] / math.sqrt(n), K=K, A=A, t=t, dt=1e-3, seed=0)
+
+
 class TestCompareToGreen:
     def test_self_test_passes(self, quiet_setup):
         # an ensemble drawn from the analytic marginals must pass
         p, sol, x0 = quiet_setup
-        t = 0.05
-        mu, cov = green.mean_state(x0, t, sol, p)
-        sd = np.sqrt(np.diag(cov))
-        rng = np.random.default_rng(0)
-        n = 20000
-        ens = mc.PathEnsemble(
-            C=mu[0] + sd[0] * rng.standard_normal(n),
-            K=mu[1] + sd[1] * rng.standard_normal(n),
-            A=mu[2] + sd[2] * rng.standard_normal(n),
-            t=t,
-            dt=1e-3,
-            seed=0,
-        )
-        report = mc.compare_to_green(ens, x0, sol, p)
+        report = mc.compare_to_green(lna_ensemble(x0, 0.05, sol, p, seed=0), x0, sol, p)
         assert report["pass"]
 
     def test_biased_ensemble_fails(self, quiet_setup):
         p, sol, x0 = quiet_setup
-        t = 0.05
-        mu, cov = green.mean_state(x0, t, sol, p)
-        sd = np.sqrt(np.diag(cov))
-        rng = np.random.default_rng(1)
-        n = 20000
-        shift = 10.0 * sd[0] / math.sqrt(n)
-        ens = mc.PathEnsemble(
-            C=mu[0] + shift + sd[0] * rng.standard_normal(n),
-            K=mu[1] + sd[1] * rng.standard_normal(n),
-            A=mu[2] + sd[2] * rng.standard_normal(n),
-            t=t,
-            dt=1e-3,
-            seed=0,
-        )
-        report = mc.compare_to_green(ens, x0, sol, p)
+        report = mc.compare_to_green(lna_ensemble(x0, 0.05, sol, p, seed=1, shift=10.0), x0, sol, p)
         assert not report["pass"]
         assert abs(report["zscores"]["mean_C"]) > 4.0
 
@@ -349,35 +376,18 @@ class TestCompareToGreen:
         ens = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=20000, dt=1e-3, seed=7))
         assert mc.compare_to_green(ens, x0, sol, p)["pass"]
 
-    def test_one_propagation_per_comparison(self, quiet_setup, monkeypatch):
-        p, sol, x0 = quiet_setup
-        ens = mc.sample_paths(x0, 0.02, sol, p, mc.MCConfig(n_paths=200, dt=1e-3, seed=1))
-        calls = []
-        propagate = green._propagate
-
-        def spy(F, s, Q):
-            calls.append(s)
-            return propagate(F, s, Q)
-
-        monkeypatch.setattr(green, "_propagate", spy)
-        mc.compare_to_green(ens, x0, sol, p)
-        assert calls == [0.02]
-
     @pytest.mark.parametrize("phase", [0, 1])
     def test_shipped_parameters(self, phase):
-        # base.cfg (A0 = 8): variances and the C, A means and marginals
-        # agree; the K mean and marginal carry the linearisation gap
-        # (production linearised at K_bar), left for the linear-noise
-        # approximation
-        p = load_config(str(Path(__file__).resolve().parent.parent / "base.cfg"))
+        # base.cfg (A0 = 8): all nine gates
+        p = load_config(BASE_CFG)
         sol = solve_phase(p, phase)
         x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
         ens = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=20000, dt=1e-3, seed=0))
         report = mc.compare_to_green(ens, x0, sol, p)
         z, ks = report["zscores"], report["ks"]
-        for key in ("var_C", "var_K", "var_A", "mean_C", "mean_A"):
-            assert abs(z[key]) <= 4.0, (key, z)
-        assert ks["C"] >= 1e-3 and ks["A"] >= 1e-3, ks
+        assert all(abs(v) <= 4.0 for v in z.values()), z
+        assert all(v >= 1e-3 for v in ks.values()), ks
+        assert report["pass"]
 
 
 class TestBudgetBrownian:

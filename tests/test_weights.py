@@ -164,14 +164,15 @@ class TestTotalWeight:
         paths = [make_path(n=8, rng=rng) for _ in range(3)]
         total = log_weight_total(paths, params, A_bar=10.0)
         free = log_weight_total(paths, params.replace(gamma=0.0), A_bar=10.0)
+        # brute force over ordered pairs of distinct paths and both time grids
         cross = 0.0
         for i in range(3):
-            for j in range(i + 1, 3):
-                cross += np.sum(paths[i].A[:-1]) * np.sum(paths[j].K[:-1])
-                cross += np.sum(paths[j].A[:-1]) * np.sum(paths[i].K[:-1])
-        assert total - free == pytest.approx(
-            -params.gamma * paths[0].dt ** 2 * cross, rel=1e-9, abs=1e-8
-        )
+            for j in range(3):
+                if i != j:
+                    for s in range(len(paths[i]) - 1):
+                        for u in range(len(paths[j]) - 1):
+                            cross += paths[i].A[s] * paths[j].K[u]
+        assert total - free == pytest.approx(-params.gamma * paths[0].dt ** 2 * cross, rel=1e-9, abs=0)
 
     def test_budget_penalty_not_included(self, params):
         # the relaxed budget term is a separate observable
