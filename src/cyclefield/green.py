@@ -21,12 +21,13 @@ oracle checks the Langevin sampler against its own linear-noise
 approximation (:func:`montecarlo.lna_moments`), not these kernels, whose
 variances (capital rate ``b/2``) are a paper-kernel convention.
 
-The kernels evaluated for one pair of states share their work: the
-per-pair coefficient record (:func:`coefficients`) and the density
-(:func:`transition_density`) are built once per pair through a one-entry
-memo each, keyed on the identity of the arguments, so
+The kernels evaluated for one pair of states read one private record,
+:class:`_Pair`: the midpoint coefficients, the displacement, the drift
+at the start state, the variance rates and the technology potential.
+It is built once per pair through a one-entry memo keyed on the identity
+of the arguments, so :func:`transition_density`,
 :func:`corrections.corrected_density` and :func:`laplace_propagator` on
-the pair just scored reuse them.
+one pair share it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cyclefield.errors import ConvergenceError, DomainError, SingularityError, TrajectoryTerminated
+from cyclefield.errors import (
+    ConvergenceError, DomainError, ParameterError, SingularityError, TrajectoryTerminated,
+)
 from cyclefield.params import ModelParams
-from cyclefield.paths import AgentPath, AgentState
+from cyclefield.paths import AgentPath, AgentState, check_horizon
 from cyclefield.phases import _LOG_DBL_MAX, PhaseSolution
 
 _TWO_PI = 2.0 * math.pi
@@ -66,12 +69,22 @@ class GreenCoefficients(NamedTuple):
     C_bar: float     # phase consumption anchor
 
 
-# One-entry memos of the last kernel record and the last density, each
-# stored as one tuple ``(*key, value)``.  Every key object is immutable
-# (frozen dataclasses, the record itself), and the memo holds it, so an
-# identity match means equal arguments.
-_coefficients_memo = (None,) * 6
-_density_memo = (None,) * 3
+class _Pair(NamedTuple):
+    """What the kernels read for one pair of states, at its midpoint coefficients."""
+
+    coeffs: GreenCoefficients
+    X: tuple          # displacement to - from
+    Y: tuple          # kernel drift (dC/dt, dK/dt) at from (:func:`_drift`)
+    rates: tuple      # variance rates (varpi^2, b/2, c/2)
+    a_gap: float      # (A + A')/2 - A_bar
+    potential: float  # technology potential rate a_gap^2 / 2
+    scale: float      # max(|alpha|, |beta|), the small-time scale
+
+
+# One-entry memo of the last pair record, one tuple ``(*key, record)``.
+# Every key object is immutable (frozen dataclasses) and the memo holds
+# it, so an identity match means equal arguments.
+_pair_memo = (None,) * 6
 
 
 def coefficients(
@@ -84,29 +97,19 @@ def coefficients(
     """Kernel coefficients, midpoint if both endpoints are given.
 
     ``maintext=True`` selects the main-text convention
-    ``beta = A_m F'(K_m) + r_c - delta``.  A call with the same five
+    ``beta = A_m F'(K_m) + r_c - delta``.  Midpoint coefficients are those
+    of the pair record the kernels read, so a call with the same five
     argument objects (``is``) as the previous call returns the previous
-    record, so the kernels evaluated for one pair of states build it once.
+    record.
     """
-    global _coefficients_memo
-    memo_sol, memo_params, memo_from, memo_to, memo_maintext, record = _coefficients_memo
-    if (
-        memo_sol is solution
-        and memo_params is params
-        and memo_from is from_state
-        and memo_to is to_state
-        and memo_maintext is maintext
-    ):
-        return record
-    p = params
     if from_state is not None and to_state is not None:
-        Am = 0.5 * (from_state.A + to_state.A)
-        Km = 0.5 * (from_state.K + to_state.K)
-        if Km <= 0.0:
-            raise DomainError("midpoint capital must be positive")
-    else:
-        Am = solution.A_bar_phase
-        Km = p.K_bar
+        return _pair(solution, params, from_state, to_state, maintext, kernel=False).coeffs
+    return _coefficients(solution, params, solution.A_bar_phase, params.K_bar, maintext)
+
+
+def _coefficients(solution, params, Am, Km, maintext):
+    """The coefficient record expanded at technology ``Am`` and capital ``Km``."""
+    p = params
     alpha, beta = _alpha_beta(Am, Km, p, maintext)
     if alpha == 0.0:
         raise SingularityError("alpha")
@@ -115,29 +118,49 @@ def coefficients(
     two_ab = 2.0 * alpha + beta
     if two_ab == 0.0:
         raise SingularityError("2*alpha + beta")
-    lam_sq = p.lambda_sq
-    K2e = p.K_bar ** (2.0 * p.epsilon)
-    b_coef = 2.0 * (
-        p.nu ** 2 + 2.0 * K2e / (lam_sq * alpha ** 2) + 3.0 * p.varpi ** 2 / (2.0 * two_ab * beta)
-    )
+    lam_sq, varpi_sq = p.lambda_sq, p.varpi ** 2
+    capital = p.nu ** 2 + 2.0 * p.K_bar ** (2.0 * p.epsilon) / (lam_sq * alpha ** 2)
+    b_coef = 2.0 * (capital + 3.0 * varpi_sq / (2.0 * two_ab * beta))
     bb_aa = beta ** 2 - alpha ** 2
     if bb_aa == 0.0:
         raise SingularityError("beta^2 - alpha^2")
-    Omega_sq = (p.varpi ** 2 / lam_sq) * (
-        p.nu ** 2 + 2.0 * K2e / (lam_sq * alpha ** 2) + 3.0 * p.varpi ** 2 / (2.0 * bb_aa)
+    Omega_sq = (varpi_sq / lam_sq) * (capital + 3.0 * varpi_sq / (2.0 * bb_aa))
+    return GreenCoefficients(
+        alpha, beta, Omega_sq, b_coef, 2.0 / lam_sq, solution.mass, solution.A_bar_phase, solution.C_bar_phase
     )
-    record = GreenCoefficients(
-        alpha=alpha,
-        beta=beta,
-        Omega_sq=Omega_sq,
-        b_coef=b_coef,
-        c_coef=2.0 / lam_sq,
-        mass=solution.mass,
-        A_bar=solution.A_bar_phase,
-        C_bar=solution.C_bar_phase,
-    )
-    _coefficients_memo = (solution, params, from_state, to_state, maintext, record)
-    return record
+
+
+def _pair(solution, params, from_state, to_state, maintext=False, kernel=True) -> _Pair:
+    """The record of one pair of states; the previous one if all five arguments are the previous ones.
+
+    A kernel (``kernel=True``) divides by the variance rates, so it needs
+    a positive capital rate ``b``.
+    """
+    global _pair_memo
+    memo_sol, memo_params, memo_from, memo_to, memo_maintext, pair = _pair_memo
+    if not (
+        memo_sol is solution
+        and memo_params is params
+        and memo_from is from_state
+        and memo_to is to_state
+        and memo_maintext is maintext
+    ):
+        Am = 0.5 * (from_state.A + to_state.A)
+        Km = 0.5 * (from_state.K + to_state.K)
+        if Km <= 0.0:
+            raise DomainError("midpoint capital must be positive")
+        coeffs = _coefficients(solution, params, Am, Km, maintext)
+        a_gap = Am - coeffs.A_bar
+        X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
+        rates = (params.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef)
+        pair = _Pair(
+            coeffs, X, _drift(from_state, coeffs, params), rates, a_gap, 0.5 * a_gap ** 2,
+            max(abs(coeffs.alpha), abs(coeffs.beta)),
+        )
+        _pair_memo = (solution, params, from_state, to_state, maintext, pair)
+    if kernel and pair.rates[1] <= 0.0:
+        raise SingularityError("capital variance rate b")
+    return pair
 
 
 def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = False):
@@ -182,27 +205,23 @@ def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
     )
 
 
-def _gaussian_parts(from_state, to_state, t, params, coeffs):
-    """Displacement ``X = (to - from) - t drift(from)`` and the variances ``v`` of the kernel."""
-    dC, dK = _drift(from_state, coeffs, params)
-    X = (
-        (to_state.C - from_state.C) - t * dC,
-        (to_state.K - from_state.K) - t * dK,
-        to_state.A - from_state.A,
-    )
-    if coeffs.b_coef <= 0.0:
-        raise SingularityError("capital variance rate b")
-    v1, v2, v3 = params.varpi ** 2 * t, 0.5 * coeffs.b_coef * t, 0.5 * coeffs.c_coef * t
-    if v1 <= 0.0 or v2 <= 0.0 or v3 <= 0.0:  # t <= 0, or so small that a variance underflows
+def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = False) -> float:
+    """Log of the kernel's Gaussian factor at horizon ``t``.
+
+    The exponent is ``-sum X_i^2 / (2 v_i)`` with the drifted displacement
+    ``X = (to - from) - t drift(from)`` and the variances ``v = t rates``;
+    normalized in the final state, or with the printed main-text
+    prefactor if ``maintext``.
+    """
+    (X1, X2, X3), (Y1, Y2), (w1, w2, w3) = pair.X, pair.Y, pair.rates
+    v1, v2, v3 = w1 * t, w2 * t, w3 * t
+    if v1 <= 0.0 or v2 <= 0.0 or v3 <= 0.0:  # t so small that a variance underflows
         raise DomainError(f"kernel variances vanish at t = {t!r}")
-    return X, (v1, v2, v3)
-
-
-def _log_gaussian(X, v, log_norm: float | None = None) -> float:
-    """``log_norm - sum X_i^2 / (2 v_i)``, normalized for variances ``v`` by default."""
-    (X1, X2, X3), (v1, v2, v3) = X, v
+    X1, X2 = X1 - t * Y1, X2 - t * Y2
     quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
-    if log_norm is None:
+    if maintext:
+        log_norm = -math.log(2.0) - 0.5 * (math.log(_TWO_PI * (w1 / params.lambda_sq)) + math.log(v2))
+    else:
         # a sum of logs: the product v1 v2 v3 underflows at tiny t
         log_norm = -0.5 * (_LOG_TWO_PI_CUBED + math.log(v1) + math.log(v2) + math.log(v3))
     return log_norm - quad
@@ -213,17 +232,6 @@ def _exp_density(log_density: float) -> float:
     if log_density > _LOG_DBL_MAX:
         raise DomainError(f"density exp({log_density:.17g}) exceeds the largest double")
     return math.exp(log_density) if log_density > -745.0 else 0.0
-
-
-def _check_small_time(t, coeffs):
-    scale = t * max(abs(coeffs.alpha), abs(coeffs.beta))
-    if scale > _SMALL_S_THRESHOLD:
-        warnings.warn(
-            f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
-            f"threshold {_SMALL_S_THRESHOLD:.3g}",
-            SmallTimeWarning,
-            stacklevel=3,
-        )
 
 
 def transition_density(
@@ -241,32 +249,22 @@ def transition_density(
     potential factor ``exp(-((A+A')/2 - A_bar)^2 t/2 - m t)`` multiplies
     it and is excluded from the normalization.  With ``maintext=True``
     the printed (unnormalized) prefactor and the main-text beta
-    convention are used instead.
-
-    A repeated call with the same argument objects gets the previous
-    record from :func:`coefficients`; with that record and an equal ``t``
-    it returns the previous result (the small-time check still runs).
+    convention are used instead.  A :class:`SmallTimeWarning` is issued
+    on every call with ``t max(|alpha|, |beta|)`` above
+    ``_SMALL_S_THRESHOLD``.
     """
-    global _density_memo
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    coeffs = coefficients(solution, params, from_state, to_state, maintext=maintext)
-    _check_small_time(t, coeffs)
-    memo_coeffs, memo_t, result = _density_memo
-    if memo_coeffs is coeffs and memo_t == t:
-        return result
-    X, v = _gaussian_parts(from_state, to_state, t, params, coeffs)
-    log_norm = None
-    if maintext:
-        log_norm = -math.log(2.0) - 0.5 * (
-            math.log(_TWO_PI * (params.varpi ** 2 / params.lambda_sq)) + math.log(v[1])
+    check_horizon(t)
+    pair = _pair(solution, params, from_state, to_state, maintext)
+    scale = t * pair.scale
+    if scale > _SMALL_S_THRESHOLD:
+        warnings.warn(
+            f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
+            f"threshold {_SMALL_S_THRESHOLD:.3g}",
+            SmallTimeWarning,
+            stacklevel=2,
         )
-    a_mid = 0.5 * (from_state.A + to_state.A)
-    potential = 0.5 * (a_mid - coeffs.A_bar) ** 2 * t + coeffs.mass * t
-    log_density = _log_gaussian(X, v, log_norm) - potential
-    result = _exp_density(log_density), log_density
-    _density_memo = (coeffs, t, result)
-    return result
+    log_density = _log_gaussian(pair, t, params, maintext) - (pair.potential * t + pair.coeffs.mass * t)
+    return _exp_density(log_density), log_density
 
 
 def gaussian_factor(
@@ -277,10 +275,8 @@ def gaussian_factor(
     params: ModelParams,
 ):
     """The normalized Gaussian factor of the transition density alone."""
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
-    coeffs = coefficients(solution, params, from_state, to_state)
-    return _exp_density(_log_gaussian(*_gaussian_parts(from_state, to_state, t, params, coeffs)))
+    check_horizon(t)
+    return _exp_density(_log_gaussian(_pair(solution, params, from_state, to_state), t, params))
 
 
 def dmcvr_residuals(from_state, to_state, t, solution, params):
@@ -290,11 +286,10 @@ def dmcvr_residuals(from_state, to_state, t, solution, params):
     relation is the printed linear form
     ``lambda^2 (A - A') + ((A+A')/2 - A_bar) t/2``.
     """
-    coeffs = coefficients(solution, params, from_state, to_state)
-    (X1, X2, _), _ = _gaussian_parts(from_state, to_state, t, params, coeffs)
-    a_mid = 0.5 * (from_state.A + to_state.A)
-    r3 = params.lambda_sq * (to_state.A - from_state.A) + 0.5 * (a_mid - coeffs.A_bar) * t
-    return X1, X2, r3
+    check_horizon(t)
+    pair = _pair(solution, params, from_state, to_state)
+    (X1, X2, X3), (Y1, Y2) = pair.X, pair.Y
+    return X1 - t * Y1, X2 - t * Y2, params.lambda_sq * X3 + 0.5 * pair.a_gap * t
 
 
 def most_likely_endpoint(
@@ -310,8 +305,7 @@ def most_likely_endpoint(
     coefficients are then re-evaluated at the new midpoint until the step
     falls below ``_ENDPOINT_TOL``.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    check_horizon(t)
     slope_A = params.lambda_sq + 0.25 * t  # d r3 / dA'
     to = from_state
     for _ in range(_ENDPOINT_MAX_ITER):
@@ -374,10 +368,11 @@ def average_path(
     Terminates with :class:`TrajectoryTerminated` (carrying the partial
     path) if capital leaves the positive domain.
     """
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    check_horizon(t)
     if n_steps is None:
         n_steps = max(1, math.ceil(1000.0 * t))
+    elif n_steps < 1:
+        raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     K_e = equilibrium(solution, params).K
     h = t / n_steps
     states = np.empty((n_steps + 1, 3))
@@ -448,19 +443,14 @@ def laplace_propagator(
     Coincident endpoints make the transform diverge (``Q = 0``) and raise
     :class:`DomainError`.
     """
-    p = params
-    coeffs = coefficients(solution, p, from_state, to_state)
-    v1, v2, v3 = p.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef
-    X1, X2, X3 = to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A
-    Y1, Y2 = _drift(from_state, coeffs, p)  # Y3 = 0 drops out of P and CT
+    pair = _pair(solution, params, from_state, to_state)
+    (X1, X2, X3), (Y1, Y2), (v1, v2, v3) = pair.X, pair.Y, pair.rates  # Y3 = 0 drops out of P and CT
     P = Y1 * Y1 / v1 + Y2 * Y2 / v2
     Q = X1 * X1 / v1 + X2 * X2 / v2 + X3 * X3 / v3
     CT = X1 * Y1 / v1 + X2 * Y2 / v2
     if Q == 0.0:
         raise DomainError("Laplace propagator diverges at coincident endpoints")
-    a_mid = 0.5 * (from_state.A + to_state.A)
-    m_eff = coeffs.mass + 0.5 * (a_mid - coeffs.A_bar) ** 2
-    rate = 2.0 * (m_eff + p.alpha_laplace) + P
+    rate = 2.0 * (pair.coeffs.mass + pair.potential + params.alpha_laplace) + P
     if rate <= 0.0:
         raise DomainError("Laplace propagator decay rate must be positive")
     prefactor = _TWO_PI * math.sqrt(v1 * v2 * v3 * Q)

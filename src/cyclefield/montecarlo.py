@@ -31,7 +31,7 @@ from scipy.special import kolmogorov, ndtr
 
 from cyclefield.errors import DomainError, ParameterError
 from cyclefield.params import ModelParams
-from cyclefield.paths import AgentState
+from cyclefield.paths import AgentState, check_horizon
 from cyclefield.phases import PhaseSolution
 
 _NOISE_BYTES = 16 * 2**20  # noise buffer budget per block of paths
@@ -45,7 +45,6 @@ class MCConfig:
     n_paths: int = 10000       # number of independent paths
     dt: float = 1e-2           # Heun step
     seed: int = 0              # Philox key of every tile stream
-    antithetic: bool = False   # path 2j+1 takes the negated noise of 2j, within a tile
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -81,14 +80,13 @@ class PathEnsemble:
         }
 
 
-def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, antithetic: bool):
+def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int):
     """Noise for tiles [tile, tile+n_tiles) in consecutive time chunks.
 
     Yields views of shape ``(m, n_tiles, _TILE, 3)`` covering steps
     ``[k, k+m)`` in order; each view is overwritten by the next one.  One
     Philox generator is re-pointed at each tile's stream and fills the
-    tile's chunk in one call.  With ``antithetic`` each odd column of a
-    tile is the negated noise of the even column before it.
+    tile's chunk in one call.
     """
     chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * _TILE * n_tiles)))
     buf = np.empty((n_tiles, chunk, _TILE, 3))
@@ -105,8 +103,6 @@ def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, antithetic: bo
             rng.standard_normal(out=buf[j, :m])
             if k + m < n_steps:
                 states[j] = bitgen.state
-        if antithetic:
-            np.negative(buf[:, :m, 0::2], out=buf[:, :m, 1::2])
         yield buf[:, :m].swapaxes(0, 1)
 
 
@@ -153,8 +149,7 @@ def _drift_jacobian(x, solution: PhaseSolution, params: ModelParams) -> np.ndarr
 
 def _step_count(t: float, dt: float) -> int:
     """Number of steps ``dt`` in the horizon ``t``; raises unless ``t`` is a positive multiple of ``dt``."""
-    if t <= 0.0:
-        raise DomainError(f"t must be > 0, got {t}")
+    check_horizon(t)
     n_steps = round(t / dt)
     if n_steps < 1 or abs(t / dt - n_steps) > 1e-9 * n_steps:
         raise ParameterError(f"horizon t={t} is not an integer multiple of dt={dt}")
@@ -212,7 +207,7 @@ def sample_paths(
         count = min(per_block, n_tiles - first)
         sl = slice(first, first + count)
         C, K, A = (np.full((count, _TILE), v) for v in (initial.C, initial.K, initial.A))
-        for noise in _tile_noise(mc.seed, first, count, n_steps, mc.antithetic):
+        for noise in _tile_noise(mc.seed, first, count, n_steps):
             for z in noise:
                 C, K, A, pos, _ = step(C, K, A, z)
                 ok[sl] &= pos
@@ -264,11 +259,15 @@ def compare_to_green(
     The reference is :func:`lna_moments` from ``initial`` over the
     ensemble's horizon at the ensemble's step.  Returns per-coordinate
     z-scores for mean and variance, Kolmogorov-Smirnov p-proxies, and an
-    overall verdict (all |z| <= 4 and all p >= 1e-3).
+    overall verdict (all |z| <= 4 and all p >= 1e-3).  Raises
+    :class:`ParameterError` for fewer than two paths, whose variance is
+    undefined.
     """
+    n = ensemble.n_paths
+    if n < 2:
+        raise ParameterError(f"comparing moments needs at least 2 paths, got {n}")
     mu, cov = lna_moments(initial, ensemble.t, ensemble.dt, solution, params)
     var_an = np.diag(cov)
-    n = ensemble.n_paths
     zscores: dict[str, float] = {}
     ks: dict[str, float] = {}
     for idx, (name, x) in enumerate(zip("CKA", (ensemble.C, ensemble.K, ensemble.A))):
@@ -391,7 +390,7 @@ def appendix5_negligibility(
     weight_mag = np.zeros(shape)
     C, K, A = (np.full(shape, v) for v in (C_bar, K_eq, A_bar))
     step = _heun_step(solution, p, dt)
-    noise = (z for chunk in _tile_noise(seed, 0, shape[0], n_steps, False) for z in chunk)
+    noise = (z for chunk in _tile_noise(seed, 0, shape[0], n_steps) for z in chunk)
     for d, z in zip(disc, noise):
         C_new, K_new, A_new, _, r_pt = step(C, K, A, z)
         cdot = (C_new - C) / dt

@@ -11,6 +11,12 @@ import numpy as np
 from cyclefield.errors import DomainError, ShapeError
 
 
+def check_horizon(t: float) -> None:
+    """Raise :class:`DomainError` unless the horizon satisfies ``0 < t < inf`` (NaN fails)."""
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be finite and > 0, got {t!r}")
+
+
 @dataclass(frozen=True)
 class AgentState:
     """A single (consumption, capital, technology) point."""

@@ -380,6 +380,37 @@ class TestDeterminism:
         assert a  # non-empty
 
 
+class TestRejectedInputs:
+    """Inputs outside a command's domain exit 2 with an error line, not a traceback."""
+
+    TRANSIT = ("transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01")
+    PATH = ("path", "--x0", "1.1,10.2,10.0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            TRANSIT + ("--t", "nan"),
+            TRANSIT + ("--t", "inf"),
+            PATH + ("--t", "nan"),
+            PATH + ("--t", "inf"),
+            PATH + ("--t", "0.5", "--n-steps", "0"),
+            PATH + ("--t", "0.5", "--n-steps", "-3"),
+            ("mc-validate", "--t", "nan", "--n", "64"),
+            ("mc-validate", "--t", "inf", "--n", "64"),
+            ("mc-validate", "--t", "0.1", "--n", "1"),
+        ],
+        ids=[
+            "transit-t-nan", "transit-t-inf", "path-t-nan", "path-t-inf", "path-n-steps-0",
+            "path-n-steps-negative", "mc-validate-t-nan", "mc-validate-t-inf", "mc-validate-n-1",
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, argv):
+        code, text = invoke(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -101,6 +101,18 @@ class TestKernelMemo:
             x, y, 0.01, trivial, params
         )
 
+    def test_kernels_on_one_pair_share_one_record(self, nontrivial, params, pair):
+        x, y = pair
+        rec = green.coefficients(nontrivial, params, x, y)
+        green.transition_density(x, y, 0.01, nontrivial, params)
+        corrections.corrected_density(x, y, 0.01, nontrivial, params)
+        green.laplace_propagator(x, y, nontrivial, params)
+        green.dmcvr_residuals(x, y, 0.01, nontrivial, params)
+        assert green.coefficients(nontrivial, params, x, y) is rec
+        # a kernel on another pair replaces the one memo entry
+        green.laplace_propagator(y, x, nontrivial, params)
+        assert green.coefficients(nontrivial, params, x, y) is not rec
+
     def test_corrected_log_density_subtracts_gamma_v_exactly(self, nontrivial, params, pair):
         x, y = pair
         t = 0.01
@@ -241,10 +253,45 @@ class TestTransitionDensity:
         assert [w.category for w in caught] == [green.SmallTimeWarning] * 2
         assert {w.filename for w in caught} == {__file__}
 
+    def test_small_time_threshold_is_on_the_larger_rate(self, trivial, params):
+        x = anchor_state(trivial, params)
+        y = AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A)
+        c = green.coefficients(trivial, params, x, y)
+        t_edge = green._SMALL_S_THRESHOLD / max(abs(c.alpha), abs(c.beta))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", green.SmallTimeWarning)
+            green.transition_density(x, y, 0.99 * t_edge, trivial, params)
+        with pytest.warns(green.SmallTimeWarning):
+            green.transition_density(x, y, 1.01 * t_edge, trivial, params)
+
     def test_zero_horizon_rejected(self, trivial, params):
         x = anchor_state(trivial, params)
         with pytest.raises(DomainError):
             green.transition_density(x, x, 0.0, trivial, params)
+
+    @pytest.mark.parametrize("t", [-1e-3, math.nan, math.inf])
+    def test_horizon_outside_zero_to_infinity_rejected(self, trivial, params, t):
+        x = anchor_state(trivial, params)
+        y = AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A)
+        for kernel in (green.transition_density, green.gaussian_factor, green.dmcvr_residuals):
+            with pytest.raises(DomainError):
+                kernel(x, y, t, trivial, params)
+        with pytest.raises(DomainError):
+            green.most_likely_endpoint(x, t, trivial, params)
+        with pytest.raises(DomainError):
+            green.average_path(x, t, trivial, params)
+
+    def test_nonpositive_capital_variance_rate_is_singular(self):
+        # r_c = 0.01 makes 3 varpi^2 / (2 (2 alpha + beta) beta) outweigh the
+        # other terms of b; every kernel that divides by the rates says so
+        p = ModelParams(r_c=0.01)
+        sol = solve_phase(p, 0)
+        x, y = AgentState(C=1.0, K=10.0, A=0.2), AgentState(C=1.01, K=10.05, A=0.21)
+        assert green.coefficients(sol, p, x, y).b_coef <= 0.0
+        with pytest.raises(SingularityError, match="capital variance rate b"):
+            green.transition_density(x, y, 0.01, sol, p)
+        with pytest.raises(SingularityError, match="capital variance rate b"):
+            green.laplace_propagator(x, y, sol, p)
 
     def test_gaussian_factor_peaks_at_most_likely_endpoint(self, trivial, params):
         x = anchor_state(trivial, params)
@@ -280,7 +327,12 @@ class TestDrift:
             dK = -(ref.alpha * (x.K - p.K_bar) + p.delta * p.K_bar + x.C - x.A * Keps)
             y = AgentState(*(float(v) for v in (x.C + t * dC + z[0], x.K + t * dK + z[1], x.A + z[2])))
             c = green.coefficients(sol, p, x, y)
-            X, _ = green._gaussian_parts(x, y, t, p, c)
+            pair = green._pair(sol, p, x, y)
+            X = (*green.dmcvr_residuals(x, y, t, sol, p)[:2], pair.X[2])
+            # the Gaussian exponent reads the same displacement
+            quad = sum(Xi * Xi / (2.0 * w * t) for Xi, w in zip(X, pair.rates))
+            log_norm = -0.5 * sum(math.log(2.0 * math.pi * w * t) for w in pair.rates)
+            assert green._log_gaussian(pair, t, p) == pytest.approx(log_norm - quad, rel=1e-13)
             F = Fraction
             a, Kb = F(c.alpha), F(p.K_bar)
             exact_dK = -(a * (F(x.K) - Kb) + F(p.delta) * Kb + F(x.C) - F(x.A) * F(Keps))
@@ -314,6 +366,12 @@ class TestMostLikelyEndpoint:
         assert abs(r1) < 1e-10
         assert abs(r2) < 1e-10
         assert abs(r3) < 1e-10
+
+    def test_technology_relation_is_the_printed_linear_form(self, trivial, params):
+        x, y, t = AgentState(C=1.2, K=10.5, A=9.0), AgentState(C=1.21, K=10.4, A=9.1), 0.02
+        r3 = green.dmcvr_residuals(x, y, t, trivial, params)[2]
+        gap = 0.5 * (x.A + y.A) - trivial.A_bar_phase
+        assert r3 == pytest.approx(params.lambda_sq * (y.A - x.A) + 0.5 * gap * t, rel=1e-14)
 
     def test_anchor_is_almost_fixed(self, trivial, params):
         x = anchor_state(trivial, params)
@@ -383,9 +441,8 @@ class TestPaperKernelConventions:
         # defaults
         t = 1e-3
         x = anchor_state(trivial, params)
-        c = green.coefficients(trivial, params, x, x)
-        _, (_, v_K, _) = green._gaussian_parts(x, x, t, params, c)
-        assert v_K / t == pytest.approx(0.20144106368924605, rel=1e-12)
+        rate_K = green._pair(trivial, params, x, x).rates[1]
+        assert rate_K == pytest.approx(0.20144106368924605, rel=1e-12)
         _, cov = mc.lna_moments(x, t, t, trivial, params)
         assert cov[1, 1] / t == pytest.approx(params.nu ** 2, rel=1e-2)
         assert params.nu ** 2 == pytest.approx(0.01, rel=1e-12)

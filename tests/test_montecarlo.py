@@ -80,57 +80,38 @@ class TestDeterminism:
         b = mc.sample_paths(x0, 0.1, sol, p, mc.MCConfig(n_paths=50, dt=1e-2, seed=2))
         assert not np.array_equal(a.C, b.C)
 
-    def test_antithetic_pairs_share_streams(self, quiet_setup):
-        p, sol, x0 = quiet_setup
-        cfg = mc.MCConfig(n_paths=4, dt=1e-2, seed=9, antithetic=True)
-        ens = mc.sample_paths(x0, 0.05, sol, p, cfg)
-        plain = mc.sample_paths(
-            x0, 0.05, sol, p, mc.MCConfig(n_paths=4, dt=1e-2, seed=9)
-        )
-        # even antithetic paths keep their own column of the tile's stream;
-        # odd ones take the negated noise of the even path before them
-        assert ens.C[0] == plain.C[0]
-        assert ens.C[2] == plain.C[2]
-        assert ens.C[1] != plain.C[1]
 
-
-def _reference_noise(seed, tile, n_steps, antithetic=False):
+def _reference_noise(seed, tile, n_steps):
     """Tile ``tile``'s noise as one step-major draw from its own jumped Philox stream."""
     rng = np.random.Generator(np.random.Philox(key=seed).jumped(tile))
-    draw = rng.standard_normal((n_steps, mc._TILE, 3))
-    if antithetic:
-        draw[:, 1::2] = -draw[:, 0::2]
-    return draw
+    return rng.standard_normal((n_steps, mc._TILE, 3))
 
 
 class TestNoiseStreams:
     """Tile j draws the stream Philox(key=seed).jumped(j), whatever the chunking."""
 
-    def _check(self, seed, tile, n_tiles, n_steps, antithetic=False):
-        chunks = [c.copy() for c in mc._tile_noise(seed, tile, n_tiles, n_steps, antithetic)]
+    def _check(self, seed, tile, n_tiles, n_steps):
+        chunks = [c.copy() for c in mc._tile_noise(seed, tile, n_tiles, n_steps)]
         noise = np.concatenate(chunks, axis=0)
         assert noise.shape == (n_steps, n_tiles, mc._TILE, 3)
         for j in range(n_tiles):
-            ref = _reference_noise(seed, tile + j, n_steps, antithetic)
+            ref = _reference_noise(seed, tile + j, n_steps)
             np.testing.assert_array_equal(noise[:, j], ref)
         return chunks
 
     def test_start_offset_beyond_32_bits(self):
         self._check(seed=2**40 + 1, tile=2**32 + 5, n_tiles=2, n_steps=17)
 
-    def test_antithetic_pairs(self):
-        self._check(seed=9, tile=3, n_tiles=2, n_steps=11, antithetic=True)
-
     def test_multi_chunk_horizon(self, monkeypatch):
         n_tiles = 2
         monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * mc._TILE * n_tiles * 7)
         chunks = self._check(seed=123, tile=10, n_tiles=n_tiles, n_steps=30)
         assert [c.shape[0] for c in chunks] == [7, 7, 7, 7, 2]
-        self._check(seed=123, tile=11, n_tiles=n_tiles, n_steps=30, antithetic=True)
+        self._check(seed=123, tile=11, n_tiles=n_tiles, n_steps=30)
 
     def test_chunking_leaves_ensembles_unchanged(self, quiet_setup, monkeypatch):
         p, sol, x0 = quiet_setup
-        cfg = mc.MCConfig(n_paths=100, dt=1e-2, seed=4, antithetic=True)
+        cfg = mc.MCConfig(n_paths=100, dt=1e-2, seed=4)
         whole = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=64)
         monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * mc._TILE * 3)
         chunked = mc.sample_paths(x0, 0.5, sol, p, cfg, block_size=64)
