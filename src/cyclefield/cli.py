@@ -270,9 +270,9 @@ def _cmd_mc_validate(args) -> int:
     mc = montecarlo.MCConfig(n_paths=args.n, dt=args.dt, seed=args.seed)
     initial = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
     ensemble = montecarlo.sample_paths(initial, args.t, sol, p, mc)
+    report = montecarlo.compare_to_green(ensemble, initial, sol, p)  # rejects n < 2 before any export
     if args.export:
         _emit(_ensemble_csv(ensemble), args.export)
-    report = montecarlo.compare_to_green(ensemble, initial, sol, p)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}
     _emit(_json_dumps(out) + "\n", args.output)
     return 5 if args.strict and not report["pass"] else 0

@@ -25,6 +25,12 @@ from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
 
 
+def _check_horizon(t: float, name: str = "t") -> None:
+    """Raise :class:`DomainError` unless ``0 <= t < inf`` (NaN fails)."""
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {t!r}")
+
+
 @dataclass(frozen=True)
 class DeviationQuery:
     """Initial conditions for a path-deviation evaluation."""
@@ -39,8 +45,7 @@ class DeviationQuery:
         for v in self.v0:
             if not math.isfinite(float(v)):
                 raise DomainError(f"v0 components must be finite, got {self.v0!r}")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise DomainError(f"t must be finite and >= 0, got {self.t!r}")
+        _check_horizon(self.t)
         object.__setattr__(self, "v0", tuple(float(v) for v in self.v0))
         object.__setattr__(self, "t", float(self.t))
 
@@ -56,8 +61,7 @@ class TwoAgentQuery:
     t: float           # shared horizon
 
     def __post_init__(self):
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise DomainError(f"t must be finite and >= 0, got {self.t!r}")
+        _check_horizon(self.t)
         object.__setattr__(self, "t", float(self.t))
 
 
@@ -78,8 +82,7 @@ def correction_potential(
     Unprimed variables are the final state, primed the initial one.  The
     corrected kernel is ``G * exp(-gamma V)``.
     """
-    if t < 0.0:
-        raise DomainError(f"t must be >= 0, got {t}")
+    _check_horizon(t)
     Keps = params.K_bar ** params.epsilon
     C, K, A = to_state.C, to_state.K, to_state.A
     dC = C - from_state.C
@@ -145,6 +148,7 @@ def elasticity_table(t: float, solution: PhaseSolution, params: ModelParams) -> 
     in the initial state and velocities (each carries the overall
     ``gamma``); the signs encode the synergy and eviction effects.
     """
+    _check_horizon(t)
     coeffs = coefficients(solution, params)
     b, c = coeffs.b_coef, coeffs.c_coef
     A2 = solution.A_bar_phase ** 2
@@ -181,8 +185,7 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
     keeping (1,3), an asymmetry flagged here and not reproduced.  The
     quadratic source matrix ``gamma (R3 - M^T (2 R2 - R1))`` is included.
     """
-    if s < 0.0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    _check_horizon(s, "s")
     coeffs = coefficients(solution, params)
     a = 2.0 * params.varpi ** 2
     b = coeffs.b_coef

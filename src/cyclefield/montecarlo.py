@@ -19,6 +19,11 @@ are byte-identical for a fixed seed whatever the block size or
 Memory: noise is drawn in time chunks under a fixed per-block budget of
 ``_NOISE_BYTES``, so memory grows with the block size, not the horizon;
 a stream drawn in chunks gives the numbers it gives in one go.
+
+Imports: ``scipy.special`` (``ndtr``, ``kolmogorov``) is loaded inside
+:func:`compare_to_green` and ``scipy.optimize`` (``brentq``) inside
+:func:`appendix5_negligibility`, so importing this module, and every
+command that does not compare an ensemble, loads no SciPy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
 
 from cyclefield.errors import DomainError, ParameterError
 from cyclefield.params import ModelParams
@@ -266,6 +270,8 @@ def compare_to_green(
     n = ensemble.n_paths
     if n < 2:
         raise ParameterError(f"comparing moments needs at least 2 paths, got {n}")
+    from scipy.special import kolmogorov, ndtr
+
     mu, cov = lna_moments(initial, ensemble.t, ensemble.dt, solution, params)
     var_an = np.diag(cov)
     zscores: dict[str, float] = {}

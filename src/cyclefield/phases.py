@@ -21,8 +21,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-from scipy.special import erfc, erfcx
-
 from cyclefield.errors import (
     ConvergenceError,
     DomainError,
@@ -32,6 +30,7 @@ from cyclefield.errors import (
 from cyclefield.params import ModelParams
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
@@ -68,18 +67,39 @@ def _Y_of(params: ModelParams, gamma3: float) -> float:
     return params.delta - gamma3 * params.epsilon * params.K_bar ** (params.epsilon - 1.0)
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function ``exp(x**2) erfc(x)`` for x >= 0.
+
+    Below x = 26 it is ``exp(x**2) * math.erfc(x)``, with x split into
+    ``hi + lo`` (Dekker) so that ``hi * hi`` is exact and ``exp`` sees no
+    rounding of ``x**2``.  Above, where ``erfc`` nears underflow, it is
+    Laplace's continued fraction ``1 / (sqrt(pi) (x + (1/2)/(x + 1/(x +
+    (3/2)/(x + ...)))))`` cut after 8 terms and evaluated from its tail.
+    """
+    if x < 26.0:
+        c = 134217729.0 * x  # 2**27 + 1
+        hi = c - (c - x)
+        return math.exp(hi * hi) * math.exp((x - hi) * (x + hi)) * math.erfc(x)
+    f = x
+    for k in (4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5):
+        f = x + k / f
+    return 1.0 / (_SQRT_PI * f)
+
+
 def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = False):
     """Boundary shifts (C1, K1p, A1) at technology background ``gamma3``.
 
     C1 is the truncated-Gaussian mean shift, evaluated stably through
-    erfcx.  A1 underflows to zero whenever ``lam * gamma3**2`` is large.
-    K1p defaults to the exact erf form (stable log-space evaluation); the
-    surrogate fit is selected by ``paper_k1_approx``.
+    :func:`_erfcx` (``exp(x**2) math.erfc(x)`` below x = 26, an 8-term
+    continued fraction above).  A1 underflows to zero whenever
+    ``lam * gamma3**2`` is large.  K1p defaults to the exact erf form
+    (stable log-space evaluation through ``math.erfc`` or
+    :func:`_erfcx`); the surrogate fit is selected by ``paper_k1_approx``.
     """
     p = params
     # C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))
     xc = p.C_bar / (math.sqrt(2.0) * p.varpi)
-    C1 = _SQRT_2_OVER_PI * p.varpi / float(erfcx(xc))
+    C1 = _SQRT_2_OVER_PI * p.varpi / _erfcx(xc)
 
     # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2))
     lam = p.lam
@@ -106,9 +126,9 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
         # exact: -sqrt(2/pi) sqrt|Y| nu exp(-u^2/(2|Y|nu^2)) / (erf(u/sqrt2) + 1)
         log_num = math.log(_SQRT_2_OVER_PI * math.sqrt(Yv) * p.nu) - u * u / (2.0 * Yv * p.nu ** 2)
         if u >= 0.0:
-            log_den = math.log(erfc(-u / math.sqrt(2.0)))
+            log_den = math.log(math.erfc(-u / math.sqrt(2.0)))
         else:
-            log_den = math.log(erfcx(-u / math.sqrt(2.0))) - u * u / 2.0
+            log_den = math.log(_erfcx(-u / math.sqrt(2.0))) - u * u / 2.0
         expo = log_num - log_den
         if expo > _LOG_DBL_MAX:
             raise SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))")

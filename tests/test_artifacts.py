@@ -15,26 +15,26 @@ from cyclefield.cli import run
 CONFIG = str(Path(__file__).resolve().parent.parent / "base.cfg")
 
 PINS = {
-    "phases": (["phases"], "feeb1d1c18df56885af3e8b797b42b1aaa92d6937237b1a154df50a2a6bf3ad1"),
+    "phases": (["phases"], "d2da279d91ae212c0633e702b5513eb0fd65916a8bec62ee23341b4255d12bf6"),
     "phases-k1-approx": (
         ["phases", "--paper-k1-approx"],
-        "b3f1a3ce9573b60de8627ce72bf6e7ac203cfb6d2f6a36a8e51f3fe2b3efbee3",
+        "fa6be22e941692c872450bbe4c271a6e7b436b7c2513d308dee45655ec79e61a",
     ),
     "scan-A0": (
         ["phase-scan", "--key", "A0", "--range", "4,12,200"],
-        "265848ad6f17404603033351c833eaccaf18c82f88cf97fa8030a675d1657471",
+        "d7e8f56b71942185f34e3ba0a3bbc21ac4ee9e35f71b1791fec4bf1ff05a2c2e",
     ),
     "scan-gamma": (
         ["phase-scan", "--key", "gamma", "--values", "0,0.05,0.1"],
-        "d02f23a0eee257bdd50f058ae472b34ef8556dd801f0d9e7de1333273c13dbdf",
+        "160d699b905e42c6838ee208b0dc021d75662fe5dbb5409d37540caf266e0a60",
     ),
     "scan-C0": (
         ["phase-scan", "--key", "C0", "--values", "0.1,0.5"],
-        "2f6257ed3eab554cf424ce229932de843e610bffc1b0a99d936cff04ed587ea1",
+        "ee67fd4aa7a2d8eb880a8d651a1b1bb867df2df595fab012793b46d7e8bf9e8e",
     ),
     "scan-kappa": (
         ["phase-scan", "--key", "kappa", "--range", "0,0.7,50"],
-        "2785a73e880de6471b112e935a43e116b11aa2c81ad4cefccf7ab358e96741da",
+        "460bf6ca81679aa45002fbb3fac7ee3cc30c3db94f87273b861483c77ba92114",
     ),
     "transit": (
         ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01", "--phase", "1"],

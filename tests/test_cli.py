@@ -338,6 +338,16 @@ class TestMCValidate:
         err = capsys.readouterr().err
         assert "phase 1" in err and "A_bar_phase=-4.92567" in err
 
+    def test_rejected_ensemble_leaves_no_export(self, tmp_path, capsys):
+        # one path has no sample variance: the comparison rejects it before
+        # anything is written
+        export = tmp_path / "e.csv"
+        code, text = invoke(tmp_path, "mc-validate", "--t", "0.1", "--n", "1", "--export", str(export))
+        assert code == 2
+        assert text == ""
+        assert not export.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_export_written_in_blocks(self, tmp_path, monkeypatch, capsys):
         # 20 rows in blocks of 7 give the same bytes as one formatted text,
         # to a file and to stdout
@@ -426,16 +436,34 @@ class TestUsage:
         assert code == 0
         assert out.exists()
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # importing scipy.optimize would add ~0.27 s to every cold start and
-        # scipy.linalg ~6 MB of RSS; both are imported where they are used
+    def test_cold_start_loads_no_scipy(self, tmp_path):
+        # scipy.special alone is ~0.38 s of a ~0.5 s cold start and
+        # scipy.linalg ~6 MB of RSS; the phase layer computes erfc/erfcx with
+        # math, and SciPy is imported only where the KS comparison and
+        # appendix 5 use it
         src = str(Path(cli.__file__).resolve().parents[1])
-        check = (
-            "import sys, cyclefield.cli; "
-            "sys.exit(any(m in sys.modules for m in ('scipy.optimize', 'scipy.linalg')))"
-        )
+        check = f"""
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import cyclefield.cli as cli
+assert not loaded(), ("import cyclefield.cli", loaded())
+from cyclefield.params import ModelParams
+from cyclefield.phases import solve_phase
+for phase in (0, 1):
+    solve_phase(ModelParams(), phase)
+    assert not loaded(), ("solve_phase", phase, loaded())
+for argv in (
+    ["phases"],
+    ["phase-scan", "--key", "A0", "--values", "7.5,8.0"],
+    ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01", "--phase", "1"],
+):
+    assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
+    assert not loaded(), (argv[0], loaded())
+"""
         env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_mc_validate_leaves_scipy_linalg_unloaded(self, tmp_path):
         # the linear-noise reference needs no matrix exponential; scipy.linalg

@@ -40,6 +40,25 @@ class TestCorrectionPotential:
             corrections.correction_potential(x, x, -1.0, trivial, params)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, sol, p: corrections.correction_potential(
+            AgentState(C=1.0, K=10.0, A=10.0), AgentState(C=1.1, K=10.2, A=9.9), t, sol, p
+        ),
+        lambda t, sol, p: corrections.elasticity_table(t, sol, p),
+        lambda t, sol, p: corrections.modified_matrices(t, sol, p),
+        lambda t, sol, p: make_query(t=t),
+        lambda t, sol, p: corrections.TwoAgentQuery(*[AgentState(C=1, K=1, A=1)] * 4, t=t),
+    ],
+    ids=["correction_potential", "elasticity_table", "modified_matrices", "DeviationQuery", "TwoAgentQuery"],
+)
+def test_horizon_outside_zero_to_infinity_rejected(call, t, trivial, params):
+    with pytest.raises(DomainError, match="finite and >= 0"):
+        call(t, trivial, params)
+
+
 class TestPathDeviation:
     def test_consumption_deviation_identically_zero(self, trivial, params):
         dC, _, _ = corrections.path_deviation(make_query(), trivial, params)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc as scipy_erfc
+from scipy.special import erfcx as scipy_erfcx
 
 from cyclefield.errors import (
     ConvergenceError,
@@ -17,6 +19,7 @@ from cyclefield.errors import (
 )
 from cyclefield.params import ModelParams
 from cyclefield.phases import (
+    _erfcx,
     _gamma3_den,
     _gamma3_rhs,
     _Y_of,
@@ -90,6 +93,38 @@ class TestBoundaryShifts:
         assert approx <= 0.0
         if exact != 0.0:
             assert 0.1 < approx / exact < 10.0
+
+
+class TestErrorFunctions:
+    """``_erfcx`` at x >= 0 and ``math.erfc(-u/sqrt2)`` at u >= 0, as ``boundary_shifts`` calls them."""
+
+    # 0, the C1 argument at the defaults (1/(sqrt2 0.1)), both sides of the
+    # x = 26 branch switch, and the continued fraction's far range
+    ERFCX_POINTS = [
+        0.0, 1e-300, 1e-8, 0.5, 1.0 / (math.sqrt(2.0) * 0.1), 25.5, math.nextafter(26.0, 0.0),
+        26.0, math.nextafter(26.0, math.inf), 26.5, 40.0, 1e3, 1e6, 1e8,
+    ]
+
+    @pytest.mark.parametrize("x", ERFCX_POINTS)
+    def test_erfcx_matches_scipy_at_switch_and_tails(self, x):
+        assert _erfcx(x) == pytest.approx(float(scipy_erfcx(x)), rel=2e-15, abs=0.0)
+
+    def test_erfcx_matches_scipy_on_a_grid(self):
+        xs = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e8, 501)])
+        ours = np.array([_erfcx(float(x)) for x in xs])
+        assert np.max(np.abs(ours / scipy_erfcx(xs) - 1.0)) <= 2e-15
+
+    def test_erfc_of_negative_argument_matches_scipy(self):
+        u = np.concatenate([np.linspace(0.0, 40.0, 4001), [1e3, 1e8]])
+        ours = np.array([math.erfc(-float(v) / math.sqrt(2.0)) for v in u])
+        assert np.max(np.abs(ours / scipy_erfc(-u / math.sqrt(2.0)) - 1.0)) <= 2e-15
+
+    @pytest.mark.parametrize("x", [0.5, 7.0710678118654746, 25.9, 26.1, 1e4])
+    def test_erfcx_matches_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            exact = float(mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(mpmath.mpf(x)))
+        assert _erfcx(x) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 class TestGamma3:
