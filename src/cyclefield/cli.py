@@ -5,9 +5,19 @@ Subcommands: ``phases``, ``phase-scan``, ``transit``, ``path``,
 printed with 17 significant digits, so identical inputs produce
 byte-identical artifacts.
 
+:func:`run` is the one dispatcher.  Argparse types parse the state and
+velocity triples, so a malformed or negative triple is rejected while the
+arguments are parsed.  ``run`` then checks ``--format`` against the
+subcommand's natural format, loads ``--config``, solves ``--phase`` for the
+five commands that take a horizon (``--t``), calls the subcommand's
+``_cmd_*(args, params, solution)`` and writes the payload it returns to
+``--output``: a dict as JSON, text as CSV.  With the payload a command
+returns its exit code, or a :class:`CycleFieldError` that ``run`` raises once
+the payload is written.  Errors become exit codes in one place.
+
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
-nontrivial phase; 4 numerical failure; 5 ``mc-validate --strict`` wrote a
-report whose check failed.
+nontrivial phase; 4 numerical failure (including an overflowing closed
+form); 5 ``mc-validate --strict`` wrote a report whose check failed.
 """
 
 from __future__ import annotations
@@ -98,11 +108,12 @@ def _ensemble_csv(ensemble):
 
 
 # ---------------------------------------------------------------------------
-# argument helpers
+# argument types
 # ---------------------------------------------------------------------------
 
 
-def _parse_triple(text: str) -> tuple:
+def _triple(text: str) -> tuple:
+    """Three comma-separated numbers; the ParameterError passes through argparse to run."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ParameterError(f"expected three comma-separated numbers, got {text!r}")
@@ -112,28 +123,18 @@ def _parse_triple(text: str) -> tuple:
         raise ParameterError(f"invalid number triple {text!r}") from exc
 
 
-def _load_params(args) -> ModelParams:
-    return load_config(args.config) if args.config else ModelParams()
-
-
-def _check_format(args, natural: str) -> None:
-    if args.format is not None and args.format != natural:
-        raise ParameterError(
-            f"subcommand {args.command!r} only supports --format {natural}"
-        )
+def _state(text: str) -> AgentState:
+    return AgentState(*_triple(text))
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, params, solution) -> (payload, exit code or error)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_phases(args) -> int:
-    _check_format(args, "json")
-    p = _load_params(args)
+def _cmd_phases(args, p, _sol):
     records = [asdict(solve_phase(p, ph, paper_k1_approx=args.paper_k1_approx)) for ph in (0, 1)]
-    _emit(_json_dumps({"phases": records}) + "\n", args.output)
-    return 0
+    return {"phases": records}, 0
 
 
 def _scan_values(args):
@@ -168,9 +169,7 @@ def _scan_point(p: ModelParams, paper_k1_approx: bool):
         return replace(sol, feasible=False), "infeasible"
 
 
-def _cmd_phase_scan(args) -> int:
-    _check_format(args, "csv")
-    base = _load_params(args)
+def _cmd_phase_scan(args, base, _sol):
     param_keys = tuple(f.name for f in fields(ModelParams))
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
@@ -189,81 +188,39 @@ def _cmd_phase_scan(args) -> int:
             failures.append(f"{args.key}={_fmt(value)}: {exc}")
             row += [""] * len(_SCAN_COLUMNS)
         lines.append(",".join(row + [status]))
-    _emit("\n".join(lines) + "\n", args.output)
-    if failures:
-        print(
-            f"error: numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+    text = "\n".join(lines) + "\n"
+    if failures:  # named on stderr after every row is written
+        first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"
+        return text, CycleFieldError(first)
+    return text, 0
 
 
-def _cmd_transit(args) -> int:
-    _check_format(args, "json")
-    p = _load_params(args)
-    sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
-    from_state = AgentState(*_parse_triple(getattr(args, "from")))
-    to_state = AgentState(*_parse_triple(args.to))
-    density, log_density = green.transition_density(
-        from_state, to_state, args.t, sol, p, maintext=args.maintext_convention
-    )
-    coeffs = green.coefficients(
-        sol, p, from_state, to_state, maintext=args.maintext_convention
-    )
-    out = {
-        "density": density,
-        "log_density": log_density,
-        "coefficients": coeffs._asdict(),
-    }
-    _emit(_json_dumps(out) + "\n", args.output)
-    return 0
+def _cmd_transit(args, p, sol):
+    x, y, maintext = args.from_state, args.to, args.maintext_convention
+    density, log_density = green.transition_density(x, y, args.t, sol, p, maintext=maintext)
+    coeffs = green.coefficients(sol, p, x, y, maintext=maintext)
+    return {"density": density, "log_density": log_density, "coefficients": coeffs._asdict()}, 0
 
 
-def _cmd_path(args) -> int:
-    _check_format(args, "csv")
-    p = _load_params(args)
-    sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
-    x0 = AgentState(*_parse_triple(args.x0))
-    path = green.average_path(x0, args.t, sol, p, n_steps=args.n_steps)
-    _emit(path.to_csv(), args.output)
-    return 0
+def _cmd_path(args, p, sol):
+    return green.average_path(args.x0, args.t, sol, p, n_steps=args.n_steps).to_csv(), 0
 
 
-def _cmd_deviations(args) -> int:
-    _check_format(args, "json")
-    p = _load_params(args)
-    sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
-    query = corrections.DeviationQuery(
-        x0=AgentState(*_parse_triple(args.x0)), v0=_parse_triple(args.v0), t=args.t
-    )
+def _cmd_deviations(args, p, sol):
+    query = corrections.DeviationQuery(x0=args.x0, v0=args.v0, t=args.t)
     dC, dK, dA = corrections.path_deviation(query, sol, p)
     table = corrections.elasticity_table(args.t, sol, p)
-    out = {"dC": dC, "dK": dK, "dA": dA, "elasticities": table}
-    _emit(_json_dumps(out) + "\n", args.output)
-    return 0
+    return {"dC": dC, "dK": dK, "dA": dA, "elasticities": table}, 0
 
 
-def _cmd_two_agent(args) -> int:
-    _check_format(args, "json")
-    p = _load_params(args)
-    sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
+def _cmd_two_agent(args, p, sol):
     query = corrections.TwoAgentQuery(
-        from1=AgentState(*_parse_triple(args.from1)),
-        to1=AgentState(*_parse_triple(args.to1)),
-        from2=AgentState(*_parse_triple(args.from2)),
-        to2=AgentState(*_parse_triple(args.to2)),
-        t=args.t,
+        from1=args.from1, to1=args.to1, from2=args.from2, to2=args.to2, t=args.t
     )
-    out = corrections.two_agent_correction(query, sol, p)
-    _emit(_json_dumps(out) + "\n", args.output)
-    return 0
+    return corrections.two_agent_correction(query, sol, p), 0
 
 
-def _cmd_mc_validate(args) -> int:
-    _check_format(args, "json")
-    p = _load_params(args)
-    sol = solve_phase(p, args.phase, paper_k1_approx=args.paper_k1_approx)
+def _cmd_mc_validate(args, p, sol):
     if not sol.feasible:
         anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
         raise InfeasiblePhaseError(f"phase {args.phase} is infeasible; its anchor is {anchor}")
@@ -274,8 +231,7 @@ def _cmd_mc_validate(args) -> int:
     if args.export:
         _emit(_ensemble_csv(ensemble), args.export)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}
-    _emit(_json_dumps(out) + "\n", args.output)
-    return 5 if args.strict and not report["pass"] else 0
+    return out, 5 if args.strict and not report["pass"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +244,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     kw = {"default": argparse.SUPPRESS} if suppress else {}
     parser.add_argument("--config", help="flat key=value parameter file", **kw)
     parser.add_argument(
-        "--seed", type=int, help="RNG seed (64-bit)",
+        "--seed", type=int, help="Philox key of the Monte Carlo streams, in [0, 2**128)",
         default=argparse.SUPPRESS if suppress else 0,
     )
     parser.add_argument("--format", choices=("csv", "json"), help="output format", **kw)
@@ -314,75 +270,76 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    phases = sub.add_parser("phases", help="solve both phases")
-    phases.set_defaults(func=_cmd_phases)
+    def command(name, func, fmt, summary, horizon=True):
+        sp = sub.add_parser(name, help=summary)
+        _add_global_options(sp, suppress=True)
+        if horizon:
+            sp.add_argument("--t", type=float, required=True, help="horizon")
+            sp.add_argument("--phase", type=int, choices=(0, 1), default=0)
+        sp.set_defaults(func=func, natural_format=fmt)
+        return sp
 
-    scan = sub.add_parser("phase-scan", help="sweep one parameter, CSV output")
+    command("phases", _cmd_phases, "json", "solve both phases", horizon=False)
+
+    scan = command(
+        "phase-scan", _cmd_phase_scan, "csv", "sweep one parameter, CSV output", horizon=False
+    )
     scan.add_argument("--key", required=True, help="ModelParams field to sweep")
     scan.add_argument("--values", help="comma-separated grid values")
     scan.add_argument("--range", help="start,stop,count linear grid")
-    scan.set_defaults(func=_cmd_phase_scan)
 
-    transit = sub.add_parser("transit", help="transition density between two states")
-    transit.add_argument("--from", required=True, help="initial state C,K,A")
-    transit.add_argument("--to", required=True, help="final state C,K,A")
-    transit.add_argument("--t", type=float, required=True, help="horizon")
-    transit.add_argument("--phase", type=int, choices=(0, 1), default=0)
-    transit.set_defaults(func=_cmd_transit)
+    state = {"type": _state, "required": True, "metavar": "C,K,A"}
+    transit = command("transit", _cmd_transit, "json", "transition density between two states")
+    transit.add_argument("--from", dest="from_state", help="initial state", **state)
+    transit.add_argument("--to", help="final state", **state)
 
-    path = sub.add_parser("path", help="average path from an initial state, CSV output")
-    path.add_argument("--x0", required=True, help="initial state C,K,A")
-    path.add_argument("--t", type=float, required=True, help="horizon")
+    path = command("path", _cmd_path, "csv", "average path from an initial state, CSV output")
+    path.add_argument("--x0", help="initial state", **state)
     path.add_argument("--n-steps", type=int, default=None, help="RK4 step count")
-    path.add_argument("--phase", type=int, choices=(0, 1), default=0)
-    path.set_defaults(func=_cmd_path)
 
-    dev = sub.add_parser("deviations", help="self-interaction path deviations")
-    dev.add_argument("--x0", required=True, help="initial state C,K,A")
-    dev.add_argument("--v0", required=True, help="initial velocities dC,dK,dA")
-    dev.add_argument("--t", type=float, required=True, help="horizon")
-    dev.add_argument("--phase", type=int, choices=(0, 1), default=0)
-    dev.set_defaults(func=_cmd_deviations)
+    dev = command("deviations", _cmd_deviations, "json", "self-interaction path deviations")
+    dev.add_argument("--x0", help="initial state", **state)
+    dev.add_argument("--v0", type=_triple, required=True, metavar="dC,dK,dA", help="initial velocities")
 
-    two = sub.add_parser("two-agent", help="two-agent interaction corrections")
-    two.add_argument("--from1", required=True, help="agent 1 initial state C,K,A")
-    two.add_argument("--to1", required=True, help="agent 1 final state C,K,A")
-    two.add_argument("--from2", required=True, help="agent 2 initial state C,K,A")
-    two.add_argument("--to2", required=True, help="agent 2 final state C,K,A")
-    two.add_argument("--t", type=float, required=True, help="horizon")
-    two.add_argument("--phase", type=int, choices=(0, 1), default=0)
-    two.set_defaults(func=_cmd_two_agent)
+    two = command("two-agent", _cmd_two_agent, "json", "two-agent interaction corrections")
+    for agent in "12":
+        two.add_argument(f"--from{agent}", help=f"agent {agent} initial state", **state)
+        two.add_argument(f"--to{agent}", help=f"agent {agent} final state", **state)
 
-    mcv = sub.add_parser("mc-validate", help="Monte Carlo check of the analytic kernel")
-    mcv.add_argument("--t", type=float, required=True, help="horizon")
+    mcv = command("mc-validate", _cmd_mc_validate, "json", "Monte Carlo check of the analytic kernel")
     mcv.add_argument("--n", type=int, default=10000, help="number of paths")
     mcv.add_argument("--dt", type=float, default=1e-2, help="Heun step")
-    mcv.add_argument("--phase", type=int, choices=(0, 1), default=0)
     mcv.add_argument("--export", help="write the endpoint ensemble CSV to this file")
     mcv.add_argument("--strict", action="store_true", help="exit 5 after the report if the check fails")
-    mcv.set_defaults(func=_cmd_mc_validate)
-
-    for sp in (phases, scan, transit, path, dev, two, mcv):
-        _add_global_options(sp, suppress=True)
     return parser
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and map errors to exit codes."""
-    parser = _build_parser()
+    """Parse arguments, run the subcommand, emit its payload and map errors to exit codes."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _build_parser().parse_args(argv)
+        if args.format not in (None, args.natural_format):
+            raise ParameterError(
+                f"subcommand {args.command!r} only supports --format {args.natural_format}"
+            )
+        params = load_config(args.config) if args.config else ModelParams()
+        solution = None
+        if "phase" in args:  # the commands that take a horizon
+            solution = solve_phase(params, args.phase, paper_k1_approx=args.paper_k1_approx)
+        payload, status = args.func(args, params, solution)
+        _emit(payload if isinstance(payload, str) else _json_dumps(payload) + "\n", args.output)
+        if isinstance(status, CycleFieldError):
+            raise status
+        return status
+    except SystemExit as exc:  # argparse printed help or a usage message
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
     except (ParameterError, ShapeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InfeasiblePhaseError as exc:
         print(f"error: no admissible nontrivial phase: {exc.reason}", file=sys.stderr)
         return 3
-    except (ConvergenceError, SingularityError, TrajectoryTerminated) as exc:
+    except (ConvergenceError, SingularityError, TrajectoryTerminated, ArithmeticError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
     except CycleFieldError as exc:  # any future subclass

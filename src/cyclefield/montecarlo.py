@@ -42,6 +42,13 @@ _NOISE_BYTES = 16 * 2**20  # noise buffer budget per block of paths
 _TILE = 64  # paths per random stream
 
 
+def _check_seed(seed) -> None:
+    """Raise :class:`ParameterError` unless ``seed`` is a Philox key, an integer in [0, 2**128)."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and 0 <= int(seed) < 2**128):
+        raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class MCConfig:
     """Monte Carlo sampling configuration."""
@@ -55,6 +62,7 @@ class MCConfig:
             raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ParameterError(f"dt must be a finite positive number, got {self.dt}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -274,11 +282,11 @@ def compare_to_green(
 
     mu, cov = lna_moments(initial, ensemble.t, ensemble.dt, solution, params)
     var_an = np.diag(cov)
+    sample = ensemble.moments()
     zscores: dict[str, float] = {}
     ks: dict[str, float] = {}
     for idx, (name, x) in enumerate(zip("CKA", (ensemble.C, ensemble.K, ensemble.A))):
-        m_mc = float(np.mean(x))
-        v_mc = float(np.var(x, ddof=1))
+        m_mc, v_mc = sample["mean"][name], sample["var"][name]
         se_mean = math.sqrt(v_mc / n)
         zscores[f"mean_{name}"] = (m_mc - float(mu[idx])) / se_mean
         zscores[f"var_{name}"] = (v_mc - var_an[idx]) / (var_an[idx] * math.sqrt(2.0 / (n - 1)))
@@ -308,6 +316,7 @@ def budget_brownian_check(
     ``N(0, sigma_bar_sq)`` slack (distributed uniformly over periods);
     with ``sigma_bar_sq = 0`` the residual is identically zero.
     """
+    _check_seed(seed)
     if T < 2:
         raise ParameterError(f"T must be >= 2, got {T}")
     if sigma_bar_sq < 0.0:
@@ -365,6 +374,7 @@ def appendix5_negligibility(
     seed 12345 they are 7.54, 1.91, 0.72 and 0.22 for r = 0, 0.05, 0.1
     and 0.2: there the term is not negligible unless discounting is strong.
     """
+    _check_seed(seed)
     p = params
     eps = p.epsilon
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase

@@ -408,10 +408,13 @@ class TestRejectedInputs:
             ("mc-validate", "--t", "nan", "--n", "64"),
             ("mc-validate", "--t", "inf", "--n", "64"),
             ("mc-validate", "--t", "0.1", "--n", "1"),
+            ("mc-validate", "--t", "0.1", "--n", "10", "--seed", "-1"),
+            ("mc-validate", "--t", "0.1", "--n", "10", "--seed", str(2**128)),
         ],
         ids=[
             "transit-t-nan", "transit-t-inf", "path-t-nan", "path-t-inf", "path-n-steps-0",
             "path-n-steps-negative", "mc-validate-t-nan", "mc-validate-t-inf", "mc-validate-n-1",
+            "mc-validate-seed-negative", "mc-validate-seed-2**128",
         ],
     )
     def test_exits_2(self, tmp_path, capsys, argv):
@@ -419,6 +422,86 @@ class TestRejectedInputs:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    SAME = "1,10,10"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deviations", "--x0", SAME, "--v0", "0,0,0", "--t", "1e60"),
+            ("two-agent", "--from1", SAME, "--to1", SAME, "--from2", SAME, "--to2", SAME, "--t", "1e110"),
+        ],
+        ids=["deviations", "two-agent"],
+    )
+    def test_overflowing_closed_form_exits_4(self, tmp_path, capsys, argv):
+        # t**6 and t**3 overflow a double in the correction formulas
+        code, text = invoke(tmp_path, *argv)
+        assert code == 4
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: numerical failure: ")
+
+
+class TestDispatcher:
+    """Every subcommand passes through one format check, config load, phase solve and emit."""
+
+    TWO = (
+        "--from1", "1.0,10.0,10.0", "--to1", "1.2,10.5,9.9",
+        "--from2", "0.9,11.0,10.2", "--to2", "1.1,11.5,10.4",
+    )
+    # subcommand -> (a cheap argv, natural format)
+    COMMANDS = {
+        "phases": (("phases",), "json"),
+        "phase-scan": (("phase-scan", "--key", "A0", "--values", "8.0"), "csv"),
+        "transit": (("transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01"), "json"),
+        "path": (("path", "--x0", "1.0,10.0,10.0", "--t", "0.2", "--n-steps", "20"), "csv"),
+        "deviations": (("deviations", "--x0", "1.1,10.5,9.8", "--v0", "0.05,-0.1,0.02", "--t", "0.2"), "json"),
+        "two-agent": (("two-agent",) + TWO + ("--t", "0.3"), "json"),
+        "mc-validate": (("mc-validate", "--t", "0.02", "--n", "64"), "json"),
+    }
+    TRIPLE_OPTIONS = [
+        ("transit", "--from"), ("transit", "--to"), ("path", "--x0"), ("deviations", "--x0"),
+        ("deviations", "--v0"), ("two-agent", "--from1"), ("two-agent", "--to1"),
+        ("two-agent", "--from2"), ("two-agent", "--to2"),
+    ]
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_wrong_format_writes_nothing(self, tmp_path, capsys, name):
+        argv, natural = self.COMMANDS[name]
+        wrong = "csv" if natural == "json" else "json"
+        out = tmp_path / "out.txt"
+        assert run([*argv, "--format", wrong, "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: subcommand {name!r} only supports --format {natural}\n"
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_late_globals_match_early_ones(self, tmp_path, name):
+        argv, natural = self.COMMANDS[name]
+        cfg = write_config(tmp_path, A0=8.5)
+        flags = ["--config", cfg, "--seed", "5", "--format", natural, "--paper-k1-approx", "--maintext-convention"]
+        code_early, early = invoke(tmp_path, *flags, *argv, name="early.out")
+        code_late, late = invoke(tmp_path, *argv, *flags, name="late.out")
+        code_plain, plain = invoke(tmp_path, *argv, name="plain.out")
+        assert code_early == code_late == code_plain == 0
+        assert late == early != plain
+
+    @pytest.mark.parametrize("bad", ["1.0,2.0", "1.0,two,3.0"], ids=["two-numbers", "not-a-number"])
+    @pytest.mark.parametrize("name,option", TRIPLE_OPTIONS, ids=[f"{n}{o}" for n, o in TRIPLE_OPTIONS])
+    def test_malformed_triple_exits_2(self, tmp_path, capsys, name, option, bad):
+        argv = list(self.COMMANDS[name][0])
+        argv[argv.index(option) + 1] = bad
+        code, text = invoke(tmp_path, *argv)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+    def test_state_checked_before_config_and_phase(self, tmp_path, capsys):
+        # the negative capital is rejected while the arguments are parsed,
+        # before this configuration's infeasible phase 1 is solved
+        cfg = write_config(tmp_path, C0=1e9)
+        argv = ["--config", cfg, "transit", "--from", "1.1,-1,10", "--to", "1.1,10,10", "--t", "0.1", "--phase", "1"]
+        code, text = invoke(tmp_path, *argv)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: K must be >= 0, got -1.0\n"
 
 
 class TestUsage:

@@ -30,6 +30,24 @@ class TestConfig:
         with pytest.raises(ParameterError):
             mc.MCConfig(dt=-0.1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True, "1"])
+    def test_seed_outside_philox_keys_rejected(self, quiet_setup, seed):
+        # Philox raised a bare ValueError for -1 and 2**128
+        p, sol, _ = quiet_setup
+        with pytest.raises(ParameterError, match="seed"):
+            mc.MCConfig(seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=seed)
+        with pytest.raises(ParameterError, match="seed"):
+            mc.budget_brownian_check(T=10, seed=seed)
+
+    def test_seed_range_ends_accepted(self, quiet_setup):
+        p, sol, x0 = quiet_setup
+        for seed in (0, 2**128 - 1, np.uint64(2**64 - 1)):
+            ens = mc.sample_paths(x0, 0.02, sol, p, mc.MCConfig(n_paths=2, seed=seed))
+            assert ens.n_paths == 2
+        mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=2**128 - 1)
+
     def test_horizon_must_align_with_step(self, quiet_setup):
         # one step count serves the sampler, appendix 5 and the linear-noise
         # reference; T = 1 at dt = 0.3 would simulate 0.9

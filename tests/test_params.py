@@ -1,0 +1,97 @@
+import math
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from cyclefield.errors import ParameterError
+from cyclefield.params import ModelParams, load_config, parse_config_text
+
+NAMES = [f.name for f in fields(ModelParams)]
+POSITIVE = ["varpi", "nu", "lambda_sq", "delta", "epsilon", "K_bar", "C_bar", "A0", "theta_sq"]
+NONNEGATIVE = ["varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq"]
+SIGNED = ["alpha_laplace", "g"]
+
+
+def test_every_field_is_classified():
+    assert sorted(POSITIVE + NONNEGATIVE + SIGNED) == sorted(NAMES)
+
+
+class TestModelParams:
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize(
+        "value", [True, "0.1", np.int64(1), math.nan, math.inf, -math.inf],
+        ids=["bool", "str", "int64", "nan", "inf", "-inf"],
+    )
+    def test_rejects_non_real_or_non_finite(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            ModelParams(**{name: value})
+
+    @pytest.mark.parametrize("name", POSITIVE)
+    def test_positive_field_rejects_zero(self, name):
+        with pytest.raises(ParameterError, match=f"{name} must be > 0"):
+            ModelParams(**{name: 0.0})
+
+    @pytest.mark.parametrize("name", NONNEGATIVE)
+    def test_nonnegative_field_accepts_zero_only_from_above(self, name):
+        assert getattr(ModelParams(**{name: 0.0}), name) == 0.0
+        with pytest.raises(ParameterError, match=f"{name} must be >= 0"):
+            ModelParams(**{name: -1e-300})
+
+    @pytest.mark.parametrize("name", ["epsilon", "kappa"])
+    def test_share_rejects_one(self, name):
+        with pytest.raises(ParameterError, match=name):
+            ModelParams(**{name: 1.0})
+        assert getattr(ModelParams(**{name: 0.99}), name) == 0.99
+
+    @pytest.mark.parametrize("name", SIGNED)
+    def test_signed_field_accepts_negatives(self, name):
+        assert getattr(ModelParams(**{name: -2.5}), name) == -2.5
+
+    def test_ints_stored_as_floats(self):
+        p = ModelParams(A0=9, lambda_sq=100, g=-1)
+        for name, value in (("A0", 9.0), ("lambda_sq", 100.0), ("g", -1.0)):
+            assert type(getattr(p, name)) is float
+            assert getattr(p, name) == value
+
+    def test_replace_revalidates(self):
+        p = ModelParams()
+        assert p.replace(A0=9.0).A0 == 9.0
+        with pytest.raises(ParameterError):
+            p.replace(A0=0.0)
+
+
+class TestParseConfigText:
+    def test_comments_and_blank_lines_ignored(self):
+        text = "# header\n\n  A0 = 9.5  # trailing\n\t\ngamma=0\n   # indented comment\n"
+        assert parse_config_text(text) == ModelParams(A0=9.5, gamma=0.0)
+
+    def test_empty_text_gives_defaults(self):
+        assert parse_config_text("") == ModelParams()
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [
+            ("bogus = 1\n", "line 1: unknown configuration key 'bogus'"),
+            ("A0 = 8\nA0 = 9\n", "line 2: duplicate configuration key 'A0'"),
+            ("# ok\nA0 9\n", "line 2: expected key=value"),
+            ("A0 = nine\n", "line 1: invalid number for A0: 'nine'"),
+            ("A0 =\n", "line 1: invalid number for A0: ''"),
+        ],
+        ids=["unknown-key", "duplicate-key", "no-equals", "bad-number", "empty-number"],
+    )
+    def test_rejects(self, text, match):
+        with pytest.raises(ParameterError) as info:
+            parse_config_text(text)
+        assert str(info.value).startswith(match)
+
+    def test_values_pass_the_field_checks(self):
+        with pytest.raises(ParameterError, match="A0 must be > 0"):
+            parse_config_text("A0 = 0\n")
+
+    def test_load_config_reads_the_file(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("kappa = 0.25\n")
+        assert load_config(str(cfg)) == ModelParams(kappa=0.25)
+        with pytest.raises(ParameterError, match="cannot read configuration file"):
+            load_config(str(tmp_path / "missing.cfg"))
