@@ -31,6 +31,11 @@ def _check_horizon(t: float, name: str = "t") -> None:
         raise DomainError(f"{name} must be finite and >= 0, got {t!r}")
 
 
+def _horizon_overflow(formula: str, t: float, name: str = "t") -> OverflowError:
+    """The error for a closed form whose power of the horizon overflows a double."""
+    return OverflowError(f"{formula} overflows a double at horizon {name} = {t!r}")
+
+
 @dataclass(frozen=True)
 class DeviationQuery:
     """Initial conditions for a path-deviation evaluation."""
@@ -88,7 +93,10 @@ def correction_potential(
     dC = C - from_state.C
     dK = K - from_state.K
     dA = A - from_state.A
-    t2, t3 = t * t, t ** 3
+    try:
+        t2, t3 = t * t, t ** 3
+    except OverflowError as exc:
+        raise _horizon_overflow("correction_potential", t) from exc
     V = (
         2.0 * t2 * A * K
         + (t3 / 12.0) * dA * dC
@@ -154,7 +162,10 @@ def elasticity_table(t: float, solution: PhaseSolution, params: ModelParams) -> 
     A2 = solution.A_bar_phase ** 2
     Keps = params.K_bar ** params.epsilon
     g = params.gamma
-    t3, t4, t5, t6 = t ** 3, t ** 4, t ** 5, t ** 6
+    try:
+        t3, t4, t5, t6 = t ** 3, t ** 4, t ** 5, t ** 6
+    except OverflowError as exc:
+        raise _horizon_overflow("elasticity_table", t) from exc
     return {
         "dK_dC0": g * 7.0 * c * t5 / (720.0 * A2),
         "dK_dK0": g * c * t4 / (48.0 * A2),
@@ -192,7 +203,10 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
     c = coeffs.c_coef
     Keps = params.K_bar ** params.epsilon
     g = params.gamma
-    s2, s3 = s * s, s ** 3
+    try:
+        s2, s3 = s * s, s ** 3
+    except OverflowError as exc:
+        raise _horizon_overflow("modified_matrices", s, "s") from exc
 
     R1 = np.array(
         [
@@ -243,7 +257,10 @@ def two_agent_correction(
     Keps = params.K_bar ** params.epsilon
     g = params.gamma
     t = query.t
-    t3 = t ** 3
+    try:
+        t3 = t ** 3
+    except OverflowError as exc:
+        raise _horizon_overflow("two_agent_correction", t) from exc
 
     def moments(start, end):  # (mean A, mean K, change in C, change in A) along one path
         return 0.5 * (start.A + end.A), 0.5 * (start.K + end.K), end.C - start.C, end.A - start.A

@@ -27,7 +27,11 @@ at the start state, the variance rates and the technology potential.
 It is built once per pair through a one-entry memo keyed on the identity
 of the arguments, so :func:`transition_density`,
 :func:`corrections.corrected_density` and :func:`laplace_propagator` on
-one pair share it.
+one pair share it.  The same memo entry holds the last
+:func:`transition_density` result on its pair and the horizon it was
+computed at, so :func:`corrections.corrected_density` right after
+:func:`transition_density` on the same arguments reuses the density; the
+horizon check and the :class:`SmallTimeWarning` run on every call.
 """
 
 from __future__ import annotations
@@ -81,10 +85,12 @@ class _Pair(NamedTuple):
     scale: float      # max(|alpha|, |beta|), the small-time scale
 
 
-# One-entry memo of the last pair record, one tuple ``(*key, record)``.
-# Every key object is immutable (frozen dataclasses) and the memo holds
-# it, so an identity match means equal arguments.
-_pair_memo = (None,) * 6
+# One-entry memo of the last pair record, one tuple ``(*key, record, t,
+# density)``: the last :func:`transition_density` result on the record's
+# pair and the horizon ``t`` it was computed at (``None`` until one is).
+# Every key object is immutable (frozen dataclasses, floats) and the memo
+# holds it, so an identity match means equal arguments.
+_pair_memo = (None,) * 8
 
 
 def coefficients(
@@ -125,9 +131,11 @@ def _coefficients(solution, params, Am, Km, maintext):
     if bb_aa == 0.0:
         raise SingularityError("beta^2 - alpha^2")
     Omega_sq = (varpi_sq / lam_sq) * (capital + 3.0 * varpi_sq / (2.0 * bb_aa))
-    return GreenCoefficients(
+    # tuple.__new__ builds the same record as the NamedTuple constructor,
+    # which is a Python-level call; this and _pair run once per panel pair
+    return tuple.__new__(GreenCoefficients, (
         alpha, beta, Omega_sq, b_coef, 2.0 / lam_sq, solution.mass, solution.A_bar_phase, solution.C_bar_phase
-    )
+    ))
 
 
 def _pair(solution, params, from_state, to_state, maintext=False, kernel=True) -> _Pair:
@@ -137,7 +145,7 @@ def _pair(solution, params, from_state, to_state, maintext=False, kernel=True) -
     a positive capital rate ``b``.
     """
     global _pair_memo
-    memo_sol, memo_params, memo_from, memo_to, memo_maintext, pair = _pair_memo
+    memo_sol, memo_params, memo_from, memo_to, memo_maintext, pair, _, _ = _pair_memo
     if not (
         memo_sol is solution
         and memo_params is params
@@ -153,11 +161,11 @@ def _pair(solution, params, from_state, to_state, maintext=False, kernel=True) -
         a_gap = Am - coeffs.A_bar
         X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
         rates = (params.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef)
-        pair = _Pair(
+        pair = tuple.__new__(_Pair, (
             coeffs, X, _drift(from_state, coeffs, params), rates, a_gap, 0.5 * a_gap ** 2,
             max(abs(coeffs.alpha), abs(coeffs.beta)),
-        )
-        _pair_memo = (solution, params, from_state, to_state, maintext, pair)
+        ))
+        _pair_memo = (solution, params, from_state, to_state, maintext, pair, None, None)
     if kernel and pair.rates[1] <= 0.0:
         raise SingularityError("capital variance rate b")
     return pair
@@ -251,8 +259,11 @@ def transition_density(
     the printed (unnormalized) prefactor and the main-text beta
     convention are used instead.  A :class:`SmallTimeWarning` is issued
     on every call with ``t max(|alpha|, |beta|)`` above
-    ``_SMALL_S_THRESHOLD``.
+    ``_SMALL_S_THRESHOLD``.  A call with the same six argument objects
+    (``is``) as the previous density call on the memo's pair returns the
+    previous result.
     """
+    global _pair_memo
     check_horizon(t)
     pair = _pair(solution, params, from_state, to_state, maintext)
     scale = t * pair.scale
@@ -263,8 +274,12 @@ def transition_density(
             SmallTimeWarning,
             stacklevel=2,
         )
+    if _pair_memo[6] is t:
+        return _pair_memo[7]
     log_density = _log_gaussian(pair, t, params, maintext) - (pair.potential * t + pair.coeffs.mass * t)
-    return _exp_density(log_density), log_density
+    density = (_exp_density(log_density), log_density)
+    _pair_memo = (solution, params, from_state, to_state, maintext, pair, t, density)
+    return density
 
 
 def gaussian_factor(

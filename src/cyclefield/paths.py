@@ -17,15 +17,28 @@ def check_horizon(t: float) -> None:
         raise DomainError(f"t must be finite and > 0, got {t!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentState:
-    """A single (consumption, capital, technology) point."""
+    """A single (consumption, capital, technology) point.
+
+    Each coordinate must be a real number (not a bool), finite and >= 0,
+    and is stored as a ``float``.  Three Python floats in ``[0, inf)``
+    (NaN fails the comparison) pass on one fast check; any other input
+    goes through the coordinate-by-coordinate check that names the
+    offending coordinate.
+    """
 
     C: float  # consumption level
     K: float  # capital stock
     A: float  # technology level
 
     def __post_init__(self):
+        C, K, A = self.C, self.K, self.A
+        if (
+            type(C) is float and type(K) is float and type(A) is float
+            and 0.0 <= C < math.inf and 0.0 <= K < math.inf and 0.0 <= A < math.inf
+        ):
+            return
         for name in ("C", "K", "A"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -91,7 +104,8 @@ class AgentPath:
         return (self.C.size - 1) * self.dt
 
     def state(self, i: int) -> AgentState:
-        return AgentState(C=self.C[i], K=self.K[i], A=self.A[i])
+        """Sample ``i`` as an :class:`AgentState` of Python floats."""
+        return AgentState(self.C.item(i), self.K.item(i), self.A.item(i))
 
     # -- CSV round trip -----------------------------------------------------
 

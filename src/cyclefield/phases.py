@@ -91,16 +91,27 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
 
     C1 is the truncated-Gaussian mean shift, evaluated stably through
     :func:`_erfcx` (``exp(x**2) math.erfc(x)`` below x = 26, an 8-term
-    continued fraction above).  A1 underflows to zero whenever
+    continued fraction above); it depends only on ``C_bar`` and ``varpi``
+    (:func:`_consumption_boundary_shift`).  A1 underflows to zero whenever
     ``lam * gamma3**2`` is large.  K1p defaults to the exact erf form
     (stable log-space evaluation through ``math.erfc`` or
     :func:`_erfcx`); the surrogate fit is selected by ``paper_k1_approx``.
     """
-    p = params
-    # C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))
-    xc = p.C_bar / (math.sqrt(2.0) * p.varpi)
-    C1 = _SQRT_2_OVER_PI * p.varpi / _erfcx(xc)
+    C1 = _consumption_boundary_shift(params)
+    K1p, A1 = _capital_technology_shifts(params, gamma3, paper_k1_approx)
+    return C1, K1p, A1
 
+
+def _consumption_boundary_shift(params: ModelParams) -> float:
+    """C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))."""
+    p = params
+    xc = p.C_bar / (math.sqrt(2.0) * p.varpi)
+    return _SQRT_2_OVER_PI * p.varpi / _erfcx(xc)
+
+
+def _capital_technology_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool):
+    """The boundary shifts (K1p, A1) that depend on ``gamma3`` (see :func:`boundary_shifts`)."""
+    p = params
     # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2))
     lam = p.lam
     z = gamma3
@@ -133,7 +144,7 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
         if expo > _LOG_DBL_MAX:
             raise SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))")
         K1p = 0.0 if expo < -745.0 else -math.exp(expo)
-    return C1, K1p, A1
+    return K1p, A1
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +153,7 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
 
 
 def _gamma3_den(params: ModelParams, g3: float, gamma_eta: float, Y: float) -> float:
-    """Denominator of :func:`_gamma3_rhs`, given ``Y = _Y_of(params, g3)``.
+    """Denominator of the :func:`_gamma3_rhs_of` rhs, given ``Y = _Y_of(params, g3)``.
 
     Where it changes sign ``rhs`` has a pole.
     """
@@ -152,18 +163,28 @@ def _gamma3_den(params: ModelParams, g3: float, gamma_eta: float, Y: float) -> f
     return 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * Keps1
 
 
-def _gamma3_rhs(params: ModelParams, g3: float, gamma_eta: float, paper_k1_approx: bool) -> float:
+def _gamma3_rhs_of(params: ModelParams, gamma_eta: float, paper_k1_approx: bool):
+    """The Gamma_3 self-consistency ``rhs(g3)`` at fixed parameters and condensate.
+
+    C1 does not depend on ``g3``, so it is computed once here rather than
+    at every evaluation.
+    """
     p = params
-    C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
-    Y = _Y_of(p, g3)
-    num = 2.0 * (
-        2.0 * ((1.0 - p.kappa) * p.A0 + (2.0 - p.kappa) * p.kappa * g3 + A1) * Y * Y
-        + ((p.C_bar + C1) - K1p) * gamma_eta * Y
-    )
-    den = _gamma3_den(p, g3, gamma_eta, Y)
-    if den == 0.0:
-        raise SingularityError("Gamma3 self-consistency denominator")
-    return num / den
+    C1 = _consumption_boundary_shift(p)
+
+    def rhs(g3: float) -> float:
+        K1p, A1 = _capital_technology_shifts(p, g3, paper_k1_approx)
+        Y = _Y_of(p, g3)
+        num = 2.0 * (
+            2.0 * ((1.0 - p.kappa) * p.A0 + (2.0 - p.kappa) * p.kappa * g3 + A1) * Y * Y
+            + ((p.C_bar + C1) - K1p) * gamma_eta * Y
+        )
+        den = _gamma3_den(p, g3, gamma_eta, Y)
+        if den == 0.0:
+            raise SingularityError("Gamma3 self-consistency denominator")
+        return num / den
+
+    return rhs
 
 
 def gamma3_fixed_point(
@@ -191,11 +212,12 @@ def gamma3_fixed_point(
     bracket, otherwise.
     """
     n = 0
+    rhs = _gamma3_rhs_of(params, gamma_eta, paper_k1_approx)
 
     def residual_at(g: float) -> float:
         nonlocal n
         n += 1
-        r = _gamma3_rhs(params, g, gamma_eta, paper_k1_approx) - g
+        r = rhs(g) - g
         if not math.isfinite(r):
             raise ConvergenceError(f"Gamma3 residual is not finite at g={g!r}", abs(r), n)
         return r

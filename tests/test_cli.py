@@ -440,6 +440,24 @@ class TestRejectedInputs:
         assert text == ""
         assert capsys.readouterr().err.startswith("error: numerical failure: ")
 
+    @pytest.mark.parametrize(
+        "argv, formula",
+        [
+            (("deviations", "--x0", SAME, "--v0", "0,0,0", "--t", "1e60"), "elasticity_table"),
+            (
+                ("two-agent", "--from1", SAME, "--to1", SAME, "--from2", SAME, "--to2", SAME, "--t", "1e110"),
+                "two_agent_correction",
+            ),
+        ],
+        ids=["deviations", "two-agent"],
+    )
+    def test_overflow_message_names_formula_and_horizon(self, tmp_path, capsys, argv, formula):
+        assert invoke(tmp_path, *argv)[0] == 4
+        t = float(argv[-1])
+        assert capsys.readouterr().err == (
+            f"error: numerical failure: {formula} overflows a double at horizon t = {t!r}\n"
+        )
+
 
 class TestDispatcher:
     """Every subcommand passes through one format check, config load, phase solve and emit."""

@@ -232,3 +232,41 @@ class TestTwoAgent:
                 to2=AgentState(C=1, K=1, A=1),
                 t=-1.0,
             )
+
+
+class TestOverflowingHorizon:
+    """A power of the horizon that leaves the double range names its formula and the horizon."""
+
+    STATE = AgentState(C=1.0, K=10.0, A=10.0)
+
+    def calls(self, solution, params):
+        x = self.STATE
+        return {
+            "correction_potential": lambda t: corrections.correction_potential(x, x, t, solution, params),
+            "elasticity_table": lambda t: corrections.elasticity_table(t, solution, params),
+            "path_deviation": lambda t: corrections.path_deviation(make_query(t), solution, params),
+            "two_agent_correction": lambda t: corrections.two_agent_correction(
+                corrections.TwoAgentQuery(x, x, x, x, t=t), solution, params
+            ),
+            "modified_matrices": lambda t: corrections.modified_matrices(t, solution, params),
+        }
+
+    @pytest.mark.parametrize(
+        "function, t, message",
+        [
+            ("correction_potential", 1e110, "correction_potential overflows a double at horizon t = 1e+110"),
+            ("elasticity_table", 1e60, "elasticity_table overflows a double at horizon t = 1e+60"),
+            ("path_deviation", 1e60, "elasticity_table overflows a double at horizon t = 1e+60"),
+            ("two_agent_correction", 1e110, "two_agent_correction overflows a double at horizon t = 1e+110"),
+            ("modified_matrices", 1e110, "modified_matrices overflows a double at horizon s = 1e+110"),
+        ],
+    )
+    def test_overflow_names_formula_and_horizon(self, trivial, params, function, t, message):
+        with pytest.raises(OverflowError) as excinfo:
+            self.calls(trivial, params)[function](t)
+        assert str(excinfo.value) == message
+        assert isinstance(excinfo.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("function", ["correction_potential", "two_agent_correction"])
+    def test_below_the_overflow_edge(self, trivial, params, function):
+        self.calls(trivial, params)[function](1e100)  # t**3 = 1e300 still fits a double

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from scipy.optimize import brentq
 
 from cyclefield import corrections, green, montecarlo as mc
 from cyclefield.errors import DomainError, SingularityError, TrajectoryTerminated
-from cyclefield.params import ModelParams
-from cyclefield.paths import AgentState
+from cyclefield.params import ModelParams, load_config
+from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import solve_phase
+
+
+BASE_CFG = str(Path(__file__).resolve().parent.parent / "base.cfg")
 
 
 def anchor_state(solution, params):
@@ -122,6 +126,115 @@ class TestKernelMemo:
         assert log_c == log_g - params.gamma * V
         fresh = corrections.corrected_density(copy_state(x), copy_state(y), t, nontrivial, params)
         assert fresh[1] == log_c
+
+
+class TestDensityMemo:
+    """The memo's last transition density: reused only for the same six argument objects."""
+
+    @pytest.fixture
+    def pair(self, nontrivial, params):
+        x = anchor_state(nontrivial, params)
+        return x, AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A + 0.002)
+
+    def fresh(self, kernel, x, y, *args, **kwargs):
+        return kernel(copy_state(x), copy_state(y), *args, **kwargs)
+
+    def test_same_pair_at_a_second_time(self, nontrivial, params, pair):
+        x, y = pair
+        times = (0.01, 0.02, 0.01)
+        got = [
+            (
+                green.transition_density(x, y, t, nontrivial, params),
+                corrections.corrected_density(x, y, t, nontrivial, params),
+            )
+            for t in times
+        ]
+        for t, (td, cd) in zip(times, got):
+            assert td == self.fresh(green.transition_density, x, y, t, nontrivial, params)
+            assert cd == self.fresh(corrections.corrected_density, x, y, t, nontrivial, params)
+        assert got[0][0][1] != got[1][0][1]
+
+    def test_equal_states_as_new_objects(self, nontrivial, params, pair):
+        x, y = pair
+        t = 0.01
+        td = green.transition_density(x, y, t, nontrivial, params)
+        x2, y2 = copy_state(x), copy_state(y)
+        assert x2 == x and x2 is not x
+        assert corrections.corrected_density(x2, y2, t, nontrivial, params)[1] == (
+            td[1] - params.gamma * corrections.correction_potential(x, y, t, nontrivial, params)
+        )
+        assert green.transition_density(x2, y2, t, nontrivial, params) == td
+        # a new pair (y, x) replaces the memo: its density is not the previous one
+        assert green.transition_density(y, x, t, nontrivial, params) != td
+        assert green.transition_density(x, y, t, nontrivial, params) == td
+
+    def test_maintext_switch(self, nontrivial, params, pair):
+        x, y = pair
+        t = 0.01
+        main = green.transition_density(x, y, t, nontrivial, params, maintext=True)
+        app_cd = corrections.corrected_density(x, y, t, nontrivial, params)
+        assert app_cd == self.fresh(corrections.corrected_density, x, y, t, nontrivial, params)
+        main_cd = corrections.corrected_density(x, y, t, nontrivial, params, maintext=True)
+        assert main_cd == self.fresh(corrections.corrected_density, x, y, t, nontrivial, params, maintext=True)
+        assert main_cd[1] != app_cd[1]
+        assert green.transition_density(x, y, t, nontrivial, params, maintext=True) == main
+        assert green.transition_density(x, y, t, nontrivial, params) == self.fresh(
+            green.transition_density, x, y, t, nontrivial, params
+        )
+
+    def test_small_time_warning_on_every_repeated_call(self, trivial, params):
+        x = anchor_state(trivial, params)
+        y = AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(3):
+                green.transition_density(x, y, 1.0, trivial, params)
+                corrections.corrected_density(x, y, 1.0, trivial, params)
+        assert [w.category for w in caught] == [green.SmallTimeWarning] * 6
+
+    def test_horizon_checked_on_every_call(self, trivial, params, pair):
+        x, y = pair
+        green.transition_density(x, y, 0.01, trivial, params)
+        for t in (0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                green.transition_density(x, y, t, trivial, params)
+            with pytest.raises(DomainError):
+                corrections.corrected_density(x, y, t, trivial, params)
+
+
+def seeded_panel(solution, params, seed=20261019, n_paths=8, n_samples=101, dt=0.01):
+    """Paths relaxing towards the phase background (rate 0.5) with the model's noise amplitudes."""
+    anchor = np.array([solution.C_bar_phase, params.K_bar, solution.A_bar_phase])
+    amp = np.array([params.varpi, params.nu, 1.0 / params.lam])
+    rng = np.random.default_rng(seed)
+    x = anchor + amp * rng.standard_normal((n_paths, 3))
+    out = np.empty((n_samples, n_paths, 3))
+    out[0] = x
+    for k in range(1, n_samples):
+        x = x - 0.5 * (x - anchor) * dt + amp * math.sqrt(dt) * rng.standard_normal((n_paths, 3))
+        out[k] = x
+    return [AgentPath(out[:, i, 0], out[:, i, 1], out[:, i, 2], dt=dt) for i in range(n_paths)]
+
+
+class TestScalarPanelPin:
+    """The scalar pair kernels over a seeded panel, summed, are pinned bit for bit.
+
+    The sums were taken from the plain evaluation (no density reuse, the full
+    ``AgentState`` check, records built by their constructors); the shortcuts
+    of the scalar path must leave every one of them unchanged.
+    """
+
+    def test_sums(self):
+        params = load_config(BASE_CFG)
+        sol = solve_phase(params, 0)
+        td = cd = lp = 0.0
+        for path in seeded_panel(sol, params):
+            for i in range(len(path) - 1):
+                a, b = path.state(i), path.state(i + 1)
+                td += green.transition_density(a, b, path.dt, sol, params)[1]
+                cd += corrections.corrected_density(a, b, path.dt, sol, params)[1]
+                lp += math.log(green.laplace_propagator(a, b, sol, params))
+        assert (td, cd, lp) == (673.4019955915454, 672.6014268832013, 956.595343316047)
 
 
 def fixed_point(solution, params):

@@ -17,11 +17,12 @@ from cyclefield.errors import (
     InfeasiblePhaseError,
     SingularityError,
 )
+from cyclefield import phases
 from cyclefield.params import ModelParams
 from cyclefield.phases import (
     _erfcx,
     _gamma3_den,
-    _gamma3_rhs,
+    _gamma3_rhs_of,
     _Y_of,
     boundary_shifts,
     c0_window,
@@ -134,7 +135,17 @@ class TestGamma3:
     def test_residual_below_tolerance(self, params):
         ge = 0.003
         g3 = gamma3_fixed_point(params, ge)
-        assert abs(_gamma3_rhs(params, g3, ge, False) - g3) < 1e-10
+        assert abs(_gamma3_rhs_of(params, ge, False)(g3) - g3) < 1e-10
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_consumption_shift_computed_once_per_gamma3_solve(self, params, monkeypatch, phase):
+        # C1 depends only on C_bar and varpi, not on the Gamma_3 iterate
+        ge = compatibility_root(params)["gamma_eta"] if phase else 0.0
+        expected = gamma3_fixed_point(params, ge)
+        real, calls = phases._consumption_boundary_shift, []
+        monkeypatch.setattr(phases, "_consumption_boundary_shift", lambda p: calls.append(p) or real(p))
+        assert gamma3_fixed_point(params, ge) == expected
+        assert calls == [params]
 
     def test_first_order_slope_matches_implicit_derivative(self, params):
         h = 1e-6
@@ -162,7 +173,7 @@ class TestGamma3:
         p = params.replace(nu=2.3)
         ge = compatibility_root(p)["gamma_eta"]
         g3 = gamma3_fixed_point(p, ge)
-        assert abs(_gamma3_rhs(p, g3, ge, False) - g3) < 1e-12
+        assert abs(_gamma3_rhs_of(p, ge, False)(g3) - g3) < 1e-12
         assert g3 == pytest.approx(0.09538985688890404, rel=1e-10)
         assert solve_phase(p, 1).Gamma3 == g3
 
