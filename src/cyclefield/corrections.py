@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclefield.errors import DomainError
-from cyclefield.green import _drift_matrix, _exp_density, coefficients, transition_density
+from cyclefield.green import _drift_matrix, _exp_density, _kept_batch, coefficients, transition_density
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import PhaseSolution
@@ -85,14 +85,21 @@ def correction_potential(
     """First-order correction potential V between two states.
 
     Unprimed variables are the final state, primed the initial one.  The
-    corrected kernel is ``G * exp(-gamma V)``.
+    corrected kernel is ``G * exp(-gamma V)``.  Consecutive states of the
+    path in the kernels' batch read V from it; the result is the same.
     """
     _check_horizon(t)
+    found = _kept_batch(from_state, to_state, params)
+    if found is not None:
+        return found[0].read(_potential_rows, found[1], t)
+    X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
+    return _potential((to_state.C, to_state.K, to_state.A), X, t, params)
+
+
+def _potential(to, X, t: float, params: ModelParams):
+    """V for final states ``to = (C, K, A)`` reached by displacements ``X``; floats or arrays."""
     Keps = params.K_bar ** params.epsilon
-    C, K, A = to_state.C, to_state.K, to_state.A
-    dC = C - from_state.C
-    dK = K - from_state.K
-    dA = A - from_state.A
+    (C, K, A), (dC, dK, dA) = to, X
     try:
         t2, t3 = t * t, t ** 3
     except OverflowError as exc:
@@ -106,6 +113,11 @@ def correction_potential(
     V += A * ((t3 / 3.0) * dC + t2 * dK - (t3 / 3.0) * Keps * dA)
     V += params.gamma * t2 * dA * K
     return V
+
+
+def _potential_rows(pair, t: float, params: ModelParams, maintext: bool):
+    """:func:`_potential` on a pair record; it has no checks."""
+    return _potential(pair.to, pair.X, t, params), ()
 
 
 def corrected_density(
@@ -231,9 +243,12 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
     H = np.diag([a, b, c])
     Hs = s * H
 
-    M_bar = (np.eye(3) - g * H @ R1) @ (M + g * H @ R2)
-    H_bar = Hs - g * Hs @ R1 @ Hs
-    source = g * (R3 - M.T @ (2.0 * R2 - R1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        M_bar = (np.eye(3) - g * H @ R1) @ (M + g * H @ R2)
+        H_bar = Hs - g * Hs @ R1 @ Hs
+        source = g * (R3 - M.T @ (2.0 * R2 - R1))
+    if not all(np.isfinite(m).all() for m in (M_bar, H_bar, source)):
+        raise _horizon_overflow("modified_matrices", s, "s")
     return {"R1": R1, "R2": R2, "R3": R3, "M": M, "H": H, "M_bar": M_bar, "H_bar": H_bar, "source": source}
 
 

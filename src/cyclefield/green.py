@@ -21,17 +21,23 @@ oracle checks the Langevin sampler against its own linear-noise
 approximation (:func:`montecarlo.lna_moments`), not these kernels, whose
 variances (capital rate ``b/2``) are a paper-kernel convention.
 
-The kernels evaluated for one pair of states read one private record,
-:class:`_Pair`: the midpoint coefficients, the displacement, the drift
-at the start state, the variance rates and the technology potential.
-It is built once per pair through a one-entry memo keyed on the identity
-of the arguments, so :func:`transition_density`,
-:func:`corrections.corrected_density` and :func:`laplace_propagator` on
-one pair share it.  The same memo entry holds the last
-:func:`transition_density` result on its pair and the horizon it was
-computed at, so :func:`corrections.corrected_density` right after
-:func:`transition_density` on the same arguments reuses the density; the
-horizon check and the :class:`SmallTimeWarning` run on every call.
+The pair formulas are written once, array-generic: :func:`_pair` builds
+the record :class:`_Pair` (midpoint coefficients, displacement, drift at
+the start state, variance rates, technology potential) and the kernel
+formulas read it.  Each holds one float64 for a lone pair and an array
+for all consecutive pairs of a path; transcendental functions are
+NumPy's, which give the same bits for one value as inside an array.  A
+pair's checks are masks, raised in order for a lone pair.
+
+:func:`transition_density`, :func:`corrections.corrected_density` and
+:func:`laplace_propagator` given two consecutive states of one path (see
+:meth:`AgentPath.state`) read a :class:`_Batch`: the records of every
+consecutive pair of the path, with each kernel's values for the last
+horizon it was read at.  One batch is kept, for the last path, phase
+solution, parameters and ``maintext``.  Any other call evaluates the same
+formulas on the one pair, and so does a pair that fails a check, which
+then raises.  The horizon check and the :class:`SmallTimeWarning` run on
+every call.
 """
 
 from __future__ import annotations
@@ -73,24 +79,42 @@ class GreenCoefficients(NamedTuple):
     C_bar: float     # phase consumption anchor
 
 
+class _Coords(NamedTuple):
+    """The coordinates of one state, or arrays of them."""
+
+    C: object
+    K: object
+    A: object
+
+
 class _Pair(NamedTuple):
-    """What the kernels read for one pair of states, at its midpoint coefficients."""
+    """What the kernels read for pairs of states, at their midpoint coefficients.
+
+    Per-pair fields are float64 for a lone pair and arrays for a path's
+    consecutive pairs.
+    """
 
     coeffs: GreenCoefficients
+    to: tuple         # final state (C', K', A')
     X: tuple          # displacement to - from
     Y: tuple          # kernel drift (dC/dt, dK/dt) at from (:func:`_drift`)
     rates: tuple      # variance rates (varpi^2, b/2, c/2)
     a_gap: float      # (A + A')/2 - A_bar
     potential: float  # technology potential rate a_gap^2 / 2
     scale: float      # max(|alpha|, |beta|), the small-time scale
+    checks: tuple     # (failed, error type, message) in the order raised; the last (b > 0) only for kernels
 
 
-# One-entry memo of the last pair record, one tuple ``(*key, record, t,
-# density)``: the last :func:`transition_density` result on the record's
-# pair and the horizon ``t`` it was computed at (``None`` until one is).
-# Every key object is immutable (frozen dataclasses, floats) and the memo
-# holds it, so an identity match means equal arguments.
-_pair_memo = (None,) * 8
+def _raise_failed(checks) -> None:
+    """Raise the error of a lone pair's first failed check."""
+    for failed, error, message in checks:
+        if failed:
+            raise error(message)
+
+
+def _float64(state) -> _Coords:
+    """The coordinates of one state as float64, so a division by zero gives inf as in an array."""
+    return _Coords(np.float64(state.C), np.float64(state.K), np.float64(state.A))
 
 
 def coefficients(
@@ -104,77 +128,159 @@ def coefficients(
 
     ``maintext=True`` selects the main-text convention
     ``beta = A_m F'(K_m) + r_c - delta``.  Midpoint coefficients are those
-    of the pair record the kernels read, so a call with the same five
-    argument objects (``is``) as the previous call returns the previous
-    record.
+    of the pair record the kernels read.
     """
-    if from_state is not None and to_state is not None:
-        return _pair(solution, params, from_state, to_state, maintext, kernel=False).coeffs
-    return _coefficients(solution, params, solution.A_bar_phase, params.K_bar, maintext)
+    with np.errstate(all="ignore"):
+        if from_state is not None and to_state is not None:
+            pair = _pair(solution, params, _float64(from_state), _float64(to_state), maintext)
+            coeffs, checks = pair.coeffs, pair.checks[:-1]
+        else:
+            coeffs, checks = _coefficients(solution, params, solution.A_bar_phase, params.K_bar, maintext)
+    _raise_failed(checks)
+    return GreenCoefficients._make(map(float, coeffs))
 
 
 def _coefficients(solution, params, Am, Km, maintext):
-    """The coefficient record expanded at technology ``Am`` and capital ``Km``."""
+    """The coefficient record expanded at technology ``Am`` and capital ``Km``, and its checks."""
     p = params
     alpha, beta = _alpha_beta(Am, Km, p, maintext)
-    if alpha == 0.0:
-        raise SingularityError("alpha")
-    if beta == 0.0:
-        raise SingularityError("beta")
     two_ab = 2.0 * alpha + beta
-    if two_ab == 0.0:
-        raise SingularityError("2*alpha + beta")
     lam_sq, varpi_sq = p.lambda_sq, p.varpi ** 2
-    capital = p.nu ** 2 + 2.0 * p.K_bar ** (2.0 * p.epsilon) / (lam_sq * alpha ** 2)
-    b_coef = 2.0 * (capital + 3.0 * varpi_sq / (2.0 * two_ab * beta))
-    bb_aa = beta ** 2 - alpha ** 2
-    if bb_aa == 0.0:
-        raise SingularityError("beta^2 - alpha^2")
+    alpha_den = lam_sq * (alpha * alpha)
+    capital = p.nu ** 2 + 2.0 * p.K_bar ** (2.0 * p.epsilon) / alpha_den
+    two_ab_den = 2.0 * two_ab * beta
+    b_coef = 2.0 * (capital + 3.0 * varpi_sq / two_ab_den)
+    bb_aa = beta * beta - alpha * alpha
     Omega_sq = (varpi_sq / lam_sq) * (capital + 3.0 * varpi_sq / (2.0 * bb_aa))
-    # tuple.__new__ builds the same record as the NamedTuple constructor,
-    # which is a Python-level call; this and _pair run once per panel pair
-    return tuple.__new__(GreenCoefficients, (
+    coeffs = GreenCoefficients(
         alpha, beta, Omega_sq, b_coef, 2.0 / lam_sq, solution.mass, solution.A_bar_phase, solution.C_bar_phase
-    ))
+    )
+    # a denominator that underflows to 0 is singular like its vanishing factor
+    return coeffs, (
+        (alpha_den == 0.0, SingularityError, "alpha"),
+        (beta == 0.0, SingularityError, "beta"),
+        (two_ab_den == 0.0, SingularityError, "2*alpha + beta"),
+        (bb_aa == 0.0, SingularityError, "beta^2 - alpha^2"),
+    )
 
 
-def _pair(solution, params, from_state, to_state, maintext=False, kernel=True) -> _Pair:
-    """The record of one pair of states; the previous one if all five arguments are the previous ones.
-
-    A kernel (``kernel=True``) divides by the variance rates, so it needs
-    a positive capital rate ``b``.
-    """
-    global _pair_memo
-    memo_sol, memo_params, memo_from, memo_to, memo_maintext, pair, _, _ = _pair_memo
-    if not (
-        memo_sol is solution
-        and memo_params is params
-        and memo_from is from_state
-        and memo_to is to_state
-        and memo_maintext is maintext
-    ):
-        Am = 0.5 * (from_state.A + to_state.A)
-        Km = 0.5 * (from_state.K + to_state.K)
-        if Km <= 0.0:
-            raise DomainError("midpoint capital must be positive")
-        coeffs = _coefficients(solution, params, Am, Km, maintext)
-        a_gap = Am - coeffs.A_bar
-        X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
-        rates = (params.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef)
-        pair = tuple.__new__(_Pair, (
-            coeffs, X, _drift(from_state, coeffs, params), rates, a_gap, 0.5 * a_gap ** 2,
-            max(abs(coeffs.alpha), abs(coeffs.beta)),
-        ))
-        _pair_memo = (solution, params, from_state, to_state, maintext, pair, None, None)
-    if kernel and pair.rates[1] <= 0.0:
-        raise SingularityError("capital variance rate b")
-    return pair
+def _pair(solution, params, from_state, to_state, maintext=False) -> _Pair:
+    """The record of the pairs ``(from_state, to_state)``, each a state or coordinate arrays."""
+    Am = 0.5 * (from_state.A + to_state.A)
+    Km = 0.5 * (from_state.K + to_state.K)
+    coeffs, checks = _coefficients(solution, params, Am, Km, maintext)
+    a_gap = Am - coeffs.A_bar
+    X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
+    rates = (params.varpi ** 2, 0.5 * coeffs.b_coef, 0.5 * coeffs.c_coef)
+    return _Pair(
+        coeffs, (to_state.C, to_state.K, to_state.A), X, _drift(from_state, coeffs, params), rates,
+        a_gap, 0.5 * (a_gap * a_gap), np.maximum(np.abs(coeffs.alpha), np.abs(coeffs.beta)),
+        (
+            (Km <= 0.0, DomainError, "midpoint capital must be positive"),
+            *checks,
+            (rates[1] <= 0.0, SingularityError, "capital variance rate b"),
+        ),
+    )
 
 
-def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = False):
+def _alpha_beta(Am, Km, params: ModelParams, maintext: bool = False):
     """``alpha = delta - A_m F'(K_m)`` and ``beta`` in the chosen convention."""
-    AFp = Am * params.epsilon * Km ** (params.epsilon - 1.0)
+    AFp = Am * params.epsilon * np.power(Km, params.epsilon - 1.0)
     return params.delta - AFp, (AFp if maintext else 2.0 * AFp) + params.r_c - params.delta
+
+
+class _Batch:
+    """Pair records and the kernel values read from them, per pair.
+
+    A path batch holds every consecutive pair of ``path`` and masks a pair
+    that fails a check; a lone batch (``path`` None) holds the one pair
+    ``(from_state, to_state)`` and raises the error of any check it fails.
+    Each formula's values are kept, as a list, for the last horizon read.
+    """
+
+    __slots__ = ("path", "solution", "params", "maintext", "pair", "scale", "failed", "values")
+
+    def __init__(self, solution, params, maintext, path=None, from_state=None, to_state=None):
+        self.path, self.solution, self.params, self.maintext = path, solution, params, maintext
+        if path is None:
+            from_state, to_state = _float64(from_state), _float64(to_state)
+        else:
+            C, K, A = path.C, path.K, path.A
+            from_state, to_state = _Coords(C[:-1], K[:-1], A[:-1]), _Coords(C[1:], K[1:], A[1:])
+        with np.errstate(all="ignore"):
+            self.pair = _pair(solution, params, from_state, to_state, maintext)
+        self.scale = np.atleast_1d(self.pair.scale).tolist()
+        self.failed = self._failed(self.pair.checks)
+        self.values = {}
+
+    def _failed(self, checks):
+        """Per-pair failed flags, None if no pair fails; a lone batch raises instead."""
+        if self.path is None:
+            _raise_failed(checks)
+            return None
+        failed = False
+        for mask, _, _ in checks:
+            failed = failed | mask
+        return np.broadcast_to(failed, (len(self.scale),)).tolist() if np.any(failed) else None
+
+    def read(self, formula, i: int, t=None):
+        """The value of ``formula(pair, t, params, maintext) -> (values, checks)`` on pair ``i``.
+
+        A path pair that fails a check is evaluated alone, so it raises.
+        """
+        got = self.values.get(formula)
+        if got is None or got[0] != t:
+            with np.errstate(all="ignore"):
+                value, checks = formula(self.pair, t, self.params, self.maintext)
+            got = self.values[formula] = (t, np.atleast_1d(value).tolist(), self._failed(checks))
+        if got[2] is not None and got[2][i]:
+            C, K, A = self.path.C, self.path.K, self.path.A
+            lone = _Batch(
+                self.solution, self.params, self.maintext,
+                from_state=_Coords(C[i], K[i], A[i]), to_state=_Coords(C[i + 1], K[i + 1], A[i + 1]),
+            )
+            return lone.read(formula, 0, t)
+        return got[1][i]
+
+
+# The one path batch kept, for the last path, solution, parameters and maintext.
+_last_batch: _Batch | None = None
+
+
+def _batch(solution, params, from_state, to_state, maintext=False):
+    """The batch holding the pair and its row there; raises if the pair fails a check.
+
+    Samples ``i`` and ``i + 1`` of one path (:meth:`AgentPath.state`) are
+    row ``i`` of the path's batch, built unless it is the one kept; any
+    other pair is a lone batch.
+    """
+    global _last_batch
+    link, to_link = from_state._link, to_state._link
+    if link is not None and to_link is not None and to_link[0] is link[0] and to_link[1] == link[1] + 1:
+        path, i = link
+        batch = _last_batch
+        if batch is None or not (
+            batch.path is path and batch.solution is solution and batch.params is params
+            and batch.maintext is maintext
+        ):
+            batch = _last_batch = _Batch(solution, params, maintext, path)
+        if batch.failed is None or not batch.failed[i]:
+            return batch, i
+    return _Batch(solution, params, maintext, from_state=from_state, to_state=to_state), 0
+
+
+def _kept_batch(from_state, to_state, params):
+    """The kept batch and the pair's row, if it is of the linked pair's path and ``params``; else None.
+
+    For formulas that read neither the coefficients nor ``maintext``.
+    """
+    link, to_link, batch = from_state._link, to_state._link, _last_batch
+    if (
+        link is not None and to_link is not None and batch is not None and link[0] is batch.path
+        and to_link[0] is batch.path and to_link[1] == link[1] + 1 and batch.params is params
+    ):
+        return batch, link[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +288,12 @@ def _alpha_beta(Am: float, Km: float, params: ModelParams, maintext: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def _drift(state: AgentState, coeffs: GreenCoefficients, params: ModelParams):
+def _drift(state, coeffs: GreenCoefficients, params: ModelParams):
     """Linearised kernel drift ``(dC/dt, dK/dt)`` at ``state``, the one drift of the kernels.
 
     ``dC/dt = (alpha+beta)(C - C_bar)`` and
     ``dK/dt = -(alpha (K - K_bar) + delta K_bar + C - A K_bar^eps)``;
-    technology has no drift at this order.
+    technology has no drift at this order.  Floats or arrays.
     """
     p = params
     Keps = p.K_bar ** p.epsilon
@@ -213,7 +319,7 @@ def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
     )
 
 
-def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = False) -> float:
+def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = False):
     """Log of the kernel's Gaussian factor at horizon ``t``.
 
     The exponent is ``-sum X_i^2 / (2 v_i)`` with the drifted displacement
@@ -223,16 +329,28 @@ def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = F
     """
     (X1, X2, X3), (Y1, Y2), (w1, w2, w3) = pair.X, pair.Y, pair.rates
     v1, v2, v3 = w1 * t, w2 * t, w3 * t
-    if v1 <= 0.0 or v2 <= 0.0 or v3 <= 0.0:  # t so small that a variance underflows
-        raise DomainError(f"kernel variances vanish at t = {t!r}")
     X1, X2 = X1 - t * Y1, X2 - t * Y2
     quad = X1 * X1 / (2.0 * v1) + X2 * X2 / (2.0 * v2) + X3 * X3 / (2.0 * v3)
     if maintext:
-        log_norm = -math.log(2.0) - 0.5 * (math.log(_TWO_PI * (w1 / params.lambda_sq)) + math.log(v2))
+        log_norm = -math.log(2.0) - 0.5 * (np.log(_TWO_PI * (w1 / params.lambda_sq)) + np.log(v2))
     else:
         # a sum of logs: the product v1 v2 v3 underflows at tiny t
-        log_norm = -0.5 * (_LOG_TWO_PI_CUBED + math.log(v1) + math.log(v2) + math.log(v3))
+        log_norm = -0.5 * (_LOG_TWO_PI_CUBED + np.log(v1) + np.log(v2) + np.log(v3))
     return log_norm - quad
+
+
+def _log_gaussian_rows(pair: _Pair, t: float, params: ModelParams, maintext: bool):
+    """:func:`_log_gaussian` and its check: ``t`` so small that a variance underflows."""
+    w1, w2, w3 = pair.rates
+    vanish = (w1 * t <= 0.0) | (w2 * t <= 0.0) | (w3 * t <= 0.0)
+    message = f"kernel variances vanish at t = {t!r}"
+    return _log_gaussian(pair, t, params, maintext), ((vanish, DomainError, message),)
+
+
+def _log_density_rows(pair: _Pair, t: float, params: ModelParams, maintext: bool):
+    """The log transition density: the Gaussian factor damped by the potential and the mass."""
+    log_gaussian, checks = _log_gaussian_rows(pair, t, params, maintext)
+    return log_gaussian - (pair.potential * t + pair.coeffs.mass * t), checks
 
 
 def _exp_density(log_density: float) -> float:
@@ -259,14 +377,13 @@ def transition_density(
     the printed (unnormalized) prefactor and the main-text beta
     convention are used instead.  A :class:`SmallTimeWarning` is issued
     on every call with ``t max(|alpha|, |beta|)`` above
-    ``_SMALL_S_THRESHOLD``.  A call with the same six argument objects
-    (``is``) as the previous density call on the memo's pair returns the
-    previous result.
+    ``_SMALL_S_THRESHOLD``.  Consecutive states of one path read the log
+    density from the path's batch, every other pair evaluates the same
+    formula alone; the result is the same.
     """
-    global _pair_memo
     check_horizon(t)
-    pair = _pair(solution, params, from_state, to_state, maintext)
-    scale = t * pair.scale
+    batch, i = _batch(solution, params, from_state, to_state, maintext)
+    scale = t * batch.scale[i]
     if scale > _SMALL_S_THRESHOLD:
         warnings.warn(
             f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
@@ -274,12 +391,8 @@ def transition_density(
             SmallTimeWarning,
             stacklevel=2,
         )
-    if _pair_memo[6] is t:
-        return _pair_memo[7]
-    log_density = _log_gaussian(pair, t, params, maintext) - (pair.potential * t + pair.coeffs.mass * t)
-    density = (_exp_density(log_density), log_density)
-    _pair_memo = (solution, params, from_state, to_state, maintext, pair, t, density)
-    return density
+    log_density = batch.read(_log_density_rows, i, t)
+    return _exp_density(log_density), log_density
 
 
 def gaussian_factor(
@@ -291,7 +404,8 @@ def gaussian_factor(
 ):
     """The normalized Gaussian factor of the transition density alone."""
     check_horizon(t)
-    return _exp_density(_log_gaussian(_pair(solution, params, from_state, to_state), t, params))
+    batch, i = _batch(solution, params, from_state, to_state)
+    return _exp_density(batch.read(_log_gaussian_rows, i, t))
 
 
 def dmcvr_residuals(from_state, to_state, t, solution, params):
@@ -302,9 +416,9 @@ def dmcvr_residuals(from_state, to_state, t, solution, params):
     ``lambda^2 (A - A') + ((A+A')/2 - A_bar) t/2``.
     """
     check_horizon(t)
-    pair = _pair(solution, params, from_state, to_state)
+    pair = _Batch(solution, params, False, from_state=from_state, to_state=to_state).pair
     (X1, X2, X3), (Y1, Y2) = pair.X, pair.Y
-    return X1 - t * Y1, X2 - t * Y2, params.lambda_sq * X3 + 0.5 * pair.a_gap * t
+    return float(X1 - t * Y1), float(X2 - t * Y2), float(params.lambda_sq * X3 + 0.5 * pair.a_gap * t)
 
 
 def most_likely_endpoint(
@@ -456,17 +570,26 @@ def laplace_propagator(
     with ``P = sum Y_i^2/v_i``, ``Q = sum X_i^2/v_i``,
     ``CT = sum X_i Y_i/v_i`` and displacement ``X = to - from``.
     Coincident endpoints make the transform diverge (``Q = 0``) and raise
-    :class:`DomainError`.
+    :class:`DomainError`, as does a value past the largest double.
     """
-    pair = _pair(solution, params, from_state, to_state)
+    batch, i = _batch(solution, params, from_state, to_state)
+    return batch.read(_propagator_rows, i)
+
+
+def _propagator_rows(pair: _Pair, t, params: ModelParams, maintext: bool):
+    """The Laplace propagator of :func:`laplace_propagator` and its checks; ``t`` is unused."""
     (X1, X2, X3), (Y1, Y2), (v1, v2, v3) = pair.X, pair.Y, pair.rates  # Y3 = 0 drops out of P and CT
     P = Y1 * Y1 / v1 + Y2 * Y2 / v2
     Q = X1 * X1 / v1 + X2 * X2 / v2 + X3 * X3 / v3
     CT = X1 * Y1 / v1 + X2 * Y2 / v2
-    if Q == 0.0:
-        raise DomainError("Laplace propagator diverges at coincident endpoints")
     rate = 2.0 * (pair.coeffs.mass + pair.potential + params.alpha_laplace) + P
-    if rate <= 0.0:
-        raise DomainError("Laplace propagator decay rate must be positive")
-    prefactor = _TWO_PI * math.sqrt(v1 * v2 * v3 * Q)
-    return math.exp(CT - math.sqrt(rate) * math.sqrt(Q)) / prefactor
+    exponent = CT - np.sqrt(rate) * np.sqrt(Q)
+    prefactor = _TWO_PI * np.sqrt(v1 * v2 * v3 * Q)
+    return np.exp(exponent) / prefactor, (
+        (Q == 0.0, DomainError, "Laplace propagator diverges at coincident endpoints"),
+        (rate <= 0.0, DomainError, "Laplace propagator decay rate must be positive"),
+        (
+            (exponent > _LOG_DBL_MAX) | (prefactor == 0.0),
+            DomainError, "Laplace propagator exceeds the largest double",
+        ),
+    )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,11 +26,18 @@ class AgentState:
     (NaN fails the comparison) pass on one fast check; any other input
     goes through the coordinate-by-coordinate check that names the
     offending coordinate.
+
+    A state read by :meth:`AgentPath.state` is linked to ``(path, i)`` by a
+    private field that equality, hashing and ``repr`` ignore; the pair
+    kernels score two consecutive linked states from one batch over the
+    whole path.  A state built any other way, or by
+    :func:`dataclasses.replace`, is unlinked.
     """
 
     C: float  # consumption level
     K: float  # capital stock
     A: float  # technology level
+    _link: tuple | None = field(default=None, init=False, compare=False, repr=False)  # (path, index)
 
     def __post_init__(self):
         C, K, A = self.C, self.K, self.A
@@ -53,6 +60,10 @@ class AgentState:
         return np.array([self.C, self.K, self.A], dtype=float)
 
 
+# the slots' own setters, past the frozen __setattr__
+_set_C, _set_K, _set_A, _set_link = (getattr(AgentState, name).__set__ for name in ("C", "K", "A", "_link"))
+
+
 class AgentPath:
     """A path of :class:`AgentState` samples on a uniform time grid.
 
@@ -64,14 +75,17 @@ class AgentPath:
         Grid spacing, strictly positive.
     t0 : float, optional
         Time of the first sample.
+
+    The path holds read-only copies of ``C``, ``K`` and ``A``, so what is
+    computed from them stays valid for the life of the path.
     """
 
-    __slots__ = ("C", "K", "A", "dt", "t0")
+    __slots__ = ("_C", "_K", "_A", "_nonnegative", "dt", "t0")
 
     def __init__(self, C, K, A, dt: float, t0: float = 0.0):
-        C = np.asarray(C, dtype=float)
-        K = np.asarray(K, dtype=float)
-        A = np.asarray(A, dtype=float)
+        C = np.array(C, dtype=float)
+        K = np.array(K, dtype=float)
+        A = np.array(A, dtype=float)
         if C.ndim != 1 or K.ndim != 1 or A.ndim != 1:
             raise ShapeError("path coordinates must be one-dimensional arrays")
         if not (C.shape == K.shape == A.shape):
@@ -85,14 +99,18 @@ class AgentPath:
         for name, arr in (("C", C), ("K", K), ("A", A)):
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"path coordinate {name} contains non-finite values")
-        self.C = C
-        self.K = K
-        self.A = A
+            arr.flags.writeable = False
+        self._C, self._K, self._A = C, K, A
+        self._nonnegative = bool(C.min() >= 0.0 and K.min() >= 0.0 and A.min() >= 0.0)
         self.dt = float(dt)
         self.t0 = float(t0)
 
+    C = property(lambda self: self._C, doc="Consumption samples (read-only).")
+    K = property(lambda self: self._K, doc="Capital samples (read-only).")
+    A = property(lambda self: self._A, doc="Technology samples (read-only).")
+
     def __len__(self) -> int:
-        return self.C.size
+        return self._C.size
 
     @property
     def times(self) -> np.ndarray:
@@ -104,8 +122,22 @@ class AgentPath:
         return (self.C.size - 1) * self.dt
 
     def state(self, i: int) -> AgentState:
-        """Sample ``i`` as an :class:`AgentState` of Python floats."""
-        return AgentState(self.C.item(i), self.K.item(i), self.A.item(i))
+        """Sample ``i`` as an :class:`AgentState` of Python floats, linked to ``(self, i)``.
+
+        A negative ``i`` is linked by its non-negative position, so
+        ``state(-1)`` and ``state(0)`` are never consecutive.
+        """
+        C = self._C
+        c, k, a = C.item(i), self._K.item(i), self._A.item(i)
+        if self._nonnegative:  # finite, non-negative Python floats: AgentState's check would pass
+            state = object.__new__(AgentState)
+            _set_C(state, c)
+            _set_K(state, k)
+            _set_A(state, a)
+        else:
+            state = AgentState(c, k, a)
+        _set_link(state, (self, i + C.size if i < 0 else i))
+        return state
 
     # -- CSV round trip -----------------------------------------------------
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -266,6 +267,19 @@ class TestOverflowingHorizon:
             self.calls(trivial, params)[function](t)
         assert str(excinfo.value) == message
         assert isinstance(excinfo.value.__cause__, OverflowError)
+
+    @pytest.mark.parametrize("s", [1e60, 1e100])
+    def test_modified_matrices_products_overflow(self, trivial, params, s):
+        # s**3 still fits a double; the products of the scaled moment matrices do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError) as excinfo:
+                corrections.modified_matrices(s, trivial, params)
+        assert str(excinfo.value) == f"modified_matrices overflows a double at horizon s = {s!r}"
+
+    def test_modified_matrices_finite_at_a_long_horizon(self, trivial, params):
+        out = corrections.modified_matrices(1e10, trivial, params)
+        assert all(np.all(np.isfinite(m)) for m in out.values())
 
     @pytest.mark.parametrize("function", ["correction_potential", "two_agent_correction"])
     def test_below_the_overflow_edge(self, trivial, params, function):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -55,23 +56,17 @@ class TestCoefficients:
 
 
 def copy_state(x):
-    """An equal state that is a distinct object, so the kernel memos miss."""
+    """An equal, unlinked state: the kernels evaluate its pairs alone."""
     return AgentState(C=x.C, K=x.K, A=x.A)
 
 
 class TestKernelMemo:
-    """The one-entry memos return what a fresh evaluation returns."""
+    """Repeated, switched and interleaved calls return what a fresh evaluation returns."""
 
     @pytest.fixture
     def pair(self, trivial, params):
         x = anchor_state(trivial, params)
         return x, AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A + 0.002)
-
-    def test_repeated_call_shares_one_record(self, trivial, params, pair):
-        x, y = pair
-        rec = green.coefficients(trivial, params, x, y)
-        assert green.coefficients(trivial, params, x, y) is rec
-        assert green.coefficients(trivial, params, copy_state(x), copy_state(y)) == rec
 
     def test_same_states_at_two_times(self, trivial, params, pair):
         x, y = pair
@@ -105,18 +100,6 @@ class TestKernelMemo:
             x, y, 0.01, trivial, params
         )
 
-    def test_kernels_on_one_pair_share_one_record(self, nontrivial, params, pair):
-        x, y = pair
-        rec = green.coefficients(nontrivial, params, x, y)
-        green.transition_density(x, y, 0.01, nontrivial, params)
-        corrections.corrected_density(x, y, 0.01, nontrivial, params)
-        green.laplace_propagator(x, y, nontrivial, params)
-        green.dmcvr_residuals(x, y, 0.01, nontrivial, params)
-        assert green.coefficients(nontrivial, params, x, y) is rec
-        # a kernel on another pair replaces the one memo entry
-        green.laplace_propagator(y, x, nontrivial, params)
-        assert green.coefficients(nontrivial, params, x, y) is not rec
-
     def test_corrected_log_density_subtracts_gamma_v_exactly(self, nontrivial, params, pair):
         x, y = pair
         t = 0.01
@@ -129,7 +112,7 @@ class TestKernelMemo:
 
 
 class TestDensityMemo:
-    """The memo's last transition density: reused only for the same six argument objects."""
+    """Each density call checks its horizon and warns on its own; equal states give equal results."""
 
     @pytest.fixture
     def pair(self, nontrivial, params):
@@ -164,7 +147,7 @@ class TestDensityMemo:
             td[1] - params.gamma * corrections.correction_potential(x, y, t, nontrivial, params)
         )
         assert green.transition_density(x2, y2, t, nontrivial, params) == td
-        # a new pair (y, x) replaces the memo: its density is not the previous one
+        # the reversed pair in between has a density of its own
         assert green.transition_density(y, x, t, nontrivial, params) != td
         assert green.transition_density(x, y, t, nontrivial, params) == td
 
@@ -185,21 +168,28 @@ class TestDensityMemo:
     def test_small_time_warning_on_every_repeated_call(self, trivial, params):
         x = anchor_state(trivial, params)
         y = AgentState(C=x.C + 0.01, K=x.K + 0.05, A=x.A)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for _ in range(3):
-                green.transition_density(x, y, 1.0, trivial, params)
-                corrections.corrected_density(x, y, 1.0, trivial, params)
-        assert [w.category for w in caught] == [green.SmallTimeWarning] * 6
+        path = AgentPath([x.C, y.C], [x.K, y.K], [x.A, y.A], dt=1.0)
+        for a, b in ((x, y), (path.state(0), path.state(1))):  # a lone pair, then a path's batch
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for _ in range(3):
+                    green.transition_density(a, b, 1.0, trivial, params)
+                    corrections.corrected_density(a, b, 1.0, trivial, params)
+            assert [w.category for w in caught] == [green.SmallTimeWarning] * 6
+            assert [Path(w.filename).name for w in caught] == ["test_green.py", "corrections.py"] * 3
 
     def test_horizon_checked_on_every_call(self, trivial, params, pair):
         x, y = pair
-        green.transition_density(x, y, 0.01, trivial, params)
-        for t in (0.0, -0.01, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                green.transition_density(x, y, t, trivial, params)
-            with pytest.raises(DomainError):
-                corrections.corrected_density(x, y, t, trivial, params)
+        path = AgentPath([x.C, y.C], [x.K, y.K], [x.A, y.A], dt=0.01)
+        for a, b in ((x, y), (path.state(0), path.state(1))):
+            green.transition_density(a, b, 0.01, trivial, params)
+            for t in (0.0, -0.01, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    green.transition_density(a, b, t, trivial, params)
+                with pytest.raises(DomainError):
+                    corrections.corrected_density(a, b, t, trivial, params)
+                with pytest.raises(DomainError):
+                    green.gaussian_factor(a, b, t, trivial, params)
 
 
 def seeded_panel(solution, params, seed=20261019, n_paths=8, n_samples=101, dt=0.01):
@@ -219,9 +209,9 @@ def seeded_panel(solution, params, seed=20261019, n_paths=8, n_samples=101, dt=0
 class TestScalarPanelPin:
     """The scalar pair kernels over a seeded panel, summed, are pinned bit for bit.
 
-    The sums were taken from the plain evaluation (no density reuse, the full
-    ``AgentState`` check, records built by their constructors); the shortcuts
-    of the scalar path must leave every one of them unchanged.
+    The pairs are read through :meth:`AgentPath.state`, so the kernels read
+    each path's batch; :class:`TestPathBatch` checks that every value
+    equals the pair's lone evaluation.
     """
 
     def test_sums(self):
@@ -234,7 +224,161 @@ class TestScalarPanelPin:
                 td += green.transition_density(a, b, path.dt, sol, params)[1]
                 cd += corrections.corrected_density(a, b, path.dt, sol, params)[1]
                 lp += math.log(green.laplace_propagator(a, b, sol, params))
-        assert (td, cd, lp) == (673.4019955915454, 672.6014268832013, 956.595343316047)
+        assert (td, cd, lp) == (673.4019955915454, 672.6014268832014, 956.595343316047)
+
+
+def outcome(kernel, *args):
+    """A kernel's value, or the type and message of the error it raises."""
+    try:
+        return kernel(*args)
+    except (DomainError, SingularityError) as exc:
+        return type(exc), str(exc)
+
+
+def pair_kernels(solution, params, t, maintext=False):
+    """Every kernel read from a path's batch, as a function of one pair of states."""
+    return {
+        "transition_density": lambda a, b: green.transition_density(a, b, t, solution, params, maintext),
+        "corrected_density": lambda a, b: corrections.corrected_density(a, b, t, solution, params, maintext),
+        "correction_potential": lambda a, b: corrections.correction_potential(a, b, t, solution, params),
+        "gaussian_factor": lambda a, b: green.gaussian_factor(a, b, t, solution, params),
+        "laplace_propagator": lambda a, b: green.laplace_propagator(a, b, solution, params),
+    }
+
+
+class TestPathBatch:
+    """Consecutive states of a path read the path's batch; each value is the pair's lone evaluation."""
+
+    @pytest.fixture(autouse=True)
+    def no_numpy_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", green.SmallTimeWarning)
+            yield
+
+    @pytest.mark.parametrize("maintext", [False, True])
+    def test_linked_equals_unlinked(self, nontrivial, trivial, params, maintext):
+        # pairs of three paths in turn, each pair at two horizons, both
+        # conventions and a second solution/params set, so the kept batch
+        # and its horizon change on every call
+        paths = seeded_panel(nontrivial, params, seed=7, n_paths=3, n_samples=12)
+        other = params.replace(gamma=0.2, alpha_laplace=0.5)
+        settings = (
+            pair_kernels(nontrivial, params, 0.01, maintext),
+            pair_kernels(nontrivial, params, 0.003, maintext),
+            pair_kernels(nontrivial, params, 0.01, not maintext),
+            pair_kernels(trivial, params, 0.01, maintext),
+            pair_kernels(nontrivial, other, 0.01, maintext),
+        )
+        for i in range(len(paths[0]) - 1):
+            for path in paths:
+                a, b = path.state(i), path.state(i + 1)
+                for name in settings[0]:
+                    for kernels in settings:
+                        kernel = kernels[name]
+                        linked = kernel(a, b)
+                        assert linked == kernel(copy_state(a), copy_state(b)), (name, i)
+                        assert linked == kernel(a, b), (name, i)
+
+    def test_linked_panel_sums_equal_unlinked(self, nontrivial, params):
+        kernels = pair_kernels(nontrivial, params, 0.01)
+        sums = {"linked": dict.fromkeys(kernels, 0.0), "unlinked": dict.fromkeys(kernels, 0.0)}
+        for path in seeded_panel(nontrivial, params, n_paths=3, n_samples=40):
+            for i in range(len(path) - 1):
+                a, b = path.state(i), path.state(i + 1)
+                for name, kernel in kernels.items():
+                    value = kernel(a, b)
+                    sums["linked"][name] += value[1] if isinstance(value, tuple) else value
+                    value = kernel(copy_state(a), copy_state(b))
+                    sums["unlinked"][name] += value[1] if isinstance(value, tuple) else value
+        assert sums["linked"] == sums["unlinked"]
+
+    def test_pair_arrays_built_once_per_path(self, nontrivial, params, monkeypatch):
+        built = []
+        record = green._pair
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(green, "_pair", counting)
+        paths = seeded_panel(nontrivial, params, n_paths=4, n_samples=30)
+        for path in paths:
+            states = [path.state(i) for i in range(len(path))]
+            for a, b in zip(states, states[1:]):
+                green.transition_density(a, b, path.dt, nontrivial, params)
+                corrections.corrected_density(a, b, path.dt, nontrivial, params)
+                green.laplace_propagator(a, b, nontrivial, params)
+        assert len(built) == len(paths)
+
+    def test_only_consecutive_states_of_one_path_read_its_batch(self, nontrivial, params):
+        path, twin = seeded_panel(nontrivial, params, n_paths=2, n_samples=5)
+        for a, b in (
+            (path.state(-1), path.state(0)),  # last and first: not consecutive
+            (path.state(1), path.state(1)),
+            (path.state(2), path.state(1)),
+            (path.state(1), twin.state(2)),
+            (path.state(1), copy_state(path.state(2))),
+            (dataclasses.replace(path.state(1)), path.state(2)),
+        ):
+            batch, i = green._batch(nontrivial, params, a, b)
+            assert batch.path is None and i == 0
+        batch, i = green._batch(nontrivial, params, path.state(-2), path.state(-1))
+        assert batch.path is path and i == len(path) - 2
+
+    SCENARIOS = {
+        # name: (config changes, phase, C, K, A, t, kernel that fails on some pairs, error)
+        "midpoint capital": (
+            {}, 0, [1.08, 1.08, 1.09, 1.1], [10.0, 0.0, 0.0, 10.0], [10.0] * 4, 0.01,
+            "transition_density", (DomainError, "midpoint capital must be positive"),
+        ),
+        "capital variance rate": (
+            {"r_c": 0.01}, 0, [1.0, 1.01, 1.02, 1.03], [10.0, 10.05, 10.1, 10.15],
+            [10.0, 10.0, 0.2, 0.2], 0.01,
+            "laplace_propagator", (SingularityError, "vanishing factor in closed form: capital variance rate b"),
+        ),
+        "coincident endpoints": (
+            {}, 0, [1.08, 1.09, 1.09, 1.1], [10.0, 10.05, 10.05, 10.1], [10.0, 10.01, 10.01, 10.0], 0.01,
+            "laplace_propagator", (DomainError, "Laplace propagator diverges at coincident endpoints"),
+        ),
+        "density past the largest double": (
+            {}, 0, [1.08, 1.09, 1.09, 1.1], [10.0, 10.05, 10.05, 10.1], [10.0, 10.01, 10.01, 10.0], 1e-250,
+            "transition_density", (DomainError, "density exp("),
+        ),
+        "decay rate": (
+            {"alpha_laplace": -100.0}, 0, [1.08, 1.09, 1.1, 4.0], [10.0, 10.01, 10.02, 10.03],
+            [0.79, 0.8, 10.0, 10.0], 0.01,
+            "laplace_propagator", (DomainError, "Laplace propagator decay rate must be positive"),
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_failing_pair_raises_alone(self, params, scenario):
+        changes, phase, C, K, A, t, failing, (error, message) = self.SCENARIOS[scenario]
+        p = params.replace(**changes)
+        sol = solve_phase(params, phase)
+        path = AgentPath(C, K, A, dt=t)
+        kernels = pair_kernels(sol, p, t)
+        seen = []
+        for i in range(len(path) - 1):
+            a, b = path.state(i), path.state(i + 1)
+            for name, kernel in kernels.items():
+                got = outcome(kernel, a, b)
+                assert got == outcome(kernel, copy_state(a), copy_state(b)), (name, i)
+                if name == failing:
+                    seen.append(got)
+        raised = [got for got in seen if isinstance(got, tuple) and got[0] is error]
+        assert raised and all(text.startswith(message) for _, text in raised)
+        assert len(raised) < len(seen)  # the other pairs of the path are scored
+
+    def test_vanishing_variances_raise_on_every_pair(self, trivial, params):
+        t = 5e-324
+        path = seeded_panel(trivial, params, n_paths=1, n_samples=4)[0]
+        message = f"kernel variances vanish at t = {t!r}"
+        for i in range(len(path) - 1):
+            a, b = path.state(i), path.state(i + 1)
+            for kernel in (green.transition_density, corrections.corrected_density, green.gaussian_factor):
+                assert outcome(kernel, a, b, t, trivial, params) == (DomainError, message)
 
 
 def fixed_point(solution, params):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,17 @@ class TestAgentPathState:
             assert all(type(v) is float for v in (s.C, s.K, s.A))
             assert (s.C, s.K, s.A) == (path.C[i], path.K[i], path.A[i])
 
+    def test_states_equal_the_checked_construction(self):
+        # a path of non-negative samples builds its states without AgentState's check
+        path = AgentPath([1.0, -0.0, 2.5], [10.0, 0.0, 1e-300], [0.2, 7.25, 0.0], dt=0.01)
+        for i in range(len(path)):
+            s, ref = path.state(i), AgentState(path.C.item(i), path.K.item(i), path.A.item(i))
+            assert s == ref and repr(s) == repr(ref)
+            assert [math.copysign(1.0, getattr(s, n)) for n in COORDS] == [
+                math.copysign(1.0, getattr(ref, n)) for n in COORDS
+            ]
+            assert all(type(getattr(s, n)) is float for n in COORDS)
+
     @pytest.mark.parametrize("name", COORDS)
     def test_negative_coordinate_rejected(self, name):
         coords = {"C": [1.0, 1.0], "K": [10.0, 10.0], "A": [0.2, 0.2]}
@@ -77,3 +89,50 @@ class TestAgentPathState:
         with pytest.raises(DomainError) as excinfo:
             path.state(0)
         assert str(excinfo.value) == f"{name} must be >= 0, got -2.5"
+
+
+class TestStateLink:
+    """``AgentPath.state(i)`` links the state to ``(path, i)``; nothing else does, and nothing else sees it."""
+
+    @pytest.fixture
+    def path(self):
+        return AgentPath([1.0, 1.25, 1.5], [10.0, 10.5, 11.0], [0.2, 0.3, 0.4], dt=0.01)
+
+    def test_linked_to_path_and_non_negative_index(self, path):
+        assert path.state(1)._link == (path, 1)
+        assert path.state(-1)._link == (path, 2)
+        assert path.state(np.int64(-3))._link == (path, 0)
+
+    def test_replace_copy_and_hand_built_states_are_unlinked(self, path):
+        s = path.state(1)
+        assert dataclasses.replace(s)._link is None
+        assert dataclasses.replace(s, C=2.0)._link is None
+        assert AgentState(C=s.C, K=s.K, A=s.A)._link is None
+        assert AgentState(1.25, 10.5, 0.3)._link is None
+
+    def test_link_not_an_init_argument(self):
+        with pytest.raises(TypeError):
+            AgentState(1.0, 2.0, 3.0, None)
+        assert AgentState.__match_args__ == ("C", "K", "A")
+
+    def test_equality_hash_and_repr_ignore_the_link(self, path):
+        s, plain = path.state(1), AgentState(1.25, 10.5, 0.3)
+        assert s == plain and path.state(-2) == s
+        assert hash(s) == hash(plain) == hash((1.25, 10.5, 0.3))
+        assert repr(s) == repr(plain) == "AgentState(C=1.25, K=10.5, A=0.3)"
+        assert s != path.state(2)
+
+
+class TestAgentPathArrays:
+    def test_coordinates_are_read_only_copies(self):
+        C, K, A = np.array([1.0, 1.25]), np.array([10.0, 10.5]), np.array([0.2, 0.3])
+        path = AgentPath(C, K, A, dt=0.01)
+        C[0] = K[0] = A[0] = 5.0  # the caller's arrays stay writable and apart from the path's
+        assert (path.C[0], path.K[0], path.A[0]) == (1.0, 10.0, 0.2)
+        for name in COORDS:
+            arr = getattr(path, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            with pytest.raises(AttributeError):
+                setattr(path, name, np.zeros(2))
