@@ -58,6 +58,16 @@ def test_artifact_bytes_pinned(tmp_path, argv, digest):
     assert sha256(out) == digest
 
 
+def test_scan_with_every_row_status_pinned(tmp_path):
+    # a singular row (a Gamma3 pole), an ok row and an infeasible row: the
+    # failed row keeps its parameter cells, and the scan exits 4 after writing
+    out = tmp_path / "out"
+    argv = ["phase-scan", "--key", "A0", "--values", "3.691903901261551,8,2"]
+    assert run(["--config", CONFIG, *argv, "--output", str(out)]) == 4
+    assert [row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]] == ["singular", "ok", "infeasible"]
+    assert sha256(out) == "0ee2f99c5547830be2de3df9bbb2743d55a3ca990d0577805e0077030749ac2c"
+
+
 def test_mc_validate_export_pinned(tmp_path):
     export, report = tmp_path / "endpoints.csv", tmp_path / "report.json"
     argv = ["mc-validate", "--t", "10", "--n", "512", "--phase", "1", "--export", str(export)]
