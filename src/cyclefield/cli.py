@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 from itertools import count
+from operator import attrgetter
 
 from cyclefield import corrections, green, montecarlo
 from cyclefield.errors import (
@@ -43,13 +44,14 @@ from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
 
-# phase-scan result columns: (CSV header, PhaseSolution field)
+# phase-scan result columns: (CSV header, PhaseSolution field), twelve floats then two flags
 _SCAN_COLUMNS = (
     ("gamma_eta", "gamma_eta"), ("Gamma1", "Gamma1"), ("Gamma2", "Gamma2"),
     ("Gamma3", "Gamma3"), ("C1", "C1"), ("K1p", "K1p"), ("A1", "A1"), ("m", "mass"),
     ("avgA", "avg_A"), ("avgC", "avg_C"), ("avgK", "avg_K"), ("avgY", "avg_Y"),
     ("feasible", "feasible"), ("stable", "stable"),
 )
+_scan_floats = attrgetter(*(field for _, field in _SCAN_COLUMNS[:-2]))
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
 
 
@@ -174,20 +176,23 @@ def _cmd_phase_scan(args, base, _sol):
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
     values = _scan_values(args)
+    # the fixed parameter cells are formatted once, around the swept one
+    cells, i = [_fmt(getattr(base, k)) for k in param_keys], param_keys.index(args.key)
+    head, tail = ",".join(cells[:i] + [""]), ",".join([""] + cells[i + 1 :])
     lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS) + ("status",))]
     failures = []
     for value in values:
-        p = base.replace(**{args.key: value})
-        row = [_fmt(getattr(p, k)) for k in param_keys]
+        p, cell = base.replace(**{args.key: value}), f"{value:.17g}"
         try:
             sol, status = _scan_point(p, args.paper_k1_approx)
-            row += [_fmt(getattr(sol, field)) for _, field in _SCAN_COLUMNS]
+            result = ",".join([f"{x:.17g}" for x in _scan_floats(sol)])
+            result += f",{str(sol.feasible).lower()},{str(sol.stable).lower()}"
         except (ConvergenceError, SingularityError) as exc:
             # a failed row keeps its parameters and leaves the solution empty
             status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
-            failures.append(f"{args.key}={_fmt(value)}: {exc}")
-            row += [""] * len(_SCAN_COLUMNS)
-        lines.append(",".join(row + [status]))
+            failures.append(f"{args.key}={cell}: {exc}")
+            result = "," * (len(_SCAN_COLUMNS) - 1)
+        lines.append(f"{head}{cell}{tail},{result},{status}")
     text = "\n".join(lines) + "\n"
     if failures:  # named on stderr after every row is written
         first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"

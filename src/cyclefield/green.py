@@ -43,6 +43,7 @@ every call.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -377,19 +378,23 @@ def transition_density(
     the printed (unnormalized) prefactor and the main-text beta
     convention are used instead.  A :class:`SmallTimeWarning` is issued
     on every call with ``t max(|alpha|, |beta|)`` above
-    ``_SMALL_S_THRESHOLD``.  Consecutive states of one path read the log
-    density from the path's batch, every other pair evaluates the same
-    formula alone; the result is the same.
+    ``_SMALL_S_THRESHOLD``, attributed to the first caller outside
+    cyclefield.  Consecutive states of one path read the log density
+    from the path's batch, every other pair evaluates the same formula
+    alone; the result is the same.
     """
     check_horizon(t)
     batch, i = _batch(solution, params, from_state, to_state, maintext)
     scale = t * batch.scale[i]
     if scale > _SMALL_S_THRESHOLD:
+        frame, level = sys._getframe(1), 2  # the caller, and its stacklevel
+        while frame is not None and frame.f_globals.get("__name__", "").startswith("cyclefield."):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
             f"threshold {_SMALL_S_THRESHOLD:.3g}",
             SmallTimeWarning,
-            stacklevel=2,
+            stacklevel=level,
         )
     log_density = batch.read(_log_density_rows, i, t)
     return _exp_density(log_density), log_density

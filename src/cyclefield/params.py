@@ -36,28 +36,7 @@ class ModelParams:
     eta_sq: float = 1.0        # collective-mode variance (eta**2)
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParameterError(f"{f.name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
-                raise ParameterError(f"{f.name} must be finite, got {v!r}")
-            object.__setattr__(self, f.name, float(v))
-        positive = (
-            "varpi", "nu", "lambda_sq", "delta", "epsilon",
-            "K_bar", "C_bar", "A0", "theta_sq",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
-        nonnegative = ("varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq")
-        for name in nonnegative:
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.epsilon >= 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.kappa >= 1.0:
-            raise ParameterError(f"kappa must lie in [0, 1), got {self.kappa}")
+        vars(self).update(_checked(vars(self)))
 
     # -- derived quantities -------------------------------------------------
 
@@ -72,16 +51,45 @@ class ModelParams:
         return self.A0 / (1.0 - self.kappa)
 
     def replace(self, **changes) -> "ModelParams":
-        """Return a copy with the given fields replaced (re-validated)."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(changes)
-        return ModelParams(**values)
+        """Return a copy with ``changes``, re-checking only the changed fields.
+
+        A bad value or an unknown field raises what the constructor raises.
+        """
+        if not changes.keys() <= _FIELD_INDEX.keys():
+            return ModelParams(**{**self.to_dict(), **changes})
+        checked = _checked({k: changes[k] for k in sorted(changes, key=_FIELD_INDEX.get)})
+        new = object.__new__(ModelParams)
+        vars(new).update(vars(self), **checked)
+        return new
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
+_FIELD_INDEX = {f.name: i for i, f in enumerate(fields(ModelParams))}
+_POSITIVE = ("varpi", "nu", "lambda_sq", "delta", "epsilon", "K_bar", "C_bar", "A0", "theta_sq")
+_NONNEGATIVE = ("varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq")
+
+
+def _checked(values: dict) -> dict:
+    """The given fields as floats; raises the first fault: type and finiteness, then range."""
+    out = {}
+    for name, v in values.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ParameterError(f"{name} must be a real number, got {v!r}")
+        if not math.isfinite(v):
+            raise ParameterError(f"{name} must be finite, got {v!r}")
+        out[name] = float(v)
+    for name in _POSITIVE:
+        if out.get(name, 1.0) <= 0.0:
+            raise ParameterError(f"{name} must be > 0, got {out[name]}")
+    for name in _NONNEGATIVE:
+        if out.get(name, 0.0) < 0.0:
+            raise ParameterError(f"{name} must be >= 0, got {out[name]}")
+    for name, interval in (("epsilon", "(0, 1)"), ("kappa", "[0, 1)")):
+        if out.get(name, 0.0) >= 1.0:
+            raise ParameterError(f"{name} must lie in {interval}, got {out[name]}")
+    return out
 
 
 def parse_config_text(text: str) -> ModelParams:
@@ -98,7 +106,7 @@ def parse_config_text(text: str) -> ModelParams:
             raise ParameterError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_INDEX:
             raise ParameterError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ParameterError(f"line {lineno}: duplicate configuration key {key!r}")

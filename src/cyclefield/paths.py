@@ -76,8 +76,8 @@ class AgentPath:
     t0 : float, optional
         Time of the first sample.
 
-    The path holds read-only copies of ``C``, ``K`` and ``A``, so what is
-    computed from them stays valid for the life of the path.
+    The path is read-only, with copies of ``C``, ``K`` and ``A``, so what
+    is computed from it stays valid for its life.
     """
 
     __slots__ = ("_C", "_K", "_A", "_nonnegative", "dt", "t0")
@@ -100,10 +100,14 @@ class AgentPath:
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"path coordinate {name} contains non-finite values")
             arr.flags.writeable = False
-        self._C, self._K, self._A = C, K, A
-        self._nonnegative = bool(C.min() >= 0.0 and K.min() >= 0.0 and A.min() >= 0.0)
-        self.dt = float(dt)
-        self.t0 = float(t0)
+        nonnegative = bool(C.min() >= 0.0 and K.min() >= 0.0 and A.min() >= 0.0)
+        for name, value in zip(self.__slots__, (C, K, A, nonnegative, float(dt), float(t0))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete AgentPath.{name}: a path is read-only")
+
+    __delattr__ = __setattr__
 
     C = property(lambda self: self._C, doc="Consumption samples (read-only).")
     K = property(lambda self: self._K, doc="Capital samples (read-only).")

@@ -400,6 +400,14 @@ def phase_existence(params: ModelParams) -> dict:
     ``feasible`` conjoins the hard conditions; the stiffness-largeness
     check and the refined technology bound are reported as flags only.
     """
+    try:
+        return _existence(params, *c0_window(params))
+    except (DomainError, SingularityError):
+        return _existence(params, math.nan, math.nan)  # NaN fails the window check
+
+
+def _existence(params: ModelParams, floor: float, U: float) -> dict:
+    """:func:`phase_existence` given the C0 window ``(floor, floor + U)``."""
     p = params
     gamma_positive = p.gamma > 0.0
     a0_bound = (1.0 + math.sqrt(2.0)) * p.C_bar
@@ -411,11 +419,7 @@ def phase_existence(params: ModelParams) -> dict:
     lam_large = p.lam >= LAMBDA_LARGE_THRESHOLD
     spread = p.A0 * p.epsilon / ((1.0 - p.kappa) * p.K_bar ** (1.0 - p.epsilon)) - p.delta
     spread_ok = 0.0 < spread < 1.0
-    try:
-        floor, U = c0_window(p)
-        window_ok = U > 0.0 and floor < p.C0 < floor + U
-    except (DomainError, SingularityError):
-        floor, U, window_ok = math.nan, math.nan, False
+    window_ok = U > 0.0 and floor < p.C0 < floor + U
     feasible = gamma_positive and A0_large and spread_ok and window_ok
     return {
         "feasible": feasible,
@@ -580,7 +584,7 @@ def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> Phas
         / ((1.0 - eps) * Keps)
     )
 
-    existence = phase_existence(p)
+    existence = _existence(p, comp["window_floor"], comp["window_width"])
     stab = stability_check(p, ge, g3, avg_K, avg_A)
     return PhaseSolution(
         phase=1,

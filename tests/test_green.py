@@ -176,7 +176,7 @@ class TestDensityMemo:
                     green.transition_density(a, b, 1.0, trivial, params)
                     corrections.corrected_density(a, b, 1.0, trivial, params)
             assert [w.category for w in caught] == [green.SmallTimeWarning] * 6
-            assert [Path(w.filename).name for w in caught] == ["test_green.py", "corrections.py"] * 3
+            assert [Path(w.filename).name for w in caught] == ["test_green.py"] * 6
 
     def test_horizon_checked_on_every_call(self, trivial, params, pair):
         x, y = pair

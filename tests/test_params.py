@@ -61,6 +61,60 @@ class TestModelParams:
             p.replace(A0=0.0)
 
 
+BASES = {"default": ModelParams(), "moved": ModelParams(A0=9.5, kappa=0.3, g=-0.5, C0=2.0)}
+KINDS = {
+    "bool": True, "str": "0.1", "int64": np.int64(1), "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "negative": -1.0, "zero": 0.0, "one": 1.0, "above-one": 2.5, "int": 3,
+}
+PAIRS = [
+    {"A0": 0.0, "varsigma": -1.0},     # a positive field's fault before a non-negative one's
+    {"g": math.nan, "A0": 0.0},        # a type fault before any range fault
+    {"eta_sq": "x", "varpi": True},    # type faults in field order
+    {"epsilon": 0.0, "delta": -1.0},   # positive faults in field order
+    {"kappa": 2.0, "gamma": -1.0},     # lower bounds before the share bounds
+    {"kappa": 1.0, "epsilon": 1.0},    # epsilon's share bound before kappa's
+    {"lambda_sq": 100, "g": -1},       # ints stored as floats
+    {"A0": 0.0, "bogus": 1.0},         # an unknown key before any field check
+    {"bogus": 1.0},
+]
+
+
+class TestReplace:
+    """``replace`` re-checks only what it changes, with the constructor's outcome."""
+
+    def assert_same_as_constructor(self, base, changes):
+        try:
+            expected = ModelParams(**{**base.to_dict(), **changes})
+        except (ParameterError, TypeError) as exc:
+            with pytest.raises(type(exc)) as info:
+                base.replace(**changes)
+            assert type(info.value) is type(exc) and str(info.value) == str(exc)
+            return
+        got = base.replace(**changes)
+        assert got == expected and hash(got) == hash(expected)
+        assert got.to_dict() == expected.to_dict()
+        assert [type(v) for v in got.to_dict().values()] == [float] * len(NAMES)
+
+    @pytest.mark.parametrize("base", BASES.values(), ids=list(BASES))
+    @pytest.mark.parametrize("kind", KINDS.values(), ids=list(KINDS))
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_field(self, base, name, kind):
+        self.assert_same_as_constructor(base, {name: kind})
+
+    @pytest.mark.parametrize("base", BASES.values(), ids=list(BASES))
+    @pytest.mark.parametrize("changes", PAIRS, ids=[",".join(c) for c in PAIRS])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+    def test_two_fields_in_either_order(self, base, changes, reverse):
+        items = list(changes.items())
+        self.assert_same_as_constructor(base, dict(items[::-1] if reverse else items))
+
+    def test_copy_leaves_the_original(self):
+        base = ModelParams()
+        moved = base.replace(A0=9.0)
+        assert base == ModelParams() and moved.A0 == 9.0 and moved is not base
+        assert base.replace() == base
+
+
 class TestParseConfigText:
     def test_comments_and_blank_lines_ignored(self):
         text = "# header\n\n  A0 = 9.5  # trailing\n\t\ngamma=0\n   # indented comment\n"

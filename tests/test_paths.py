@@ -136,3 +136,17 @@ class TestAgentPathArrays:
                 arr[0] = 0.0
             with pytest.raises(AttributeError):
                 setattr(path, name, np.zeros(2))
+
+    @pytest.mark.parametrize("name", ["dt", "t0", "_nonnegative"])
+    def test_grid_is_read_only(self, name):
+        path = AgentPath([1.0, 1.25], [10.0, 10.5], [0.2, 0.3], dt=0.01, t0=2.0)
+        before = getattr(path, name)
+        for bad in (-1.0, math.nan, 0.5):
+            with pytest.raises(AttributeError, match=f"AgentPath.{name}"):
+                setattr(path, name, bad)
+        with pytest.raises(AttributeError, match=f"AgentPath.{name}"):
+            delattr(path, name)
+        assert getattr(path, name) == before
+        assert (path.dt, path.t0, path.duration) == (0.01, 2.0, 0.01)
+        with pytest.raises(AttributeError):
+            path.extra = 1.0

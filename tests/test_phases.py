@@ -227,6 +227,41 @@ class TestCompatibility:
         assert not phase_existence(params.replace(A0=2.0, C0=1e9))["feasible"]
 
 
+class TestWindowReuse:
+    """Phase 1 reads the C0 window from compatibility_root, with the verdict phase_existence gives."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [{}, {"A0": 3.0, "C_bar": 2.0, "kappa": 0.8, "K_bar": 2.0, "epsilon": 0.3}],
+        ids=["base", "solvable-to-the-top"],
+    )
+    def test_feasibility_across_both_window_edges(self, params, change):
+        p0 = params.replace(**change)
+        floor, U = c0_window(p0)
+        edges = [x for e in (floor, floor + U) for x in (math.nextafter(e, 0.0), e, math.nextafter(e, math.inf))]
+        outcomes = set()
+        for c0 in np.linspace(floor / 2.0, floor + 1.5 * U, 21).tolist() + edges:
+            p = p0.replace(C0=c0)
+            report = phase_existence(p)
+            try:
+                root = compatibility_root(p)
+            except InfeasiblePhaseError as exc:
+                with pytest.raises(InfeasiblePhaseError) as info:
+                    solve_phase(p, 1)
+                assert str(info.value) == str(exc)
+                outcomes.add("window" if not report["window_ok"] else "gate")
+                continue
+            sol = solve_phase(p, 1)
+            assert report["window_ok"]
+            assert (root["window_floor"], root["window_width"]) == (report["window_floor"], report["window_width"])
+            physical = sol.mass > 0.0 and sol.C_bar_phase >= 0.0 and sol.A_bar_phase >= 0.0
+            assert sol.feasible == (report["feasible"] and physical)
+            outcomes.add(sol.feasible)
+        # both edges are crossed, and phase 1 solves somewhere inside
+        assert "window" in outcomes and outcomes & {True, False}
+        assert {c0 for c0 in edges if not phase_existence(p0.replace(C0=c0))["window_ok"]} == set(edges[:2] + edges[4:])
+
+
 class TestSolvePhase:
     def test_trivial_closed_forms(self, trivial, params):
         assert trivial.Gamma3 == pytest.approx(params.A_bar0, abs=1e-12)
