@@ -52,6 +52,7 @@ _SCAN_COLUMNS = (
     ("feasible", "feasible"), ("stable", "stable"),
 )
 _scan_floats = attrgetter(*(field for _, field in _SCAN_COLUMNS[:-2]))
+_SCAN_FLOATS = ",".join(["%.17g"] * (len(_SCAN_COLUMNS) - 2))
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
 
 
@@ -185,8 +186,7 @@ def _cmd_phase_scan(args, base, _sol):
         p, cell = base.replace(**{args.key: value}), f"{value:.17g}"
         try:
             sol, status = _scan_point(p, args.paper_k1_approx)
-            result = ",".join([f"{x:.17g}" for x in _scan_floats(sol)])
-            result += f",{str(sol.feasible).lower()},{str(sol.stable).lower()}"
+            result = _SCAN_FLOATS % _scan_floats(sol) + f",{str(sol.feasible).lower()},{str(sol.stable).lower()}"
         except (ConvergenceError, SingularityError) as exc:
             # a failed row keeps its parameters and leaves the solution empty
             status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"

@@ -51,11 +51,8 @@ class ModelParams:
         return self.A0 / (1.0 - self.kappa)
 
     def replace(self, **changes) -> "ModelParams":
-        """Return a copy with ``changes``, re-checking only the changed fields.
-
-        A bad value or an unknown field raises what the constructor raises.
-        """
-        if not changes.keys() <= _FIELD_INDEX.keys():
+        """Return a copy with ``changes``; only the changed fields are checked, as the constructor checks them."""
+        if not changes.keys() <= _FIELD_INDEX.keys():  # the constructor's TypeError
             return ModelParams(**{**self.to_dict(), **changes})
         checked = _checked({k: changes[k] for k in sorted(changes, key=_FIELD_INDEX.get)})
         new = object.__new__(ModelParams)

@@ -80,7 +80,7 @@ class AgentPath:
     is computed from it stays valid for its life.
     """
 
-    __slots__ = ("_C", "_K", "_A", "_nonnegative", "dt", "t0")
+    __slots__ = ("C", "K", "A", "_nonnegative", "dt", "t0")
 
     def __init__(self, C, K, A, dt: float, t0: float = 0.0):
         C = np.array(C, dtype=float)
@@ -109,12 +109,8 @@ class AgentPath:
 
     __delattr__ = __setattr__
 
-    C = property(lambda self: self._C, doc="Consumption samples (read-only).")
-    K = property(lambda self: self._K, doc="Capital samples (read-only).")
-    A = property(lambda self: self._A, doc="Technology samples (read-only).")
-
     def __len__(self) -> int:
-        return self._C.size
+        return self.C.size
 
     @property
     def times(self) -> np.ndarray:
@@ -131,8 +127,8 @@ class AgentPath:
         A negative ``i`` is linked by its non-negative position, so
         ``state(-1)`` and ``state(0)`` are never consecutive.
         """
-        C = self._C
-        c, k, a = C.item(i), self._K.item(i), self._A.item(i)
+        C = self.C
+        c, k, a = C.item(i), self.K.item(i), self.A.item(i)
         if self._nonnegative:  # finite, non-negative Python floats: AgentState's check would pass
             state = object.__new__(AgentState)
             _set_C(state, c)
