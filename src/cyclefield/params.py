@@ -69,7 +69,7 @@ _NONNEGATIVE = ("varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq")
 
 
 def _checked(values: dict) -> dict:
-    """The given fields as floats; raises the first fault: type and finiteness, then range."""
+    """The given fields, in field order, as floats; raises the constructor's first fault."""
     out = {}
     for name, v in values.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):

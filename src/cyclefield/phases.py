@@ -401,9 +401,10 @@ def phase_existence(params: ModelParams) -> dict:
     check and the refined technology bound are reported as flags only.
     """
     try:
-        return _existence(params, *c0_window(params))
+        window = c0_window(params)
     except (DomainError, SingularityError):
-        return _existence(params, math.nan, math.nan)  # NaN fails the window check
+        window = (math.nan, math.nan)  # NaN fails the window check
+    return _existence(params, *window)
 
 
 def _existence(params: ModelParams, floor: float, U: float) -> dict:
