@@ -36,7 +36,9 @@ class ModelParams:
     eta_sq: float = 1.0        # collective-mode variance (eta**2)
 
     def __post_init__(self):
-        vars(self).update(_checked(vars(self)))
+        # set each field, not vars(self): a materialised __dict__ makes every attribute read slower
+        for name, v in _checked({name: getattr(self, name) for name in _FIELD_INDEX}).items():
+            object.__setattr__(self, name, v)
 
     # -- derived quantities -------------------------------------------------
 
@@ -56,7 +58,8 @@ class ModelParams:
             return ModelParams(**{**self.to_dict(), **changes})
         checked = _checked({k: changes[k] for k in sorted(changes, key=_FIELD_INDEX.get)})
         new = object.__new__(ModelParams)
-        vars(new).update(vars(self), **checked)
+        for name in _FIELD_INDEX:
+            object.__setattr__(new, name, checked[name] if name in checked else getattr(self, name))
         return new
 
     def to_dict(self) -> dict:
