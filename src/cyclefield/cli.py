@@ -25,7 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from itertools import count
 from operator import attrgetter
 
@@ -164,12 +164,11 @@ def _scan_values(args):
 
 
 def _scan_point(p: ModelParams, paper_k1_approx: bool):
-    """``(solution, status)`` of one scan value: phase 1, or phase 0 flagged infeasible."""
+    """``(solution, status)`` of one scan value: phase 1, or phase 0 with status "infeasible"."""
     try:
         return solve_phase(p, 1, paper_k1_approx=paper_k1_approx), "ok"
     except InfeasiblePhaseError:
-        sol = solve_phase(p, 0, paper_k1_approx=paper_k1_approx)
-        return replace(sol, feasible=False), "infeasible"
+        return solve_phase(p, 0, paper_k1_approx=paper_k1_approx), "infeasible"
 
 
 def _cmd_phase_scan(args, base, _sol):
@@ -186,7 +185,8 @@ def _cmd_phase_scan(args, base, _sol):
         p, cell = base.replace(**{args.key: value}), f"{value:.17g}"
         try:
             sol, status = _scan_point(p, args.paper_k1_approx)
-            result = _SCAN_FLOATS % _scan_floats(sol) + f",{str(sol.feasible).lower()},{str(sol.stable).lower()}"
+            feasible = sol.feasible and status == "ok"  # a phase-0 fallback row is flagged infeasible
+            result = _SCAN_FLOATS % _scan_floats(sol) + f",{str(feasible).lower()},{str(sol.stable).lower()}"
         except (ConvergenceError, SingularityError) as exc:
             # a failed row keeps its parameters and leaves the solution empty
             status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
@@ -319,10 +319,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_grid_values(argv: list[str]) -> list[str]:
+    """``--range -3,3,3`` as ``--range=-3,3,3``: argparse reads a lone value led by '-' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--values", "--range") and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None) -> int:
     """Parse arguments, run the subcommand, emit its payload and map errors to exit codes."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
         if args.format not in (None, args.natural_format):
             raise ParameterError(
                 f"subcommand {args.command!r} only supports --format {args.natural_format}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 
 from cyclefield.errors import ParameterError
@@ -57,9 +58,9 @@ class ModelParams:
         if not changes.keys() <= _FIELD_INDEX.keys():  # the constructor's TypeError
             return ModelParams(**{**self.to_dict(), **changes})
         checked = _checked({k: changes[k] for k in sorted(changes, key=_FIELD_INDEX.get)})
-        new = object.__new__(ModelParams)
-        for name in _FIELD_INDEX:
-            object.__setattr__(new, name, checked[name] if name in checked else getattr(self, name))
+        new, set_field = object.__new__(ModelParams), object.__setattr__
+        for name, v in zip(_FIELD_INDEX, _field_values(self)):
+            set_field(new, name, checked.get(name, v))
         return new
 
     def to_dict(self) -> dict:
@@ -67,8 +68,16 @@ class ModelParams:
 
 
 _FIELD_INDEX = {f.name: i for i, f in enumerate(fields(ModelParams))}
+_field_values = operator.attrgetter(*_FIELD_INDEX)
 _POSITIVE = ("varpi", "nu", "lambda_sq", "delta", "epsilon", "K_bar", "C_bar", "A0", "theta_sq")
 _NONNEGATIVE = ("varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq")
+# the range checks, in the order the constructor reports them: (fields, fails, requirement)
+_RANGES = (
+    (frozenset(_POSITIVE), lambda x: x <= 0.0, "be > 0"),
+    (frozenset(_NONNEGATIVE), lambda x: x < 0.0, "be >= 0"),
+    (frozenset(["epsilon"]), lambda x: x >= 1.0, "lie in (0, 1)"),
+    (frozenset(["kappa"]), lambda x: x >= 1.0, "lie in [0, 1)"),
+)
 
 
 def _checked(values: dict) -> dict:
@@ -80,15 +89,10 @@ def _checked(values: dict) -> dict:
         if not math.isfinite(v):
             raise ParameterError(f"{name} must be finite, got {v!r}")
         out[name] = float(v)
-    for name in _POSITIVE:
-        if out.get(name, 1.0) <= 0.0:
-            raise ParameterError(f"{name} must be > 0, got {out[name]}")
-    for name in _NONNEGATIVE:
-        if out.get(name, 0.0) < 0.0:
-            raise ParameterError(f"{name} must be >= 0, got {out[name]}")
-    for name, interval in (("epsilon", "(0, 1)"), ("kappa", "[0, 1)")):
-        if out.get(name, 0.0) >= 1.0:
-            raise ParameterError(f"{name} must lie in {interval}, got {out[name]}")
+    for names, fails, need in _RANGES:  # each over the given fields only, in field order
+        for name, x in out.items():
+            if name in names and fails(x):
+                raise ParameterError(f"{name} must {need}, got {x}")
     return out
 
 

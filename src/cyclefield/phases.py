@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from cyclefield.errors import (
     ConvergenceError,
@@ -31,6 +32,7 @@ from cyclefield.params import ModelParams
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2 = math.sqrt(2.0)
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
@@ -97,94 +99,117 @@ def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = 
     (stable log-space evaluation through ``math.erfc`` or
     :func:`_erfcx`); the surrogate fit is selected by ``paper_k1_approx``.
     """
-    C1 = _consumption_boundary_shift(params)
-    K1p, A1 = _capital_technology_shifts(params, gamma3, paper_k1_approx)
-    return C1, K1p, A1
+    shifts = _Shifts(params, paper_k1_approx)
+    return shifts.consumption_boundary_shift(), *shifts(gamma3)[:2]  # C1 first: a failing C1 raises first
 
 
 def _consumption_boundary_shift(params: ModelParams) -> float:
     """C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))."""
     p = params
-    xc = p.C_bar / (math.sqrt(2.0) * p.varpi)
+    xc = p.C_bar / (_SQRT_2 * p.varpi)
     return _SQRT_2_OVER_PI * p.varpi / _erfcx(xc)
 
 
-def _capital_technology_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool):
-    """The boundary shifts (K1p, A1) that depend on ``gamma3`` (see :func:`boundary_shifts`)."""
-    p = params
-    # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2))
-    lam = p.lam
-    z = gamma3
-    expo = -0.5 * lam * z * z
-    if expo < -745.0:  # exp underflow
-        A1 = 0.0
-    else:
-        den = 2.0 - math.erf(math.sqrt(lam) * z / math.sqrt(2.0))
-        A1 = 2.0 / math.sqrt(math.pi * lam) * math.exp(expo) / den
+class _Shifts:
+    """The boundary shifts of one solve, at fixed parameters and K1p form.
 
-    Y = _Y_of(p, gamma3)
-    if Y == 0.0:
-        raise SingularityError("Y = delta - Gamma3 eps K_bar^(eps-1)")
-    Yv = abs(Y)
-    u = p.C_bar + _SQRT_2_OVER_PI * p.varpi - gamma3 * p.K_bar ** p.epsilon * (1.0 - p.epsilon)
-    if paper_k1_approx:
-        s2 = 2.0 * p.nu ** 2 * Yv
-        expo = -u * u / s2
-        num = 0.0 if expo < -745.0 else 2.0 * p.nu ** 2 * Yv * math.exp(expo)
-        den = 2.0 - math.exp(-1.9 * (abs(u) / math.sqrt(s2)) ** 1.3)
-        K1p = -num / den
-    else:
-        # exact: -sqrt(2/pi) sqrt|Y| nu exp(-u^2/(2|Y|nu^2)) / (erf(u/sqrt2) + 1)
-        log_num = math.log(_SQRT_2_OVER_PI * math.sqrt(Yv) * p.nu) - u * u / (2.0 * Yv * p.nu ** 2)
-        if u >= 0.0:
-            log_den = math.log(math.erfc(-u / math.sqrt(2.0)))
+    ``shifts(g)`` is ``(K1p, A1, Y, AFp)`` at background ``g``, with ``AFp =
+    g eps K_bar**(eps-1)`` the product ``Y`` and the consumption denominator
+    share; each ``g`` is evaluated once.  Parameter-only factors are computed
+    once, and those that can fail only where the closed forms first need
+    them, so bad parameters raise as before: C1 and ``K_bar**(eps-1)`` in
+    :meth:`consumption_boundary_shift`, the squared noise scales in :meth:`den`.
+    """
+
+    def __init__(self, params: ModelParams, paper_k1_approx: bool):
+        p = self.params = params
+        self.paper_k1_approx = paper_k1_approx
+        self.g0 = p.A_bar0  # where the Gamma_3 root-find starts
+        lam = self.lam = p.lam
+        self.lam_expo, self.lam_root = -0.5 * lam, math.sqrt(lam)
+        self.A1_scale = 2.0 / math.sqrt(math.pi * lam)
+        self.Keps = p.K_bar ** p.epsilon
+        self.Keps1 = self.Keps * (1.0 - p.epsilon)
+        self.avg_C0 = p.C_bar + _SQRT_2_OVER_PI * p.varpi  # the trivial phase's consumption average
+        self.C1 = self.Kem1 = self.varpi2 = self.nu2 = None
+        self.memo = {}
+
+    def consumption_boundary_shift(self) -> float:
+        """C1; on the first call it and ``K_bar**(eps-1)`` are computed, in that order."""
+        if self.C1 is None:
+            p = self.params
+            self.C1 = _consumption_boundary_shift(p)
+            self.Kem1 = p.K_bar ** (p.epsilon - 1.0)
+        return self.C1
+
+    def __call__(self, g: float):
+        got = self.memo.get(g)
+        if got is not None:
+            return got
+        if self.Kem1 is None:
+            self.consumption_boundary_shift()
+        p = self.params
+        # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2))
+        expo = self.lam_expo * g * g
+        if expo < -745.0:  # exp underflow
+            A1 = 0.0
         else:
-            log_den = math.log(_erfcx(-u / math.sqrt(2.0))) - u * u / 2.0
-        expo = log_num - log_den
-        if expo > _LOG_DBL_MAX:
-            raise SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))")
-        K1p = 0.0 if expo < -745.0 else -math.exp(expo)
-    return K1p, A1
+            A1 = self.A1_scale * math.exp(expo) / (2.0 - math.erf(self.lam_root * g / _SQRT_2))
+
+        AFp = g * p.epsilon * self.Kem1
+        Y = p.delta - AFp
+        if Y == 0.0:
+            raise SingularityError("Y = delta - Gamma3 eps K_bar^(eps-1)")
+        Yv = abs(Y)
+        u = self.avg_C0 - g * self.Keps * (1.0 - p.epsilon)
+        if self.paper_k1_approx:
+            s2 = 2.0 * p.nu ** 2 * Yv
+            expo = -u * u / s2
+            num = 0.0 if expo < -745.0 else s2 * math.exp(expo)
+            den = 2.0 - math.exp(-1.9 * (abs(u) / math.sqrt(s2)) ** 1.3)
+            K1p = -num / den
+        else:
+            # exact: -sqrt(2/pi) sqrt|Y| nu exp(-u^2/(2|Y|nu^2)) / (erf(u/sqrt2) + 1)
+            log_num = math.log(_SQRT_2_OVER_PI * math.sqrt(Yv) * p.nu) - u * u / (2.0 * Yv * p.nu ** 2)
+            if u >= 0.0:
+                log_den = math.log(math.erfc(-u / _SQRT_2))
+            else:
+                log_den = math.log(_erfcx(-u / _SQRT_2)) - u * u / 2.0
+            expo = log_num - log_den
+            if expo > _LOG_DBL_MAX:
+                raise SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))")
+            K1p = 0.0 if expo < -745.0 else -math.exp(expo)
+        got = self.memo[g] = K1p, A1, Y, AFp
+        return got
+
+    def den(self, Y: float, AFp: float, gamma_eta: float) -> float:
+        """The denominator of :meth:`rhs` at one ``g``'s ``(Y, AFp)``; a sign change marks a pole."""
+        p = self.params
+        if self.nu2 is None:  # K1p at this g has computed nu^2 already
+            self.varpi2, self.nu2 = p.varpi ** 2, p.nu ** 2
+        ab = self.varpi2 / _consumption_denom(p, AFp) + self.nu2
+        return 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * self.Keps1
+
+    def rhs(self, gamma_eta: float):
+        """The Gamma_3 self-consistency ``rhs(g)`` at condensate ``gamma_eta``."""
+        p = self.params
+        Cq = p.C_bar + self.consumption_boundary_shift()
+        A_fixed, A_slope = (1.0 - p.kappa) * p.A0, (2.0 - p.kappa) * p.kappa
+
+        def rhs(g: float) -> float:
+            K1p, A1, Y, AFp = self(g)
+            num = 2.0 * (2.0 * (A_fixed + A_slope * g + A1) * Y * Y + (Cq - K1p) * gamma_eta * Y)
+            den = self.den(Y, AFp, gamma_eta)
+            if den == 0.0:
+                raise SingularityError("Gamma3 self-consistency denominator")
+            return num / den
+
+        return rhs
 
 
 # ---------------------------------------------------------------------------
 # Gamma_3 self-consistency
 # ---------------------------------------------------------------------------
-
-
-def _gamma3_den(params: ModelParams, g3: float, gamma_eta: float, Y: float) -> float:
-    """Denominator of the :func:`_gamma3_rhs_of` rhs, given ``Y = _Y_of(params, g3)``.
-
-    Where it changes sign ``rhs`` has a pole.
-    """
-    p = params
-    ab = p.varpi ** 2 / _consumption_denom(p, g3) + p.nu ** 2
-    Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
-    return 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * Keps1
-
-
-def _gamma3_rhs_of(params: ModelParams, gamma_eta: float, paper_k1_approx: bool):
-    """The Gamma_3 self-consistency ``rhs(g3)`` at fixed parameters and condensate.
-
-    C1 does not depend on ``g3``, so it is computed once here rather than
-    at every evaluation.
-    """
-    p = params
-    C1 = _consumption_boundary_shift(p)
-
-    def rhs(g3: float) -> float:
-        K1p, A1 = _capital_technology_shifts(p, g3, paper_k1_approx)
-        Y = _Y_of(p, g3)
-        num = 2.0 * (
-            2.0 * ((1.0 - p.kappa) * p.A0 + (2.0 - p.kappa) * p.kappa * g3 + A1) * Y * Y
-            + ((p.C_bar + C1) - K1p) * gamma_eta * Y
-        )
-        den = _gamma3_den(p, g3, gamma_eta, Y)
-        if den == 0.0:
-            raise SingularityError("Gamma3 self-consistency denominator")
-        return num / den
-
-    return rhs
 
 
 def gamma3_fixed_point(
@@ -193,6 +218,8 @@ def gamma3_fixed_point(
     tol: float = 1e-12,
     max_iter: int = 1000,
     paper_k1_approx: bool = False,
+    *,
+    shifts: _Shifts | None = None,
 ) -> float:
     """Solve the Gamma_3 self-consistency equation ``rhs(g) = g``.
 
@@ -209,10 +236,13 @@ def gamma3_fixed_point(
     :class:`SingularityError` when the denominator of ``rhs`` changes sign
     between the bracket's ends (the sign change of ``f`` is a pole), and
     :class:`ConvergenceError`, carrying the last residual and naming the
-    bracket, otherwise.
+    bracket, otherwise.  ``shifts`` is the solve's :class:`_Shifts` of
+    ``(params, paper_k1_approx)``; without it one is built here.
     """
+    if shifts is None:
+        shifts = _Shifts(params, paper_k1_approx)
     n = 0
-    rhs = _gamma3_rhs_of(params, gamma_eta, paper_k1_approx)
+    rhs = shifts.rhs(gamma_eta)
 
     def residual_at(g: float) -> float:
         nonlocal n
@@ -222,7 +252,7 @@ def gamma3_fixed_point(
             raise ConvergenceError(f"Gamma3 residual is not finite at g={g!r}", abs(r), n)
         return r
 
-    a = params.A_bar0
+    a = shifts.g0
     fa = residual_at(a)
     if abs(fa) < tol:
         return a
@@ -255,7 +285,7 @@ def gamma3_fixed_point(
         else:
             fa *= 0.5
         b, fb = c, fc
-    den_a, den_b = (_gamma3_den(params, g, gamma_eta, _Y_of(params, g)) for g in (a, b))
+    den_a, den_b = (shifts.den(*shifts(g)[2:], gamma_eta) for g in (a, b))
     if (den_a < 0.0) != (den_b < 0.0):
         raise SingularityError(
             f"Gamma3 pole: the rhs denominator changes sign in [{min(a, b)!r}, {max(a, b)!r}]"
@@ -287,18 +317,17 @@ def _gamma3_slope(params: ModelParams, x: float, Y0: float):
     return num, 0.5 * num / (Y0 * Y0 * (1.0 - p.kappa) ** 3)
 
 
-def _consumption_denom(params: ModelParams, g: float) -> float:
-    """``varsigma^2 varpi^2 + (g eps K_bar^(eps-1) + r_c)^2`` at technology background ``g``."""
+def _consumption_denom(params: ModelParams, AFp: float) -> float:
+    """``varsigma^2 varpi^2 + (AFp + r_c)^2``, with ``AFp = g eps K_bar^(eps-1)`` at background ``g``."""
     p = params
-    AFp = g * p.epsilon * p.K_bar ** (p.epsilon - 1.0)
     return p.varsigma ** 2 * p.varpi ** 2 + (AFp + p.r_c) ** 2
 
 
-def _consumption_shift(params: ModelParams, gamma_eta: float, g: float) -> float:
-    """First-order consumption shift ``varpi^2 A_bar0 gamma_eta / (2 denom |Y|)`` at ``g``."""
-    p = params
-    denom = 2.0 * _consumption_denom(p, g) * abs(_Y_of(p, g))
-    return p.varpi ** 2 * p.A_bar0 * gamma_eta / denom
+def _consumption_shift(shifts: _Shifts, gamma_eta: float, Y: float, AFp: float) -> float:
+    """First-order consumption shift ``varpi^2 A_bar0 gamma_eta / (2 denom |Y|)`` at one ``(Y, AFp)``."""
+    p = shifts.params
+    denom = 2.0 * _consumption_denom(p, AFp) * abs(Y)
+    return p.varpi ** 2 * shifts.g0 * gamma_eta / denom
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +344,7 @@ def c0_window(params: ModelParams) -> tuple[float, float]:
     p = params
     floor = p.alpha_laplace + math.sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam
     eps, Kb = p.epsilon, p.K_bar
+    Keps, kd = Kb ** eps, p.kappa * p.delta * Kb ** (1.0 - eps) / eps
     g0 = p.A_bar0
     Y0 = _Y_of(p, g0)
     t1 = (
@@ -323,25 +353,28 @@ def c0_window(params: ModelParams) -> tuple[float, float]:
         * p.kappa
         * Y0
         * ((2.0 - p.kappa) * p.A0 + (3.0 - p.kappa) * p.kappa * p.delta / (eps * Kb ** (eps - 1.0)))
-        / (eps * Kb ** eps)
+        / (eps * Keps)
     )
-    S = (1.0 - p.kappa) * (p.A0 + p.kappa * p.delta * Kb ** (1.0 - eps) / eps) + (
-        p.kappa * p.delta * Kb ** (1.0 - eps) / eps
-    )
-    t2 = (S * S - 2.0 * p.C_bar * S - p.C_bar ** 2) / ((1.0 - eps) * Kb ** eps)
+    S = (1.0 - p.kappa) * (p.A0 + kd) + kd
+    t2 = (S * S - 2.0 * p.C_bar * S - p.C_bar ** 2) / ((1.0 - eps) * Keps)
     return floor, t1 + t2
 
 
-def compatibility_root(params: ModelParams, paper_k1_approx: bool = False) -> dict:
+def compatibility_root(
+    params: ModelParams, paper_k1_approx: bool = False, *, shifts: _Shifts | None = None
+) -> dict:
     """Solve the compatibility quadratic for the condensate ``gamma_eta``.
 
     Returns a dict with ``gamma_eta``, the auxiliary root ``x``, the gate
     quantity ``D``, the C0 window, the upper admissibility bound, and the
     zeroth-order capital shift ``K1p0`` (``boundary_shifts`` at ``A0/(1-kappa)``).
     Raises :class:`InfeasiblePhaseError` if the window, the ``D > 0``
-    gate, or the ``gamma_eta`` bracket is violated.
+    gate, or the ``gamma_eta`` bracket is violated.  ``shifts`` is as in
+    :func:`gamma3_fixed_point`.
     """
     p = params
+    if shifts is None:
+        shifts = _Shifts(p, paper_k1_approx)
     floor, U = c0_window(p)
     if U <= 0.0:
         raise InfeasiblePhaseError(f"C0 window has nonpositive width U={U:.6g}")
@@ -349,15 +382,15 @@ def compatibility_root(params: ModelParams, paper_k1_approx: bool = False) -> di
         raise InfeasiblePhaseError(
             f"C0={p.C0:.6g} outside the admissible window ({floor:.6g}, {floor + U:.6g})"
         )
-    g0 = p.A_bar0
+    g0, Keps1 = shifts.g0, shifts.Keps1
     Y0 = _Y_of(p, g0)
-    Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
     D = Keps1 * (
-        p.alpha_laplace - p.C0 + math.sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam + abs(Y0)
+        p.alpha_laplace - p.C0 + math.sqrt(_consumption_denom(p, 0.0)) + 1.0 / shifts.lam + abs(Y0)
     )
     if D < 0.0:
         raise InfeasiblePhaseError(f"compatibility gate D={D:.6g} is negative")
-    C1, K1p, _ = boundary_shifts(p, g0, paper_k1_approx=paper_k1_approx)
+    C1 = shifts.consumption_boundary_shift()
+    K1p = shifts(g0)[0]
     Cq = p.C_bar + C1 - K1p  # redefined consumption anchor
     a2 = Cq * Cq + 2.0 * Cq * g0 - g0 * g0 - D
     b1 = 3.0 * Cq * Cq + 8.0 * Cq * g0 - 4.0 * g0 * g0 - 4.0 * D
@@ -411,14 +444,13 @@ def _existence(params: ModelParams, floor: float, U: float) -> dict:
     """:func:`phase_existence` given the C0 window ``(floor, floor + U)``."""
     p = params
     gamma_positive = p.gamma > 0.0
-    a0_bound = (1.0 + math.sqrt(2.0)) * p.C_bar
+    a0_bound = (1.0 + _SQRT_2) * p.C_bar
     A0_large = p.A0 > a0_bound
-    refined_bound = (
-        a0_bound - (2.0 - p.kappa) * p.kappa * p.delta * p.K_bar ** (1.0 - p.epsilon) / p.epsilon
-    ) / (1.0 - p.kappa)
+    K_1_eps = p.K_bar ** (1.0 - p.epsilon)
+    refined_bound = (a0_bound - (2.0 - p.kappa) * p.kappa * p.delta * K_1_eps / p.epsilon) / (1.0 - p.kappa)
     A0_large_refined = p.A0 > refined_bound
     lam_large = p.lam >= LAMBDA_LARGE_THRESHOLD
-    spread = p.A0 * p.epsilon / ((1.0 - p.kappa) * p.K_bar ** (1.0 - p.epsilon)) - p.delta
+    spread = p.A0 * p.epsilon / ((1.0 - p.kappa) * K_1_eps) - p.delta
     spread_ok = 0.0 < spread < 1.0
     window_ok = U > 0.0 and floor < p.C0 < floor + U
     feasible = gamma_positive and A0_large and spread_ok and window_ok
@@ -441,14 +473,13 @@ def _existence(params: ModelParams, floor: float, U: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _trivial_averages(params: ModelParams, K1p: float):
-    """Trivial-phase averages of C, K (signed) and Y, and ``x = avg_C - K1p``."""
-    p = params
-    g0 = p.A_bar0
-    avg_C = p.C_bar + _SQRT_2_OVER_PI * p.varpi
+def _trivial_averages(shifts: _Shifts, K1p: float):
+    """Trivial-phase averages of C, K (signed) and Y, and ``x = avg_C - K1p``, from a solve's shifts."""
+    p = shifts.params
+    g0 = shifts.g0
+    avg_C = shifts.avg_C0
     x = avg_C - K1p
-    Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
-    avg_K = (g0 * Keps1 - x) / _Y_of(p, g0)
+    avg_K = (g0 * shifts.Keps1 - x) / shifts(g0)[2]
     base = abs(avg_K)  # magnitude is the capital scale (see module sign note)
     if base <= 0.0:
         raise DomainError("trivial-phase capital scale is nonpositive")
@@ -468,13 +499,14 @@ def stability_check(
     lam = p.lam
     Kmag = abs(avg_K) if avg_K != 0.0 else p.K_bar
     r_hat = p.epsilon * gamma3 * Kmag ** (p.epsilon - 1.0)
-    s_ = math.sqrt(p.varsigma ** 2 * p.varpi ** 2 + (r_hat + p.r_c) ** 2)
-    b1 = 2.0 * s_ - gamma_eta * p.varpi / math.sqrt(lam * s_)
-    b2 = 2.0 * abs(Y) - gamma_eta * math.sqrt(abs(Y)) * p.nu / math.sqrt(lam)
+    s_ = math.sqrt(_consumption_denom(p, r_hat))
+    Yv, root_Y, root_lam, root_lam_s = abs(Y), math.sqrt(abs(Y)), math.sqrt(lam), math.sqrt(lam * s_)
+    b1 = 2.0 * s_ - gamma_eta * p.varpi / root_lam_s
+    b2 = 2.0 * Yv - gamma_eta * root_Y * p.nu / root_lam
     b3 = 1.0 / lam - gamma_eta * (
-        math.sqrt(abs(Y)) * p.nu / (2.0 * math.sqrt(lam))
-        + p.varpi / (2.0 * math.sqrt(lam * s_))
-        + 2.0 * p.K_bar ** p.epsilon * (1.0 - p.epsilon) / (lam * abs(Y))
+        root_Y * p.nu / (2.0 * root_lam)
+        + p.varpi / (2.0 * root_lam_s)
+        + 2.0 * p.K_bar ** p.epsilon * (1.0 - p.epsilon) / (lam * Yv)
     )
     product = p.gamma * abs(avg_K) * avg_A
     stable = bool(b1 > 0.0 and b2 > 0.0 and b3 > 0.0 and product > 0.0)
@@ -504,61 +536,53 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
         sol = _solve_phase(params, phase, paper_k1_approx)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise SingularityError(f"phase-{phase} closed forms left the double range ({exc})") from exc
-    bad = [k for k, v in vars(sol).items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise SingularityError(f"phase-{phase} closed forms left the double range in {', '.join(bad)}")
+    values = _float_fields(sol)
+    if not math.isfinite(sum(values)):  # a NaN or an infinity makes the sum non-finite
+        bad = [k for k, v in zip(_FLOAT_FIELDS, values) if not math.isfinite(v)]
+        if bad:
+            raise SingularityError(f"phase-{phase} closed forms left the double range in {', '.join(bad)}")
     return sol
+
+
+# the float fields, read without vars(): a materialised __dict__ makes every later read slower
+_FLOAT_FIELDS = tuple(f.name for f in fields(PhaseSolution) if f.type == "float")
+_float_fields = attrgetter(*_FLOAT_FIELDS)
 
 
 def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> PhaseSolution:
     p = params
+    shifts = _Shifts(p, paper_k1_approx)
     if phase == 0:
-        g3 = gamma3_fixed_point(p, 0.0, paper_k1_approx=paper_k1_approx)
-        C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
-        avg_C, avg_K, avg_Y, _ = _trivial_averages(p, K1p)
+        g3 = gamma3_fixed_point(p, 0.0, paper_k1_approx=paper_k1_approx, shifts=shifts)
+        C1 = shifts.C1
+        K1p, A1, Y, _ = shifts(g3)
+        avg_C, avg_K, avg_Y, _ = _trivial_averages(shifts, K1p)
+        g0 = shifts.g0
+        # the fields in order, passed by position: keywords cost about 1 us a solve
         return PhaseSolution(
-            phase=0,
-            gamma_eta=0.0,
-            Gamma1=p.C_bar + C1,
-            Gamma2=K1p,
-            Gamma3=g3,
-            C1=C1,
-            K1p=K1p,
-            A1=A1,
-            A_bar_phase=p.A_bar0,
-            C_bar_phase=avg_C,
-            mass=0.0,
-            avg_A=p.A_bar0,
-            avg_C=avg_C,
-            avg_K=avg_K,
-            avg_Y=avg_Y,
-            feasible=True,
-            stable=True,
-            Y_coef=_Y_of(p, g3),
+            0, 0.0, p.C_bar + C1, K1p, g3,  # phase, gamma_eta, Gamma1, Gamma2, Gamma3
+            C1, K1p, A1, g0, avg_C, 0.0,  # C1, K1p, A1, A_bar_phase, C_bar_phase, mass
+            g0, avg_C, avg_K, avg_Y, True, True, Y,  # avg_A, avg_C, avg_K, avg_Y, feasible, stable, Y_coef
         )
     if phase != 1:
         raise DomainError(f"phase must be 0 or 1, got {phase!r}")
 
-    comp = compatibility_root(p, paper_k1_approx=paper_k1_approx)
+    comp = compatibility_root(p, paper_k1_approx=paper_k1_approx, shifts=shifts)
     ge = comp["gamma_eta"]
-    g3 = gamma3_fixed_point(p, ge, paper_k1_approx=paper_k1_approx)
-    Y = _Y_of(p, g3)
-    C1, K1p, A1 = boundary_shifts(p, g3, paper_k1_approx=paper_k1_approx)
+    g3 = gamma3_fixed_point(p, ge, paper_k1_approx=paper_k1_approx, shifts=shifts)
+    K1p, A1, Y, AFp = shifts(g3)
+    g0 = shifts.g0
+    K1p0, _, Y0, AFp0 = shifts(g0)
+    eps, Kb, Keps, Keps1 = p.epsilon, p.K_bar, shifts.Keps, shifts.Keps1
 
-    g0, K1p0 = p.A_bar0, comp["K1p0"]
-    Y0 = _Y_of(p, g0)
-    eps, Kb = p.epsilon, p.K_bar
-    Keps = Kb ** eps
-    Keps1 = Keps * (1.0 - eps)
-
-    Gamma1 = p.C_bar + C1 - _consumption_shift(p, ge, g3)
+    Gamma1 = p.C_bar + shifts.C1 - _consumption_shift(shifts, ge, Y, AFp)
     Gamma2 = K1p - (p.nu ** 2 * g0 * Y + Keps1 * (1.0 - Y) * K1p) * ge / (2.0 * Y * Y)
 
     # first-order averages, correction coefficients at zeroth order
-    avg_C0, avg_K0, avg_Y0, x = _trivial_averages(p, K1p0)
+    avg_C0, avg_K0, avg_Y0, x = _trivial_averages(shifts, K1p0)
     slope_num, slope = _gamma3_slope(p, x, Y0)
     avg_A = g0 - slope * ge
-    avg_C = avg_C0 - _consumption_shift(p, ge, g0)
+    avg_C = avg_C0 - _consumption_shift(shifts, ge, Y0, AFp0)
     t1 = (
         -0.5
         * Keps
@@ -569,7 +593,7 @@ def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> Phas
     )
     t2 = -Keps1 * (1.0 - Y0) * K1p0 * ge / (2.0 * Y0 ** 3)
     t3 = -p.nu ** 2 * g0 * ge / (2.0 * Y0 * Y0)
-    t4 = -p.varpi ** 2 * g0 * ge / (2.0 * _consumption_denom(p, g0) * Y0 * Y0)
+    t4 = -p.varpi ** 2 * g0 * ge / (2.0 * _consumption_denom(p, AFp0) * Y0 * Y0)
     avg_K = avg_K0 + t1 + t2 + t3 + t4
     r_bar = eps * Keps * p.A0 / (1.0 - p.kappa)
     coef = slope * (1.0 - eps * (1.0 + p.delta / r_bar))
@@ -587,25 +611,10 @@ def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> Phas
 
     existence = _existence(p, comp["window_floor"], comp["window_width"])
     stab = stability_check(p, ge, g3, avg_K, avg_A)
-    return PhaseSolution(
-        phase=1,
-        gamma_eta=ge,
-        Gamma1=Gamma1,
-        Gamma2=Gamma2,
-        Gamma3=g3,
-        C1=C1,
-        K1p=K1p,
-        A1=A1,
-        A_bar_phase=A_bar1,
-        C_bar_phase=Gamma1,
-        mass=mass,
-        avg_A=avg_A,
-        avg_C=avg_C,
-        avg_K=avg_K,
-        avg_Y=avg_Y,
-        # the existence conditions, a positive mass gap and anchors an
-        # AgentState accepts
-        feasible=existence["feasible"] and mass > 0.0 and Gamma1 >= 0.0 and A_bar1 >= 0.0,
-        stable=stab["stable"],
-        Y_coef=Y,
+    # the existence conditions, a positive mass gap and anchors an AgentState accepts
+    feasible = existence["feasible"] and mass > 0.0 and Gamma1 >= 0.0 and A_bar1 >= 0.0
+    return PhaseSolution(  # by position, as in phase 0
+        1, ge, Gamma1, Gamma2, g3,  # phase, gamma_eta, Gamma1, Gamma2, Gamma3
+        shifts.C1, K1p, A1, A_bar1, Gamma1, mass,  # C1, K1p, A1, A_bar_phase, C_bar_phase, mass
+        avg_A, avg_C, avg_K, avg_Y, feasible, stab["stable"], Y,  # avg_A ... avg_Y, feasible, stable, Y_coef
     )

@@ -21,7 +21,7 @@ from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
 from cyclefield.phases import (
     _Y_of,
-    _gamma3_rhs_of,
+    _Shifts,
     c0_window,
     compatibility_root,
     gamma3_first_order,
@@ -75,7 +75,7 @@ class TestFixedPointResidualAndOrder:
         for p, sol in feasible_draws:
             ge = sol.gamma_eta
             g3 = gamma3_fixed_point(p, ge)
-            assert abs(_gamma3_rhs_of(p, ge, False)(g3) - g3) < 1e-10
+            assert abs(_Shifts(p, False).rhs(ge)(g3) - g3) < 1e-10
         # the first-order expansion misses the fixed point at second
         # order in the condensate strength: fitted slope of the error
         scalings = np.array([1.0, 0.5, 0.25, 0.125])
@@ -98,7 +98,7 @@ def damped_gamma3(params, gamma_eta, tol=1e-12, max_iter=1000, paper_k1_approx=F
     g = params.A_bar0
     residual = math.inf
     for it in range(1, max_iter + 1):
-        rhs = _gamma3_rhs_of(params, gamma_eta, paper_k1_approx)(g)
+        rhs = _Shifts(params, paper_k1_approx).rhs(gamma_eta)(g)
         residual = abs(rhs - g)
         if residual < tol:
             return (1.0 - damping) * g + damping * rhs
@@ -146,7 +146,7 @@ class TestRootAgreesWithDampedIteration:
             p = base.replace(kappa=float(kappa))
             ge = condensate(p)
             g3 = gamma3_fixed_point(p, ge)
-            assert abs(_gamma3_rhs_of(p, ge, False)(g3) - g3) < 1e-12, kappa
+            assert abs(_Shifts(p, False).rhs(ge)(g3) - g3) < 1e-12, kappa
 
 
 class TestFreeLimit:

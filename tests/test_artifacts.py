@@ -6,10 +6,14 @@ CHANGES.md.
 """
 
 import hashlib
+import math
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from cyclefield import cli, phases
 from cyclefield.cli import run
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "base.cfg")
@@ -74,3 +78,55 @@ def test_mc_validate_export_pinned(tmp_path):
     assert run(["--config", CONFIG, *argv, "--output", str(report)]) == 0
     assert sha256(export) == "a10acf034f1bc9c692060c5f1cde7335a478f00e98f97805d74ad4227b077d00"
     assert sha256(report) == "9e00e626c0a55d381ab6798be537434f233ed8c27213d6f3f475e00a8d861f81"
+
+
+# Scans that reach the phase solver's less common branches, pinned so that a
+# refactor of the solver keeps their bytes too: (argv, digest, statuses).
+BRANCH_PINS = {
+    # the surrogate capital shift (--paper-k1-approx) on 200 solved rows
+    "scan-A0-k1-approx": (
+        ["phase-scan", "--paper-k1-approx", "--key", "A0", "--range", "4,12,200"],
+        "1916f3bc5fbabe97f799e9c14aaf5013744de790e1d03fd1131e4272ab2262b0",
+        {"ok": 200},
+    ),
+    # small A0: u >= 0 in the exact capital shift, and every row falls back to phase 0
+    "scan-A0-small": (
+        ["phase-scan", "--key", "A0", "--range", "0.05,1,20"],
+        "c7b64af37ded288bc82f54348feefa864d2533c5b9efdb037abc8318c9891d29",
+        {"infeasible": 20},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,digest,statuses", BRANCH_PINS.values(), ids=list(BRANCH_PINS))
+def test_solver_branch_scans_pinned(tmp_path, monkeypatch, argv, digest, statuses):
+    calls = Counter()
+
+    def counted(real, key):
+        def wrapper(*args, **kwargs):
+            calls[key(*args, **kwargs)] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    # math.erfc at a negative argument is the u >= 0 branch of the exact K1p
+    # (_erfcx only passes x >= 0); math.log is called only by the exact form
+    fake_math = SimpleNamespace(**vars(math))
+    fake_math.erfc = counted(math.erfc, lambda x: "erfc<0" if x < 0.0 else "erfc>=0")
+    fake_math.log = counted(math.log, lambda x: "log")
+    monkeypatch.setattr(phases, "math", fake_math)
+    monkeypatch.setattr(
+        cli, "solve_phase",
+        counted(phases.solve_phase, lambda p, ph, paper_k1_approx: (ph, paper_k1_approx)),
+    )
+    out = tmp_path / "out"
+    assert run(["--config", CONFIG, *argv, "--output", str(out)]) == 0
+    assert Counter(row.rsplit(",", 1)[1] for row in out.read_text().splitlines()[1:]) == statuses
+    assert sha256(out) == digest
+    approx = "--paper-k1-approx" in argv
+    rows = sum(statuses.values())
+    assert calls[(1, approx)] == rows  # every row tries phase 1 first
+    assert calls[(0, approx)] == statuses.get("infeasible", 0)  # the phase-0 fallback
+    if approx:
+        assert calls["log"] == 0  # the exact form never ran
+    else:
+        assert calls["erfc<0"] > 0  # the u >= 0 branch ran

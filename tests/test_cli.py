@@ -172,6 +172,24 @@ class TestPhaseScan:
         rows = self.parse(text)
         assert [float(r["A0"]) for r in rows] == [7.0, 7.5, 8.0, 8.5, 9.0]
 
+    @pytest.mark.parametrize(
+        "option,grid,values",
+        [("--range", "-3,3,3", [-3.0, 0.0, 3.0]), ("--values", "-1,0,1", [-1.0, 0.0, 1.0])],
+    )
+    def test_grid_may_start_below_zero(self, tmp_path, option, grid, values):
+        # argparse would read a separate "-3,3,3" as an option
+        code_apart, apart = invoke(tmp_path, "phase-scan", "--key", "g", option, grid, name="apart")
+        code_joined, joined = invoke(tmp_path, "phase-scan", "--key", "g", f"{option}={grid}", name="joined")
+        assert code_apart == code_joined == 0
+        assert apart == joined
+        assert [float(r["g"]) for r in self.parse(apart)] == values
+
+    @pytest.mark.parametrize("tail", [["--range"], ["--values"], ["--range", "--values", "1"]])
+    def test_missing_grid_value_is_a_usage_error(self, tmp_path, capsys, tail):
+        code, _ = invoke(tmp_path, "phase-scan", "--key", "g", *tail)
+        assert code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = invoke(tmp_path, "phase-scan", "--key", "bogus", "--values", "1")
         assert code == 2

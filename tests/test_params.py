@@ -108,6 +108,27 @@ class TestReplace:
         items = list(changes.items())
         self.assert_same_as_constructor(base, dict(items[::-1] if reverse else items))
 
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"varsigma": -1.0, "delta": 0.0}, "delta must be > 0, got 0.0"),
+            ({"kappa": 1.0, "r_c": -1.0}, "r_c must be >= 0, got -1.0"),
+            ({"epsilon": 1.0, "kappa": -0.5}, "kappa must be >= 0, got -0.5"),
+            ({"kappa": 1.0, "epsilon": 1.0}, "epsilon must lie in (0, 1), got 1.0"),
+            ({"C0": -1.0, "gamma": -2.0}, "gamma must be >= 0, got -2.0"),
+            ({"delta": 0.0, "nu": math.nan}, "nu must be finite, got nan"),
+            ({"eta_sq": -1.0, "theta_sq": 0.0, "varsigma": -3.0}, "theta_sq must be > 0, got 0.0"),
+        ],
+    )
+    def test_first_of_several_faults(self, changes, message):
+        # every type fault first, then every > 0 rule, then >= 0, then the
+        # intervals, each in field order, whichever order the fields are given in
+        for given in (changes, dict(reversed(changes.items()))):
+            for make in (lambda c: ModelParams(**c), lambda c: ModelParams().replace(**c)):
+                with pytest.raises(ParameterError) as info:
+                    make(given)
+                assert str(info.value) == message
+
     def test_copy_leaves_the_original(self):
         base = ModelParams()
         moved = base.replace(A0=9.0)

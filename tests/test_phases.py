@@ -21,8 +21,7 @@ from cyclefield import phases
 from cyclefield.params import ModelParams
 from cyclefield.phases import (
     _erfcx,
-    _gamma3_den,
-    _gamma3_rhs_of,
+    _Shifts,
     _Y_of,
     boundary_shifts,
     c0_window,
@@ -135,7 +134,7 @@ class TestGamma3:
     def test_residual_below_tolerance(self, params):
         ge = 0.003
         g3 = gamma3_fixed_point(params, ge)
-        assert abs(_gamma3_rhs_of(params, ge, False)(g3) - g3) < 1e-10
+        assert abs(_Shifts(params, False).rhs(ge)(g3) - g3) < 1e-10
 
     @pytest.mark.parametrize("phase", [0, 1])
     def test_consumption_shift_computed_once_per_gamma3_solve(self, params, monkeypatch, phase):
@@ -173,7 +172,7 @@ class TestGamma3:
         p = params.replace(nu=2.3)
         ge = compatibility_root(p)["gamma_eta"]
         g3 = gamma3_fixed_point(p, ge)
-        assert abs(_gamma3_rhs_of(p, ge, False)(g3) - g3) < 1e-12
+        assert abs(_Shifts(p, False).rhs(ge)(g3) - g3) < 1e-12
         assert g3 == pytest.approx(0.09538985688890404, rel=1e-10)
         assert solve_phase(p, 1).Gamma3 == g3
 
@@ -185,10 +184,138 @@ class TestGamma3:
         with pytest.raises(SingularityError, match="Gamma3 pole") as err:
             gamma3_fixed_point(p, ge)
         lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(err.value)).groups())
-        den_lo, den_hi = (_gamma3_den(p, g, ge, _Y_of(p, g)) for g in (lo, hi))
+        shifts = _Shifts(p, False)
+        den_lo, den_hi = (shifts.den(*shifts(g)[2:], ge) for g in (lo, hi))
         assert lo < hi and (den_lo < 0.0) != (den_hi < 0.0)
         with pytest.raises(SingularityError, match="Gamma3 pole"):
             solve_phase(p, 1)
+
+
+_OUT_OF_RANGE = "vanishing factor in closed form: phase-{} closed forms left the double range ({})"
+_OVERFLOW = "(34, 'Numerical result out of range')"
+
+# (parameter change, phase, paper_k1_approx, error type, message): what
+# solve_phase raised before one evaluator served a whole solve.  The cases
+# after the first five add a second fault that the closed forms reach later.
+ERROR_ORDER = {
+    "infeasible-window": (
+        {"C0": 1e9}, 1, False, InfeasiblePhaseError, "C0=1e+09 outside the admissible window (0.300249, 43.9377)",
+    ),
+    "K_bar-power-overflow": (
+        {"K_bar": 1e-310, "epsilon": 0.001}, 0, False, SingularityError, _OUT_OF_RANGE.format(0, _OVERFLOW),
+    ),
+    "K_bar-power-overflow-phase-1": (
+        {"K_bar": 1e-310, "epsilon": 0.001}, 1, False, SingularityError, _OUT_OF_RANGE.format(1, _OVERFLOW),
+    ),
+    "Y-zero": (
+        {"K_bar": 1.0, "epsilon": 0.5, "kappa": 0.0, "A0": 0.1, "delta": 0.05}, 0, False, SingularityError,
+        "vanishing factor in closed form: Y = delta - Gamma3 eps K_bar^(eps-1)",
+    ),
+    "K1p-overflow": (
+        {"A0": 100.0, "nu": 1.0, "kappa": 0.0}, 1, False, SingularityError,
+        "vanishing factor in closed form: K1p denominator erf(u/sqrt2) + 1 (K1p = -exp(7991.34))",
+    ),
+    "Gamma3-pole": (
+        {"A0": 3.691903901261551}, 1, False, SingularityError,
+        "vanishing factor in closed form: Gamma3 pole: the rhs denominator changes sign in "
+        "[-0.9190822633979401, -0.91908226339794]",
+    ),
+    "Y-zero-then-nu-squared": (
+        {"K_bar": 1.0, "epsilon": 0.5, "kappa": 0.0, "A0": 0.1, "delta": 0.05, "nu": 1e200}, 0, True,
+        SingularityError, "vanishing factor in closed form: Y = delta - Gamma3 eps K_bar^(eps-1)",
+    ),
+    "C1-zero-then-K_bar-power": (
+        {"C_bar": 1e308, "varpi": 1e-300, "K_bar": 1e-310, "epsilon": 0.001}, 0, False, SingularityError,
+        _OUT_OF_RANGE.format(0, "float division by zero"),
+    ),
+    "K1p-then-varsigma-squared": (
+        {"A0": 100.0, "nu": 1.0, "kappa": 0.0, "varsigma": 1e200}, 0, False, SingularityError,
+        "vanishing factor in closed form: K1p denominator erf(u/sqrt2) + 1 (K1p = -exp(7991.34))",
+    ),
+    "window-then-C1-zero": (
+        {"C0": 1e9, "varpi": 1e-310}, 1, False, InfeasiblePhaseError,
+        "C0=1e+09 outside the admissible window (0.3, 43.9375)",
+    ),
+    "window-then-nu-squared": (
+        {"C0": 1e9, "nu": 1e200}, 1, False, InfeasiblePhaseError,
+        "C0=1e+09 outside the admissible window (0.300249, 43.9377)",
+    ),
+}
+
+
+class _StoreLog(dict):
+    """A ``_Shifts`` memo that logs every store: one per uncached evaluation."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = []
+
+    def __setitem__(self, g, value):
+        self.stores.append(g)
+        super().__setitem__(g, value)
+
+
+class TestShiftEvaluator:
+    """One solve builds one ``_Shifts``: each Gamma_3 iterate is evaluated once, and C1 once."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        made, visited = [], []
+        init, rhs_of = phases._Shifts.__init__, phases._Shifts.rhs
+
+        def spy_init(shifts, *args):
+            made.append(shifts)
+            init(shifts, *args)
+            shifts.memo = _StoreLog()
+
+        def spy_rhs(shifts, gamma_eta):
+            rhs = rhs_of(shifts, gamma_eta)
+            return lambda g: visited.append(g) or rhs(g)
+
+        monkeypatch.setattr(phases._Shifts, "__init__", spy_init)
+        monkeypatch.setattr(phases._Shifts, "rhs", spy_rhs)
+        return made, visited
+
+    @pytest.mark.parametrize(
+        "change", [{}, {"nu": 2.3}, {"A0": 5.0}, {"kappa": 0.6}], ids=["base", "bisects", "A0", "kappa"]
+    )
+    @pytest.mark.parametrize("paper_k1_approx", [False, True])
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_each_gamma3_iterate_evaluated_once(self, params, spy, change, paper_k1_approx, phase):
+        made, visited = spy
+        sol = solve_phase(params.replace(**change), phase, paper_k1_approx)
+        assert len(made) == 1
+        # one uncached evaluation per distinct g the root-find visits, although
+        # compatibility_root and the solution read some g again
+        assert made[0].memo.stores == visited
+        assert len(set(visited)) == len(visited)
+        assert visited[0] == params.replace(**change).A_bar0 and visited[-1] == sol.Gamma3
+
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_consumption_shift_computed_once_per_solve(self, params, monkeypatch, phase):
+        real, calls = phases._consumption_boundary_shift, []
+        monkeypatch.setattr(phases, "_consumption_boundary_shift", lambda p: calls.append(p) or real(p))
+        solve_phase(params, phase)
+        assert calls == [params]
+
+    @given(g=st.floats(-20.0, 40.0), gamma_eta=st.floats(0.0, 0.01))
+    def test_agrees_with_the_parameter_level_forms(self, params, g, gamma_eta):
+        p = params
+        shifts = _Shifts(p, False)
+        K1p, A1, Y, AFp = shifts(g)
+        assert (shifts.C1, K1p, A1) == boundary_shifts(p, g)
+        assert Y == _Y_of(p, g) and AFp == g * p.epsilon * p.K_bar ** (p.epsilon - 1.0)
+        ab = p.varpi ** 2 / phases._consumption_denom(p, AFp) + p.nu ** 2
+        Keps1 = p.K_bar ** p.epsilon * (1.0 - p.epsilon)
+        assert shifts.den(Y, AFp, gamma_eta) == 4.0 * Y * Y - ab * gamma_eta ** 2 * Y + 2.0 * gamma_eta * Keps1
+
+    @pytest.mark.parametrize(
+        "change,phase,paper_k1_approx,error,message", ERROR_ORDER.values(), ids=list(ERROR_ORDER)
+    )
+    def test_bad_parameters_raise_what_they_raised(self, change, phase, paper_k1_approx, error, message):
+        with pytest.raises(CycleFieldError) as err:
+            solve_phase(ModelParams(**change), phase, paper_k1_approx)
+        assert type(err.value) is error and str(err.value) == message
 
 
 class TestCompatibility:
