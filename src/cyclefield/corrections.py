@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclefield.errors import DomainError
-from cyclefield.green import _drift_matrix, _exp_density, _kept_batch, coefficients, transition_density
+from cyclefield.green import _drift_matrix, _exp_density, _log_density_rows, _lookup, coefficients
+from cyclefield.green import transition_density  # noqa: F401  (perfbench traces it under this name)
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState
-from cyclefield.phases import PhaseSolution
+from cyclefield.phases import _LOG_DBL_MAX, PhaseSolution
 
 
 def _check_horizon(t: float, name: str = "t") -> None:
@@ -85,13 +86,9 @@ def correction_potential(
     """First-order correction potential V between two states.
 
     Unprimed variables are the final state, primed the initial one.  The
-    corrected kernel is ``G * exp(-gamma V)``.  Consecutive states of the
-    path in the kernels' batch read V from it; the result is the same.
+    corrected kernel is ``G * exp(-gamma V)``.
     """
     _check_horizon(t)
-    found = _kept_batch(from_state, to_state, params)
-    if found is not None:
-        return found[0].read(_potential_rows, found[1], t)
     X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
     return _potential((to_state.C, to_state.K, to_state.A), X, t, params)
 
@@ -130,11 +127,13 @@ def corrected_density(
 ):
     """Transition density with the first-order correction factor.
 
-    Returns ``(density, log_density)`` for ``G * exp(-gamma V)``.
+    Returns ``(density, log_density)`` for ``G * exp(-gamma V)``, ``G`` and ``V`` read in one
+    lookup, with the checks of :func:`transition_density` then :func:`correction_potential`.
     """
-    _, log_g = transition_density(from_state, to_state, t, solution, params, maintext=maintext)
-    V = correction_potential(from_state, to_state, t, solution, params)
-    log_density = log_g - params.gamma * V
+    log_g, batch, i = _lookup(_log_density_rows, from_state, to_state, t, solution, params, maintext, True)
+    if log_g > _LOG_DBL_MAX:
+        _exp_density(log_g)  # raises the uncorrected density's error
+    log_density = log_g - params.gamma * batch.read(_potential_rows, i, t)
     return _exp_density(log_density), log_density
 
 

@@ -29,15 +29,14 @@ for all consecutive pairs of a path; transcendental functions are
 NumPy's, which give the same bits for one value as inside an array.  A
 pair's checks are masks, raised in order for a lone pair.
 
-:func:`transition_density`, :func:`corrections.corrected_density` and
-:func:`laplace_propagator` given two consecutive states of one path (see
-:meth:`AgentPath.state`) read a :class:`_Batch`: the records of every
-consecutive pair of the path, with each kernel's values for the last
-horizon it was read at.  One batch is kept, for the last path, phase
-solution, parameters and ``maintext``.  Any other call evaluates the same
-formulas on the one pair, and so does a pair that fails a check, which
-then raises.  The horizon check and the :class:`SmallTimeWarning` run on
-every call.
+:func:`transition_density`, :func:`gaussian_factor`,
+:func:`corrections.corrected_density` and :func:`laplace_propagator` make
+one :func:`_lookup` per call.  Two consecutive states of one path (see
+:meth:`AgentPath.state`) read the kept :class:`_Batch`: the records of
+every consecutive pair of the last path, phase solution, parameters and
+``maintext`` read, with each formula's values as a list for the last
+horizon read.  Any other pair evaluates the same formulas alone, and so
+does a pair that fails a check, which then raises.
 """
 
 from __future__ import annotations
@@ -193,13 +192,14 @@ def _alpha_beta(Am, Km, params: ModelParams, maintext: bool = False):
 class _Batch:
     """Pair records and the kernel values read from them, per pair.
 
-    A path batch holds every consecutive pair of ``path`` and masks a pair
-    that fails a check; a lone batch (``path`` None) holds the one pair
-    ``(from_state, to_state)`` and raises the error of any check it fails.
-    Each formula's values are kept, as a list, for the last horizon read.
+    A path batch holds every consecutive pair of ``path``; a lone batch
+    (``path`` None) holds the one pair ``(from_state, to_state)`` and
+    raises the error of any check it fails.  The small-time scales and
+    each formula's values, for the last horizon read, are kept as lists
+    with None for a path pair that fails a check.
     """
 
-    __slots__ = ("path", "solution", "params", "maintext", "pair", "scale", "failed", "values")
+    __slots__ = ("path", "solution", "params", "maintext", "pair", "scale", "values")
 
     def __init__(self, solution, params, maintext, path=None, from_state=None, to_state=None):
         self.path, self.solution, self.params, self.maintext = path, solution, params, maintext
@@ -210,42 +210,35 @@ class _Batch:
             from_state, to_state = _Coords(C[:-1], K[:-1], A[:-1]), _Coords(C[1:], K[1:], A[1:])
         with np.errstate(all="ignore"):
             self.pair = _pair(solution, params, from_state, to_state, maintext)
-        self.scale = np.atleast_1d(self.pair.scale).tolist()
-        self.failed = self._failed(self.pair.checks)
+        self.scale = self._kept(self.pair.scale, self.pair.checks)
         self.values = {}
 
-    def _failed(self, checks):
-        """Per-pair failed flags, None if no pair fails; a lone batch raises instead."""
+    def _kept(self, value, checks):
+        """``value`` per pair as a list, None where a path pair fails a check; a lone pair raises."""
         if self.path is None:
             _raise_failed(checks)
-            return None
+            return [float(value)]
         failed = False
         for mask, _, _ in checks:
             failed = failed | mask
-        return np.broadcast_to(failed, (len(self.scale),)).tolist() if np.any(failed) else None
+        return (np.where(failed, None, value) if np.any(failed) else value).tolist()
 
-    def read(self, formula, i: int, t=None):
-        """The value of ``formula(pair, t, params, maintext) -> (values, checks)`` on pair ``i``.
-
-        A path pair that fails a check is evaluated alone, so it raises.
-        """
+    def read(self, formula, i: int, t):
+        """``formula(pair, t, params, maintext) -> (values, checks)`` on pair ``i``; a failing pair raises alone."""
         got = self.values.get(formula)
         if got is None or got[0] != t:
             with np.errstate(all="ignore"):
                 value, checks = formula(self.pair, t, self.params, self.maintext)
-            got = self.values[formula] = (t, np.atleast_1d(value).tolist(), self._failed(checks))
-        if got[2] is not None and got[2][i]:
-            C, K, A = self.path.C, self.path.K, self.path.A
-            lone = _Batch(
-                self.solution, self.params, self.maintext,
-                from_state=_Coords(C[i], K[i], A[i]), to_state=_Coords(C[i + 1], K[i + 1], A[i + 1]),
-            )
-            return lone.read(formula, 0, t)
+            got = self.values[formula] = (t, self._kept(value, self.pair.checks + checks))
+        if got[1][i] is None:
+            states = {"from_state": self.path.state(i), "to_state": self.path.state(i + 1)}
+            return _Batch(self.solution, self.params, self.maintext, **states).read(formula, 0, t)
         return got[1][i]
 
 
 # The one path batch kept, for the last path, solution, parameters and maintext.
 _last_batch: _Batch | None = None
+_NO_HORIZON = object()  # the horizon of a formula that reads none
 
 
 def _batch(solution, params, from_state, to_state, maintext=False):
@@ -265,23 +258,44 @@ def _batch(solution, params, from_state, to_state, maintext=False):
             and batch.maintext is maintext
         ):
             batch = _last_batch = _Batch(solution, params, maintext, path)
-        if batch.failed is None or not batch.failed[i]:
+        if batch.scale[i] is not None:
             return batch, i
     return _Batch(solution, params, maintext, from_state=from_state, to_state=to_state), 0
 
 
-def _kept_batch(from_state, to_state, params):
-    """The kept batch and the pair's row, if it is of the linked pair's path and ``params``; else None.
+def _lookup(formula, from_state, to_state, t, solution, params, maintext=False, warn=False):
+    """``formula``'s value on a pair at horizon ``t``, and the pair's batch and row.
 
-    For formulas that read neither the coefficients nor ``maintext``.
+    Two consecutive linked states read the kept batch's list for ``t``, a
+    horizon checked when it was kept.  Any other pair, formula or horizon
+    has ``t`` checked (unless ``_NO_HORIZON``) and goes through
+    :func:`_batch` and :meth:`_Batch.read`, which raise if the pair fails
+    a check.  ``warn`` issues the :class:`SmallTimeWarning` after the
+    pair's checks, attributed to the first caller outside cyclefield.
     """
-    link, to_link, batch = from_state._link, to_state._link, _last_batch
+    link, to_link, batch, value = from_state._link, to_state._link, _last_batch, None
     if (
-        link is not None and to_link is not None and batch is not None and link[0] is batch.path
-        and to_link[0] is batch.path and to_link[1] == link[1] + 1 and batch.params is params
+        link and to_link and batch and to_link[0] is link[0] is batch.path and to_link[1] == link[1] + 1
+        and batch.solution is solution and batch.params is params and batch.maintext is maintext
     ):
-        return batch, link[1]
-    return None
+        i, got = link[1], batch.values.get(formula)
+        if got is not None and got[0] == t:
+            value = got[1][i]
+    if value is None:
+        if t is not _NO_HORIZON:
+            check_horizon(t)
+        batch, i = _batch(solution, params, from_state, to_state, maintext)
+    if warn and (scale := t * batch.scale[i]) > _SMALL_S_THRESHOLD:
+        frame, level = sys._getframe(1), 2  # the caller, and its stacklevel
+        while frame is not None and frame.f_globals.get("__name__", "").startswith("cyclefield."):
+            frame, level = frame.f_back, level + 1
+        warnings.warn(
+            f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
+            f"threshold {_SMALL_S_THRESHOLD:.3g}",
+            SmallTimeWarning,
+            stacklevel=level,
+        )
+    return batch.read(formula, i, t) if value is None else value, batch, i
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +393,9 @@ def transition_density(
     convention are used instead.  A :class:`SmallTimeWarning` is issued
     on every call with ``t max(|alpha|, |beta|)`` above
     ``_SMALL_S_THRESHOLD``, attributed to the first caller outside
-    cyclefield.  Consecutive states of one path read the log density
-    from the path's batch, every other pair evaluates the same formula
-    alone; the result is the same.
+    cyclefield (:func:`_lookup`).
     """
-    check_horizon(t)
-    batch, i = _batch(solution, params, from_state, to_state, maintext)
-    scale = t * batch.scale[i]
-    if scale > _SMALL_S_THRESHOLD:
-        frame, level = sys._getframe(1), 2  # the caller, and its stacklevel
-        while frame is not None and frame.f_globals.get("__name__", "").startswith("cyclefield."):
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"t*max(|alpha|,|beta|)={scale:.3g} exceeds the small-time regime "
-            f"threshold {_SMALL_S_THRESHOLD:.3g}",
-            SmallTimeWarning,
-            stacklevel=level,
-        )
-    log_density = batch.read(_log_density_rows, i, t)
+    log_density = _lookup(_log_density_rows, from_state, to_state, t, solution, params, maintext, True)[0]
     return _exp_density(log_density), log_density
 
 
@@ -408,9 +407,7 @@ def gaussian_factor(
     params: ModelParams,
 ):
     """The normalized Gaussian factor of the transition density alone."""
-    check_horizon(t)
-    batch, i = _batch(solution, params, from_state, to_state)
-    return _exp_density(batch.read(_log_gaussian_rows, i, t))
+    return _exp_density(_lookup(_log_gaussian_rows, from_state, to_state, t, solution, params)[0])
 
 
 def dmcvr_residuals(from_state, to_state, t, solution, params):
@@ -577,8 +574,7 @@ def laplace_propagator(
     Coincident endpoints make the transform diverge (``Q = 0``) and raise
     :class:`DomainError`, as does a value past the largest double.
     """
-    batch, i = _batch(solution, params, from_state, to_state)
-    return batch.read(_propagator_rows, i)
+    return _lookup(_propagator_rows, from_state, to_state, _NO_HORIZON, solution, params)[0]
 
 
 def _propagator_rows(pair: _Pair, t, params: ModelParams, maintext: bool):

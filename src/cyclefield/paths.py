@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +73,15 @@ class AgentPath:
     C, K, A : array_like
         Coordinate samples, one per grid point (at least two).
     dt : float
-        Grid spacing, strictly positive.
+        Grid spacing, finite and strictly positive.
     t0 : float, optional
-        Time of the first sample.
+        Time of the first sample, finite.
 
     The path is read-only, with copies of ``C``, ``K`` and ``A``, so what
     is computed from it stays valid for its life.
     """
 
-    __slots__ = ("C", "K", "A", "_nonnegative", "dt", "t0")
+    __slots__ = ("C", "K", "A", "_nonnegative", "dt", "t0", "_views")  # _views: memoryviews of C, K, A
 
     def __init__(self, C, K, A, dt: float, t0: float = 0.0):
         C = np.array(C, dtype=float)
@@ -94,14 +95,17 @@ class AgentPath:
             )
         if C.size < 2:
             raise ShapeError(f"a path needs at least 2 samples, got {C.size}")
-        if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0):
+        if isinstance(dt, bool) or not (isinstance(dt, (int, float)) and 0 < dt <= sys.float_info.max):
             raise ShapeError(f"dt must be a finite positive number, got {dt!r}")
+        if isinstance(t0, bool) or not (isinstance(t0, (int, float)) and abs(t0) <= sys.float_info.max):
+            raise ShapeError(f"t0 must be a finite real number, got {t0!r}")
         for name, arr in (("C", C), ("K", K), ("A", A)):
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"path coordinate {name} contains non-finite values")
             arr.flags.writeable = False
         nonnegative = bool(C.min() >= 0.0 and K.min() >= 0.0 and A.min() >= 0.0)
-        for name, value in zip(self.__slots__, (C, K, A, nonnegative, float(dt), float(t0))):
+        views = (memoryview(C), memoryview(K), memoryview(A))
+        for name, value in zip(self.__slots__, (C, K, A, nonnegative, float(dt), float(t0), views)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *value):
@@ -127,8 +131,8 @@ class AgentPath:
         A negative ``i`` is linked by its non-negative position, so
         ``state(-1)`` and ``state(0)`` are never consecutive.
         """
-        C = self.C
-        c, k, a = C.item(i), self.K.item(i), self.A.item(i)
+        C, K, A = self._views
+        c, k, a = C[i], K[i], A[i]  # Python floats
         if self._nonnegative:  # finite, non-negative Python floats: AgentState's check would pass
             state = object.__new__(AgentState)
             _set_C(state, c)
@@ -136,7 +140,7 @@ class AgentPath:
             _set_A(state, a)
         else:
             state = AgentState(c, k, a)
-        _set_link(state, (self, i + C.size if i < 0 else i))
+        _set_link(state, (self, i + len(C) if i < 0 else i))
         return state
 
     # -- CSV round trip -----------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cyclefield import corrections, green
 from cyclefield.errors import DomainError
 from cyclefield.params import ModelParams
-from cyclefield.paths import AgentState
+from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import solve_phase
 
 
@@ -242,8 +242,14 @@ class TestOverflowingHorizon:
 
     def calls(self, solution, params):
         x = self.STATE
+        path = AgentPath([x.C] * 3, [x.K] * 3, [x.A] * 3, dt=0.01)
         return {
             "correction_potential": lambda t: corrections.correction_potential(x, x, t, solution, params),
+            # the kept batch's route, and the lone pair's
+            "corrected_density-linked": lambda t: corrections.corrected_density(
+                path.state(0), path.state(1), t, solution, params
+            ),
+            "corrected_density-lone": lambda t: corrections.corrected_density(x, x, t, solution, params),
             "elasticity_table": lambda t: corrections.elasticity_table(t, solution, params),
             "path_deviation": lambda t: corrections.path_deviation(make_query(t), solution, params),
             "two_agent_correction": lambda t: corrections.two_agent_correction(
@@ -256,6 +262,8 @@ class TestOverflowingHorizon:
         "function, t, message",
         [
             ("correction_potential", 1e110, "correction_potential overflows a double at horizon t = 1e+110"),
+            ("corrected_density-linked", 1e110, "correction_potential overflows a double at horizon t = 1e+110"),
+            ("corrected_density-lone", 1e110, "correction_potential overflows a double at horizon t = 1e+110"),
             ("elasticity_table", 1e60, "elasticity_table overflows a double at horizon t = 1e+60"),
             ("path_deviation", 1e60, "elasticity_table overflows a double at horizon t = 1e+60"),
             ("two_agent_correction", 1e110, "two_agent_correction overflows a double at horizon t = 1e+110"),
@@ -263,10 +271,15 @@ class TestOverflowingHorizon:
         ],
     )
     def test_overflow_names_formula_and_horizon(self, trivial, params, function, t, message):
-        with pytest.raises(OverflowError) as excinfo:
-            self.calls(trivial, params)[function](t)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OverflowError) as excinfo:
+                self.calls(trivial, params)[function](t)
         assert str(excinfo.value) == message
         assert isinstance(excinfo.value.__cause__, OverflowError)
+        # the density's horizon and small-time checks run first: one warning, then the potential overflows
+        small_time = [w for w in caught if issubclass(w.category, green.SmallTimeWarning)]
+        assert len(small_time) == function.startswith("corrected_density")
 
     @pytest.mark.parametrize("s", [1e60, 1e100])
     def test_modified_matrices_products_overflow(self, trivial, params, s):

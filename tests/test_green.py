@@ -381,6 +381,52 @@ class TestPathBatch:
                 assert outcome(kernel, a, b, t, trivial, params) == (DomainError, message)
 
 
+class TestCorrectedDensityLookup:
+    """A linked ``corrected_density`` reads G and V in one lookup and keeps every check."""
+
+    def counting(self, monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_one_lookup_and_no_nested_kernel(self, nontrivial, params, monkeypatch):
+        calls = []
+        for owner, name in (
+            (green, "transition_density"), (corrections, "transition_density"),
+            (corrections, "correction_potential"), (corrections, "_lookup"),
+        ):
+            self.counting(monkeypatch, owner, name, calls)
+        paths = seeded_panel(nontrivial, params, n_paths=3, n_samples=20)
+        n = 0
+        for path in paths:
+            for i in range(len(path) - 1):
+                corrections.corrected_density(path.state(i), path.state(i + 1), path.dt, nontrivial, params)
+                n += 1
+        assert calls == ["_lookup"] * n
+
+    def test_uncorrected_density_checked_first(self, params, monkeypatch):
+        # with V so large that G exp(-gamma V) fits a double, a pair whose
+        # G overflows still raises the uncorrected density's error
+        sol = solve_phase(params, 0)
+        t = 1e-250
+        path = AgentPath([1.08, 1.09, 1.09, 1.1], [10.0, 10.05, 10.05, 10.1], [10.0, 10.01, 10.01, 10.0], dt=t)
+        monkeypatch.setattr(corrections, "_potential_rows", lambda pair, t, p, maintext: (pair.X[0] * 0.0 + 1e6, ()))
+        a, b = path.state(1), path.state(2)
+        expected = outcome(green.transition_density, a, b, t, sol, params)
+        assert expected[0] is DomainError and expected[1].startswith("density exp(")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", green.SmallTimeWarning)
+            for x, y in ((a, b), (copy_state(a), copy_state(b))):  # the kept batch's route, then the lone one
+                assert outcome(corrections.corrected_density, x, y, t, sol, params) == expected
+                # where G fits a double, the pair reads the large V
+                log_g = green.transition_density(x, y, 0.01, sol, params)[1]
+                assert corrections.corrected_density(x, y, 0.01, sol, params) == (0.0, log_g - params.gamma * 1e6)
+
+
 def fixed_point(solution, params):
     """The sampler drift's stable fixed point ``(C_bar, K_eq, A_bar)``, K_eq above the drift maximum."""
     drift = mc._drift(solution, params)

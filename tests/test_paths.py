@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclefield.errors import DomainError
+from cyclefield.errors import DomainError, ShapeError
 from cyclefield.paths import AgentPath, AgentState
 
 COORDS = ("C", "K", "A")
@@ -150,3 +150,39 @@ class TestAgentPathArrays:
         assert (path.dt, path.t0, path.duration) == (0.01, 2.0, 0.01)
         with pytest.raises(AttributeError):
             path.extra = 1.0
+
+
+class TestAgentPathGrid:
+    """``dt`` and ``t0`` must be finite real numbers, not bools; a bad one raises ShapeError naming it."""
+
+    COORDS = ([1.0, 1.25, 1.5], [10.0, 10.5, 11.0], [0.2, 0.3, 0.4])
+
+    @pytest.mark.parametrize(
+        "t0", [math.nan, math.inf, -math.inf, "abc", None, True, False, pytest.param(10 ** 400, id="int-1e400"), [0.0]]
+    )
+    def test_bad_t0_rejected(self, t0):
+        with pytest.raises(ShapeError) as excinfo:
+            AgentPath(*self.COORDS, dt=0.01, t0=t0)
+        assert str(excinfo.value) == f"t0 must be a finite real number, got {t0!r}"
+
+    @pytest.mark.parametrize(
+        "dt", [math.nan, math.inf, 0.0, -0.01, "0.01", None, True, False, pytest.param(10 ** 400, id="int-1e400")]
+    )
+    def test_bad_dt_rejected(self, dt):
+        with pytest.raises(ShapeError) as excinfo:
+            AgentPath(*self.COORDS, dt=dt)
+        assert str(excinfo.value) == f"dt must be a finite positive number, got {dt!r}"
+
+    def test_dt_checked_before_t0(self):
+        with pytest.raises(ShapeError, match="^dt must"):
+            AgentPath(*self.COORDS, dt=True, t0=math.nan)
+
+    @pytest.mark.parametrize("t0", [0.0, -0.0, 2.0, -3.5, 7, 1e6, -1e-300, np.float64(0.125)])
+    def test_finite_t0_round_trips_through_csv(self, t0):
+        path = AgentPath(*self.COORDS, dt=0.25, t0=t0)
+        assert type(path.t0) is float and path.t0 == t0
+        back = AgentPath.from_csv(path.to_csv())
+        assert (back.t0, back.dt) == (path.t0, path.dt)
+        np.testing.assert_array_equal(back.times, path.times)
+        for name in COORDS:
+            np.testing.assert_array_equal(getattr(back, name), getattr(path, name))
