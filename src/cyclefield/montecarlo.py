@@ -16,9 +16,17 @@ are whole tiles and a partial last tile is simulated whole, so ensembles
 are byte-identical for a fixed seed whatever the block size or
 ``n_paths``.
 
-Memory: noise is drawn in time chunks under a fixed per-block budget of
-``_NOISE_BYTES``, so memory grows with the block size, not the horizon;
-a stream drawn in chunks gives the numbers it gives in one go.
+Integration: one Heun engine, :func:`_heun_paths`, serves
+:func:`sample_paths` and :func:`appendix5_negligibility`.  It steps a
+block's paths as one stacked (3, P) state in preallocated buffers, in
+short sub-chunks that run without the clamp at ``K <= 0`` and rerun with
+it when a step start or predictor reaches ``K <= 0``, so the numbers are
+those of a clamped step-by-step loop.
+
+Memory: noise is drawn in time chunks, and the noise and the engine's
+buffers share one per-block budget of ``_NOISE_BYTES``, so memory grows
+with the block size, not the horizon; a stream drawn in chunks gives the
+numbers it gives in one go.
 
 Imports: ``scipy.special`` (``ndtr``, ``kolmogorov``) is loaded inside
 :func:`compare_to_green` and ``scipy.optimize`` (``brentq``) inside
@@ -38,8 +46,9 @@ from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState, check_horizon
 from cyclefield.phases import PhaseSolution
 
-_NOISE_BYTES = 16 * 2**20  # noise buffer budget per block of paths
+_NOISE_BYTES = 16 * 2**20  # noise and Heun buffer budget per block of paths
 _TILE = 64  # paths per random stream
+_SUB_STEPS = 32  # most Heun steps between two checks for K <= 0
 
 
 def _check_seed(seed) -> None:
@@ -92,15 +101,21 @@ class PathEnsemble:
         }
 
 
-def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int):
+def _chunk_steps(n_tiles: int, n_steps: int, reserved: int = 0) -> int:
+    """Steps per noise chunk: what ``reserved`` bytes leave of ``_NOISE_BYTES``, at least one."""
+    return max(1, min(n_steps, (_NOISE_BYTES - reserved) // (24 * _TILE * n_tiles)))
+
+
+def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, reserved: int = 0):
     """Noise for tiles [tile, tile+n_tiles) in consecutive time chunks.
 
     Yields views of shape ``(m, n_tiles, _TILE, 3)`` covering steps
     ``[k, k+m)`` in order; each view is overwritten by the next one.  One
     Philox generator is re-pointed at each tile's stream and fills the
-    tile's chunk in one call.
+    tile's chunk in one call.  ``reserved`` bytes of the budget are the
+    caller's own buffers (:func:`_chunk_steps`).
     """
-    chunk = max(1, min(n_steps, _NOISE_BYTES // (24 * _TILE * n_tiles)))
+    chunk = _chunk_steps(n_tiles, n_steps, reserved)
     buf = np.empty((n_tiles, chunk, _TILE, 3))
     rng = np.random.Generator(np.random.Philox(key=seed))
     bitgen = rng.bit_generator
@@ -126,17 +141,37 @@ def _drift(solution: PhaseSolution, params: ModelParams):
     ``F' = eps F / K`` clamped to zero where ``K <= 0``.  ``drift(C, K, A)``
     takes arrays or scalars and gives the three rates, the mask ``K > 0``
     and the rate ``A F' + r_c``; :func:`_drift_jacobian` is its Jacobian.
+
+    The Heun engine passes one-dimensional buffers: ``out`` for the three
+    rates, ``rate``, and ``work`` for a temporary.  With ``clamp=False``
+    the clamp and the mask are skipped, which changes nothing while every
+    ``K > 0``.
     """
     eps, r_c, delta = params.epsilon, params.r_c, params.delta
     C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
     relax_A = 1.0 / (2.0 * params.lambda_sq)
 
-    def drift(C, K, A):
-        pos = K > 0.0
-        Kp = np.maximum(K, 5e-324)  # K where K > 0, else the least positive double (masked below)
-        F = Kp ** eps * pos
-        rate = A * (eps * F / Kp) + r_c
-        return rate * (C - C_bar), A * F - C - delta * K, (A_bar - A) * relax_A, pos, rate
+    def drift(C, K, A, out=(None, None, None), rate=None, work=None, clamp=True):
+        dC, dK, dA = out
+        if clamp:
+            pos = K > 0.0
+            Kp = np.maximum(K, 5e-324)  # K where K > 0, else the least positive double (masked below)
+            F = Kp ** eps * pos
+        else:
+            pos, Kp = True, K
+            F = np.power(K, eps, out=work)
+        rate = np.multiply(eps, F, out=rate)
+        rate /= Kp
+        rate *= A
+        rate += r_c
+        dC = np.subtract(C, C_bar, out=dC)
+        dC *= rate
+        dK = np.multiply(A, F, out=dK)
+        dK -= C
+        dK -= np.multiply(delta, K, out=work)
+        dA = np.subtract(A_bar, A, out=dA)
+        dA *= relax_A
+        return dC, dK, dA, pos, rate
 
     return drift
 
@@ -168,28 +203,77 @@ def _step_count(t: float, dt: float) -> int:
     return n_steps
 
 
-def _heun_step(solution: PhaseSolution, params: ModelParams, dt: float):
-    """One stochastic Heun step of the phase Langevin system (:func:`_drift`).
+def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, seed: int,
+                tile: int, n_tiles: int, n_steps: int, ok=None):
+    """Stochastic Heun paths of the phase Langevin system (:func:`_drift`).
 
     An Euler predictor, then the trapezoidal drift, with the same Gaussian
     increment in both: with the constant noise amplitudes ``varpi, nu,
     1/lambda`` this has weak order 2 (Kloeden & Platen 1992, sec. 15.1).
-    ``step(C, K, A, z)`` gives the new ``(C, K, A)``, the mask of ``K > 0``
-    at the step start and the predictor, and the start's rate ``A F' + r_c``.
+
+    Steps the ``P = n_tiles * _TILE`` paths of tiles ``[tile, tile+n_tiles)``
+    from ``start = (C, K, A)`` as one (3, P) state in buffers allocated
+    once, in sub-chunks of at most ``_SUB_STEPS`` steps.  A sub-chunk first
+    runs without the clamp at ``K <= 0``; if the least ``K`` over its step
+    starts and predictors is not positive (or is NaN), it reruns from its
+    start with the clamp, clearing ``ok`` (if given, shape (P,)) on the paths
+    with ``K <= 0`` at a step start or predictor.  The buffers and the noise
+    share ``_NOISE_BYTES``.
+
+    Yields per sub-chunk of ``m`` steps ``X`` (m+1, 3, P), the states at the
+    step starts and at the end, ``R`` (m, P), the rates ``A F' + r_c`` at the
+    step starts, and ``spare`` (3m, P), the spent noise buffer, free for
+    the caller.  All three are overwritten by the next sub-chunk.
     """
     drift = _drift(solution, params)
     sdt = math.sqrt(dt)
-    amp_C, amp_K, amp_A = params.varpi * sdt, params.nu * sdt, sdt / params.lam
+    amps = np.array([params.varpi * sdt, params.nu * sdt, sdt / params.lam])[:, None, None]
     half = 0.5 * dt
+    n = n_tiles * _TILE
+    # Bytes per path: 80 per sub-chunk step (states, predictors, noise,
+    # rates) and 96 besides (the end state, D, E, the predictor's rate,
+    # work).  They take at most about half of what the noise would take
+    # alone, and the noise gets what they leave of the budget.
+    sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 96) // 160))
+    X, Xp, W = (np.empty((m, 3, n)) for m in (sub + 1, sub, sub))
+    R = np.empty((sub, n))
+    D, E, r_p, work = np.empty((3, n)), np.empty((3, n)), np.empty(n), np.empty(n)
+    X[0] = np.reshape(start, (3, 1))
 
-    def step(C, K, A, z):
-        wC, wK, wA = amp_C * z[..., 0], amp_K * z[..., 1], amp_A * z[..., 2]
-        dC, dK, dA, pos, rate = drift(C, K, A)
-        eC, eK, eA, pos_p, _ = drift(C + dC * dt + wC, K + dK * dt + wK, A + dA * dt + wA)
-        C_new, K_new = C + (dC + eC) * half + wC, K + (dK + eK) * half + wK
-        return C_new, K_new, A + (dA + eA) * half + wA, pos & pos_p, rate
+    # the views each step reads, made once: states, their rows (C, K, A), ...
+    Xs, Xps, Ws, Rs = list(X), list(Xp), list(W), list(R)
+    X_rows, Xp_rows, D_rows, E_rows = [tuple(x) for x in X], [tuple(x) for x in Xp], tuple(D), tuple(E)
 
-    return step
+    def steps(m, clamp):
+        for s in range(m):
+            x, xp, w, x_new = Xs[s], Xps[s], Ws[s], Xs[s + 1]
+            pos = drift(*X_rows[s], out=D_rows, rate=Rs[s], work=work, clamp=clamp)[3]
+            np.multiply(D, dt, out=xp)
+            xp += x
+            xp += w
+            pos_p = drift(*Xp_rows[s], out=E_rows, rate=r_p, work=work, clamp=clamp)[3]
+            np.add(E, D, out=E)
+            np.multiply(E, half, out=E)
+            np.add(x, E, out=x_new)
+            x_new += w
+            if clamp and ok is not None:
+                np.logical_and(ok, pos, out=ok)
+                np.logical_and(ok, pos_p, out=ok)
+
+    for noise in _tile_noise(seed, tile, n_tiles, n_steps, n * (96 + 80 * sub)):
+        for j in range(0, len(noise), sub):
+            z = noise[j:j + sub]
+            m = len(z)
+            np.multiply(z.transpose(0, 3, 1, 2), amps, out=W[:m].reshape(m, 3, n_tiles, _TILE))
+            clamp = not X[0, 1].min() > 0.0  # a start at K <= 0 fails the check below
+            if not clamp:
+                with np.errstate(invalid="ignore"):  # K**eps at K < 0; any such step reruns
+                    steps(m, False)
+                clamp = not min(X[:m, 1].min(), Xp[:m, 1].min()) > 0.0
+            if clamp:
+                steps(m, True)
+            yield X[:m + 1], R[:m], W[:m].reshape(3 * m, n)
+            X[0] = X[m]
 
 
 def sample_paths(
@@ -200,7 +284,7 @@ def sample_paths(
     mc: MCConfig,
     block_size: int = 4096,
 ) -> PathEnsemble:
-    """Stochastic Heun sample of the phase Langevin system (:func:`_heun_step`).
+    """Stochastic Heun sample of the phase Langevin system (:func:`_heun_paths`).
 
     Paths run in blocks of whole tiles (``block_size`` is rounded up to a
     multiple of ``_TILE``); a partial last tile is simulated whole and
@@ -209,24 +293,21 @@ def sample_paths(
     never reflected or killed.
     """
     n_steps = _step_count(t, mc.dt)
-    step = _heun_step(solution, params, mc.dt)
 
     n = mc.n_paths
     n_tiles, per_block = -(-n // _TILE), -(-block_size // _TILE)
-    out = np.empty((3, n_tiles, _TILE))
-    ok = np.ones((n_tiles, _TILE), dtype=bool)
+    out = np.empty((3, n_tiles * _TILE))
+    ok = np.ones(n_tiles * _TILE, dtype=bool)
+    start = (initial.C, initial.K, initial.A)
     for first in range(0, n_tiles, per_block):
         count = min(per_block, n_tiles - first)
-        sl = slice(first, first + count)
-        C, K, A = (np.full((count, _TILE), v) for v in (initial.C, initial.K, initial.A))
-        for noise in _tile_noise(mc.seed, first, count, n_steps):
-            for z in noise:
-                C, K, A, pos, _ = step(C, K, A, z)
-                ok[sl] &= pos
-        ok[sl] &= K > 0.0
-        out[:, sl] = C, K, A
-    C, K, A = out.reshape(3, -1)[:, :n]
-    n_negative_K = n - int(np.count_nonzero(ok.reshape(-1)[:n]))
+        sl = slice(first * _TILE, (first + count) * _TILE)
+        for X, _, _ in _heun_paths(start, solution, params, mc.dt, mc.seed, first, count, n_steps, ok[sl]):
+            pass
+        out[:, sl] = X[-1]  # the last sub-chunk's end
+        ok[sl] &= X[-1, 1] > 0.0
+    C, K, A = out[:, :n]
+    n_negative_K = n - int(np.count_nonzero(ok[:n]))
     return PathEnsemble(C=C, K=K, A=A, t=t, dt=mc.dt, seed=mc.seed, n_negative_K=n_negative_K)
 
 
@@ -239,24 +320,30 @@ def lna_moments(initial: AgentState, t: float, dt: float, solution: PhaseSolutio
     (:func:`_drift_jacobian`) and ``Q = diag(varpi^2, nu^2, 1/lambda^2)``
     the sampler's noise.  Both are stepped together by the sampler's Heun
     rule at step ``dt``.  Returns ``(mean, cov)``; raises
-    :class:`DomainError` if the mean reaches ``K <= 0``.
+    :class:`DomainError`, naming the step, if the mean reaches ``K <= 0``
+    or a moment stops being finite.
     """
     n_steps = _step_count(t, dt)
     drift = _drift(solution, params)
     Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
 
-    def rates(x, V):
+    def rates(x, V, k):
         if not x[1] > 0.0:
-            raise DomainError(f"the linear-noise mean reached K = {x[1]:.6g} <= 0")
+            raise DomainError(f"the linear-noise mean reached K = {x[1]:.6g} <= 0 at step {k} of {n_steps}")
         JV = _drift_jacobian(x, solution, params) @ V
         return np.array(drift(*x)[:3]), JV + JV.T + Q
 
+    names = [*"CKA", *(f"cov({a}, {b})" for a in "CKA" for b in "CKA")]
     x, V, half = initial.as_array(), np.zeros((3, 3)), 0.5 * dt
-    for _ in range(n_steps):
-        f, G = rates(x, V)
-        f_p, G_p = rates(x + f * dt, V + G * dt)
+    for k in range(1, n_steps + 1):
+        f, G = rates(x, V, k)
+        f_p, G_p = rates(x + f * dt, V + G * dt, k)
         x, V = x + (f + f_p) * half, V + (G + G_p) * half
-    rates(x, V)  # the endpoint must keep K > 0 too
+        moments = x.tolist() + V.ravel().tolist()
+        if not all(map(math.isfinite, moments)):
+            bad = ", ".join(f"{name} = {v:.6g}" for name, v in zip(names, moments) if not math.isfinite(v))
+            raise DomainError(f"the linear-noise moments are not finite after step {k} of {n_steps}: {bad}")
+    rates(x, V, n_steps)  # the endpoint must keep K > 0 too
     return x, V
 
 
@@ -401,22 +488,38 @@ def appendix5_negligibility(
     rates = [float(r) for r in r_values]
     # e^{-r s} per step and rate; r <= 0 undiscounted
     disc = np.exp(-np.outer(dt * np.arange(n_steps), np.maximum(rates, 0.0)))
-    shape = (-(-n_paths // _TILE), _TILE)  # whole tiles, truncated to n_paths below
-    I = np.zeros((len(rates),) + shape)  # running sums of Kdot e^{-r s} per rate
-    weight_mag = np.zeros(shape)
-    C, K, A = (np.full(shape, v) for v in (C_bar, K_eq, A_bar))
-    step = _heun_step(solution, p, dt)
-    noise = (z for chunk in _tile_noise(seed, 0, shape[0], n_steps) for z in chunk)
-    for d, z in zip(disc, noise):
-        C_new, K_new, A_new, _, r_pt = step(C, K, A, z)
-        cdot = (C_new - C) / dt
-        weight_mag += (cdot - r_pt * (C - p.C_bar)) ** 2 / p.varpi ** 2 * dt
-        I += d[:, None, None] * ((K_new - K) / dt)
-        C, K, A = C_new, K_new, A_new
-    mean_weight = float(np.mean(weight_mag.reshape(-1)[:n_paths]))
+    n_tiles = -(-n_paths // _TILE)  # whole tiles, truncated to n_paths below
+    I = np.zeros((len(rates), n_tiles * _TILE))  # running sums of Kdot e^{-r s} per rate
+    weight_mag = np.zeros(n_tiles * _TILE)
+    w2 = p.varpi ** 2
+    k = 0
+    for X, R, spare in _heun_paths((C_bar, K_eq, A_bar), solution, p, dt, seed, 0, n_tiles, n_steps):
+        # each step's terms in rows 1..m under the running sum, added row by
+        # row in step order by the axis-0 reduction
+        m = len(R)
+        rows, diff = spare[:m + 1], spare[m + 1:2 * m + 1]
+        C, K = X[:, 0], X[:, 1]
+        term = np.subtract(C[1:], C[:-1], out=rows[1:])  # (cdot - r (C - C_bar))^2 / varpi^2 dt
+        term /= dt
+        np.subtract(C[:-1], p.C_bar, out=diff)
+        diff *= R
+        term -= diff
+        np.square(term, out=term)
+        term /= w2
+        term *= dt
+        rows[0] = weight_mag
+        np.add.reduce(rows, axis=0, out=weight_mag)
+        kdot = np.subtract(K[1:], K[:-1], out=diff)
+        kdot /= dt
+        for d, I_r in zip(disc[k:k + m].T, I):  # Kdot e^{-r s}
+            np.multiply(d[:, None], kdot, out=rows[1:])
+            rows[0] = I_r
+            np.add.reduce(rows, axis=0, out=I_r)
+        k += m
+    mean_weight = float(np.mean(weight_mag[:n_paths]))
     ratios = {}
     for r, I_r in zip(rates, I):
         r_bar = r / (1.0 - math.exp(-r * T)) if r > 0 else 1.0 / T
-        term = 2.0 * r_bar / p.nu ** 2 * (I_r.reshape(-1)[:n_paths] * dt) ** 2
+        term = 2.0 * r_bar / p.nu ** 2 * (I_r[:n_paths] * dt) ** 2
         ratios[r] = float(np.mean(term) / mean_weight)
     return ratios

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -150,6 +151,34 @@ class TestNoiseStreams:
         for r, value in expected.items():
             assert ratios[r] == pytest.approx(value, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("block_size", [64, 4096])
+    def test_negative_capital_regime_pinned(self, block_size):
+        # base.cfg phase 1 at t = 100: 94 of 256 paths reach K <= 0 and run
+        # off to K ~ -1e10, so most sub-chunks take the clamped redo; the
+        # endpoints are pinned byte for byte
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, 1)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        cfg = mc.MCConfig(n_paths=256, dt=1e-2, seed=3)
+        ens = mc.sample_paths(x0, 100.0, sol, p, cfg, block_size=block_size)
+        digest = hashlib.sha256(ens.C.tobytes() + ens.K.tobytes() + ens.A.tobytes()).hexdigest()
+        assert digest == "db11b354e8ec79b1b21a35bfcaaaef809b39e64a4e6b826e6258851bfa23294c"
+        assert ens.n_negative_K == 94
+
+    def test_appendix5_ratios_pinned_at_base_cfg(self):
+        # the README's figures, exactly
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, 1)
+        ratios = mc.appendix5_negligibility(
+            p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
+        )
+        assert ratios == {
+            0.0: 7.536926988801071,
+            0.05: 1.9120521328673534,
+            0.1: 0.7165379450153092,
+            0.2: 0.22462705097703478,
+        }
+
 
 class TestMemory:
     """Memory grows with the block size, not with the horizon."""
@@ -197,9 +226,16 @@ class TestMemory:
         sol = solve_phase(p, 0)
         x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
         cfg = mc.MCConfig(n_paths=n_paths, dt=1e-2, seed=1)
-        mc.sample_paths(x0, 0.1, sol, p, cfg)  # warm-up
-        peak = self._peak(lambda: mc.sample_paths(x0, 0.5, sol, p, cfg))
-        assert peak <= budget + 384 * n_paths, peak
+        runs = {
+            "sample_paths": lambda t: mc.sample_paths(x0, t, sol, p, cfg),
+            "appendix5_negligibility": lambda t: mc.appendix5_negligibility(
+                p, sol, [0.0, 0.05], T=t, dt=1e-2, n_paths=n_paths, seed=1
+            ),
+        }
+        for name, run in runs.items():
+            run(0.1)  # warm-up
+            peak = self._peak(lambda: run(0.5))
+            assert peak <= budget + 384 * n_paths, (name, peak)
 
 
 class TestDynamics:
@@ -290,14 +326,26 @@ class TestDynamics:
         assert ens.n_paths == 500  # nothing killed
         assert np.all(np.isfinite(ens.K))
 
-    def test_predictor_excursion_flagged(self, quiet_setup):
-        # K > 0 at the step start and K <= 0 at the predictor: the step
-        # flags the path
+    def test_predictor_excursion_flagged(self, quiet_setup, monkeypatch):
+        # one step with K > 0 at the start and at the end but K = 0 exactly
+        # at the predictor: the step flags the path.  At K = 0 the unclamped
+        # drift keeps K finite (0**eps = 0), so only the check of the
+        # predictors sends the step to the clamped redo.  C's noise takes the
+        # predictor to C = -200, where the capital drift brings K back up.
         p, sol, _ = quiet_setup
-        step = mc._heun_step(sol, p, 1e-2)
-        C, K, A = (np.array([v]) for v in (sol.C_bar_phase, 1.0, sol.A_bar_phase))
-        *_, ok, _ = step(C, K, A, np.array([[0.0, -2.0 / (p.nu * 0.1), 0.0]]))
-        assert not ok[0]
+        dt = 1e-2
+        amp_C, amp_K = p.varpi * math.sqrt(dt), p.nu * math.sqrt(dt)
+        x0 = AgentState(C=sol.C_bar_phase, K=1.0, A=sol.A_bar_phase)  # F(1) = 1 exactly
+        dK = mc._drift(sol, p)(x0.C, x0.K, x0.A)[1]
+        z = np.zeros((1, 1, mc._TILE, 3))
+        z[..., 0] = (-200.0 - x0.C) / amp_C
+        z[..., 1] = -(x0.K + dK * dt) / amp_K
+        assert amp_K * z[0, 0, 0, 1] == -(x0.K + dK * dt)  # the predictor's K is 0.0
+        monkeypatch.setattr(mc, "_tile_noise", lambda *args: iter([z]))
+        ens = mc.sample_paths(x0, dt, sol, p, mc.MCConfig(n_paths=1, dt=dt))
+        assert ens.K[0] > 0.0
+        assert np.isfinite(ens.C[0])
+        assert ens.n_negative_K == 1
 
     def test_endpoint_excursion_flagged(self, quiet_setup, monkeypatch):
         # one step with K > 0 at the start and at the predictor (1e-6) but
@@ -346,6 +394,16 @@ class TestLinearNoise:
         start = AgentState(C=10.0, K=0.5, A=sol.A_bar_phase)
         with pytest.raises(DomainError):
             mc.lna_moments(start, 1.0, 1e-2, sol, p)
+
+    def test_non_finite_mean_raises(self):
+        # A = 1e300 overflows the predictor's capital drift: K = inf after
+        # the one step, which was returned with only RuntimeWarnings
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, 0)
+        start = AgentState(C=sol.C_bar_phase, K=10.0, A=1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match=r"after step 1 of 1: K = inf"):
+                mc.lna_moments(start, 0.01, 1e-2, sol, p)
 
 
 def lna_ensemble(x0, t, sol, p, seed, n=20000, shift=0.0):
