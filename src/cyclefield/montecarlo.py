@@ -237,17 +237,15 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 96) // 160))
     X, Xp, W = (np.empty((m, 3, n)) for m in (sub + 1, sub, sub))
     R = np.empty((sub, n))
-    D, E, r_p, work = np.empty((3, n)), np.empty((3, n)), np.empty(n), np.empty(n)
+    (D, E), (r_p, work) = np.empty((2, 3, n)), np.empty((2, n))
     X[0] = np.reshape(start, (3, 1))
-
-    # the views each step reads, made once: states, their rows (C, K, A), ...
-    Xs, Xps, Ws, Rs = list(X), list(Xp), list(W), list(R)
+    # the row views (C, K, A) each step reads, made once
     X_rows, Xp_rows, D_rows, E_rows = [tuple(x) for x in X], [tuple(x) for x in Xp], tuple(D), tuple(E)
 
     def steps(m, clamp):
         for s in range(m):
-            x, xp, w, x_new = Xs[s], Xps[s], Ws[s], Xs[s + 1]
-            pos = drift(*X_rows[s], out=D_rows, rate=Rs[s], work=work, clamp=clamp)[3]
+            x, xp, w, x_new = X[s], Xp[s], W[s], X[s + 1]
+            pos = drift(*X_rows[s], out=D_rows, rate=R[s], work=work, clamp=clamp)[3]
             np.multiply(D, dt, out=xp)
             xp += x
             xp += w
@@ -257,8 +255,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
             np.add(x, E, out=x_new)
             x_new += w
             if clamp and ok is not None:
-                np.logical_and(ok, pos, out=ok)
-                np.logical_and(ok, pos_p, out=ok)
+                np.logical_and(ok, pos & pos_p, out=ok)
 
     for noise in _tile_noise(seed, tile, n_tiles, n_steps, n * (96 + 80 * sub)):
         for j in range(0, len(noise), sub):
@@ -491,7 +488,6 @@ def appendix5_negligibility(
     n_tiles = -(-n_paths // _TILE)  # whole tiles, truncated to n_paths below
     I = np.zeros((len(rates), n_tiles * _TILE))  # running sums of Kdot e^{-r s} per rate
     weight_mag = np.zeros(n_tiles * _TILE)
-    w2 = p.varpi ** 2
     k = 0
     for X, R, spare in _heun_paths((C_bar, K_eq, A_bar), solution, p, dt, seed, 0, n_tiles, n_steps):
         # each step's terms in rows 1..m under the running sum, added row by
@@ -504,8 +500,8 @@ def appendix5_negligibility(
         np.subtract(C[:-1], p.C_bar, out=diff)
         diff *= R
         term -= diff
-        np.square(term, out=term)
-        term /= w2
+        term *= term
+        term /= p.varpi ** 2
         term *= dt
         rows[0] = weight_mag
         np.add.reduce(rows, axis=0, out=weight_mag)

@@ -215,9 +215,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("n_paths", [128, 512])
     def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
-        # 50 steps in chunks of 21 or 5: every path's stream position is
-        # saved between chunks.  Beyond the noise buffer a path may hold its
-        # state, its coordinates and the step's temporaries, not a state dict.
+        # 50 steps in noise chunks of 10 or 1: every path's stream position
+        # is saved between chunks.  The Heun engine's buffers share the
+        # budget with the noise; beyond it a path may hold its state, its
+        # coordinates and the step's temporaries, not a state dict.
         budget = 64 * 1024
         monkeypatch.setattr(mc, "_NOISE_BYTES", budget)
         p = ModelParams().replace(
@@ -397,7 +398,7 @@ class TestLinearNoise:
 
     def test_non_finite_mean_raises(self):
         # A = 1e300 overflows the predictor's capital drift: K = inf after
-        # the one step, which was returned with only RuntimeWarnings
+        # the one step
         p = load_config(BASE_CFG)
         sol = solve_phase(p, 0)
         start = AgentState(C=sol.C_bar_phase, K=10.0, A=1e300)
