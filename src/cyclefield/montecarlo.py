@@ -231,10 +231,10 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     half = 0.5 * dt
     n = n_tiles * _TILE
     # Bytes per path: 80 per sub-chunk step (states, predictors, noise,
-    # rates) and 96 besides (the end state, D, E, the predictor's rate,
+    # rates) and 88 besides (the end state, D, E, the predictor's rate,
     # work).  They take at most about half of what the noise would take
     # alone, and the noise gets what they leave of the budget.
-    sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 96) // 160))
+    sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 88) // 160))
     X, Xp, W = (np.empty((m, 3, n)) for m in (sub + 1, sub, sub))
     R = np.empty((sub, n))
     (D, E), (r_p, work) = np.empty((2, 3, n)), np.empty((2, n))
@@ -257,7 +257,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
             if clamp and ok is not None:
                 np.logical_and(ok, pos & pos_p, out=ok)
 
-    for noise in _tile_noise(seed, tile, n_tiles, n_steps, n * (96 + 80 * sub)):
+    for noise in _tile_noise(seed, tile, n_tiles, n_steps, n * (88 + 80 * sub)):
         for j in range(0, len(noise), sub):
             z = noise[j:j + sub]
             m = len(z)

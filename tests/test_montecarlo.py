@@ -215,7 +215,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("n_paths", [128, 512])
     def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
-        # 50 steps in noise chunks of 10 or 1: every path's stream position
+        # 50 steps in noise chunks of 11 or 1: every path's stream position
         # is saved between chunks.  The Heun engine's buffers share the
         # budget with the noise; beyond it a path may hold its state, its
         # coordinates and the step's temporaries, not a state dict.
