@@ -15,6 +15,10 @@ five commands that take a horizon (``--t``), calls the subcommand's
 returns its exit code, or a :class:`CycleFieldError` that ``run`` raises once
 the payload is written.  Errors become exit codes in one place.
 
+``mc-validate --export`` writes the endpoint CSV in blocks of
+``_EXPORT_ROWS`` rows through :mod:`cyclefield.export`, which is imported
+only then; the export and the report must go to separate targets.
+
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
 nontrivial phase; 4 numerical failure (including an overflowing closed
 form); 5 ``mc-validate --strict`` wrote a report whose check failed.
@@ -24,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
-from itertools import count
 from operator import attrgetter
 
 from cyclefield import corrections, green, montecarlo
@@ -104,10 +108,12 @@ def _emit(text, output: str | None) -> None:
 
 def _ensemble_csv(ensemble):
     """The endpoint CSV in blocks of ``_EXPORT_ROWS`` rows, one block held at a time."""
+    from cyclefield import export  # the row kernel loads only when an export is written
+
     yield "path_id,C,K,A\n"
     for i0 in range(0, ensemble.n_paths, _EXPORT_ROWS):
-        cols = (x[i0 : i0 + _EXPORT_ROWS].tolist() for x in (ensemble.C, ensemble.K, ensemble.A))
-        yield "".join(f"{i},{c:.17g},{k:.17g},{a:.17g}\n" for i, c, k, a in zip(count(i0), *cols))
+        block = slice(i0, i0 + _EXPORT_ROWS)
+        yield export.rows(i0, ensemble.C[block], ensemble.K[block], ensemble.A[block])
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +232,11 @@ def _cmd_two_agent(args, p, sol):
 
 
 def _cmd_mc_validate(args, p, sol):
+    if args.export:  # the endpoint CSV and the report each need their own target
+        csv, report = (None if f in (None, "-") else os.path.realpath(f) for f in (args.export, args.output))
+        if csv == report:
+            where = "stdout" if csv is None else repr(args.export)
+            raise ParameterError(f"--export and --output both write to {where}; give them separate targets")
     if not sol.feasible:
         anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
         raise InfeasiblePhaseError(f"phase {args.phase} is infeasible; its anchor is {anchor}")

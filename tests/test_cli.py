@@ -367,27 +367,53 @@ class TestMCValidate:
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_export_written_in_blocks(self, tmp_path, monkeypatch, capsys):
-        # 20 rows in blocks of 7 give the same bytes as one formatted text,
-        # to a file and to stdout
-        argv = ["--seed", "3", "mc-validate", "--t", "0.01", "--n", "20"]
+        # 20 rows in blocks of 7, and 20,000 rows in the default blocks, give
+        # the same bytes as one formatted text, to a file and to stdout
         p = ModelParams()
         sol = solve_phase(p, 0)
         x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
-        ens = montecarlo.sample_paths(x0, 0.01, sol, p, montecarlo.MCConfig(n_paths=20, seed=3))
-        rows = ["path_id,C,K,A"] + [
-            f"{i},{float(c):.17g},{float(k):.17g},{float(a):.17g}"
-            for i, (c, k, a) in enumerate(zip(ens.C, ens.K, ens.A))
-        ]
-        expected = "\n".join(rows) + "\n"
-        monkeypatch.setattr(cli, "_EXPORT_ROWS", 7)
-        export = tmp_path / "endpoints.csv"
-        code, _ = invoke(tmp_path, *argv, "--export", str(export))
-        assert code == 0
-        assert export.read_text() == expected
-        capsys.readouterr()
-        code, _ = invoke(tmp_path, *argv, "--export", "-")
-        assert code == 0
-        assert capsys.readouterr().out == expected
+        for n, block in ((20, 7), (20_000, cli._EXPORT_ROWS)):
+            argv = ["--seed", "3", "mc-validate", "--t", "0.01", "--n", str(n)]
+            ens = montecarlo.sample_paths(x0, 0.01, sol, p, montecarlo.MCConfig(n_paths=n, seed=3))
+            rows = ["path_id,C,K,A"] + [
+                f"{i},{float(c):.17g},{float(k):.17g},{float(a):.17g}"
+                for i, (c, k, a) in enumerate(zip(ens.C, ens.K, ens.A))
+            ]
+            expected = "\n".join(rows) + "\n"
+            monkeypatch.setattr(cli, "_EXPORT_ROWS", block)
+            export = tmp_path / "endpoints.csv"
+            code, _ = invoke(tmp_path, *argv, "--export", str(export))
+            assert code == 0
+            assert export.read_text() == expected
+            capsys.readouterr()
+            code, _ = invoke(tmp_path, *argv, "--export", "-")
+            assert code == 0
+            assert capsys.readouterr().out == expected
+
+    def test_export_and_report_both_on_stdout_exit_2_before_sampling(self, monkeypatch, capsys):
+        def no_sampling(*a, **k):
+            raise AssertionError("sampled before the targets were checked")
+
+        monkeypatch.setattr(montecarlo, "sample_paths", no_sampling)
+        for extra in ([], ["--output", "-"]):
+            code = run(["mc-validate", "--t", "0.01", "--n", "20", "--export", "-", *extra])
+            assert code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--export" in err and "--output" in err and "stdout" in err
+
+    def test_export_and_report_to_one_file_exit_2_before_sampling(self, tmp_path, monkeypatch, capsys):
+        def no_sampling(*a, **k):
+            raise AssertionError("sampled before the targets were checked")
+
+        monkeypatch.setattr(montecarlo, "sample_paths", no_sampling)
+        target = tmp_path / "both.txt"
+        same = tmp_path / "sub" / ".." / "both.txt"
+        code = run(["mc-validate", "--t", "0.01", "--n", "20", "--export", str(target), "--output", str(same)])
+        assert code == 2
+        assert not target.exists()
+        err = capsys.readouterr().err
+        assert "--export" in err and "--output" in err and "both.txt" in err
 
 
 class TestDeterminism:
