@@ -19,6 +19,12 @@ the payload is written.  Errors become exit codes in one place.
 ``_EXPORT_ROWS`` rows through :mod:`cyclefield.export`, which is imported
 only then; the export and the report must go to separate targets.
 
+Only ``transit``, ``path``, ``deviations``, ``two-agent`` and
+``mc-validate`` load NumPy: each imports the kernel modules it calls, and
+the state arguments import :mod:`cyclefield.paths`.  ``phases`` and
+``phase-scan`` run on :mod:`cyclefield.phases` alone, in plain ``math``.
+An output file that cannot be written is bad usage (exit 2).
+
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
 nontrivial phase; 4 numerical failure (including an overflowing closed
 form); 5 ``mc-validate --strict`` wrote a report whose check failed.
@@ -33,7 +39,6 @@ import sys
 from dataclasses import asdict, fields
 from operator import attrgetter
 
-from cyclefield import corrections, green, montecarlo
 from cyclefield.errors import (
     ConvergenceError,
     CycleFieldError,
@@ -45,7 +50,6 @@ from cyclefield.errors import (
     TrajectoryTerminated,
 )
 from cyclefield.params import ModelParams, load_config
-from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
 
 # phase-scan result columns: (CSV header, PhaseSolution field), twelve floats then two flags
@@ -102,8 +106,11 @@ def _emit(text, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.writelines(chunks)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ParameterError(f"cannot write output file {output}: {exc}") from exc
 
 
 def _ensemble_csv(ensemble):
@@ -132,7 +139,10 @@ def _triple(text: str) -> tuple:
         raise ParameterError(f"invalid number triple {text!r}") from exc
 
 
-def _state(text: str) -> AgentState:
+def _state(text: str):
+    """The ``AgentState`` of a C,K,A triple."""
+    from cyclefield.paths import AgentState
+
     return AgentState(*_triple(text))
 
 
@@ -207,6 +217,8 @@ def _cmd_phase_scan(args, base, _sol):
 
 
 def _cmd_transit(args, p, sol):
+    from cyclefield import green
+
     x, y, maintext = args.from_state, args.to, args.maintext_convention
     density, log_density = green.transition_density(x, y, args.t, sol, p, maintext=maintext)
     coeffs = green.coefficients(sol, p, x, y, maintext=maintext)
@@ -214,10 +226,14 @@ def _cmd_transit(args, p, sol):
 
 
 def _cmd_path(args, p, sol):
+    from cyclefield import green
+
     return green.average_path(args.x0, args.t, sol, p, n_steps=args.n_steps).to_csv(), 0
 
 
 def _cmd_deviations(args, p, sol):
+    from cyclefield import corrections
+
     query = corrections.DeviationQuery(x0=args.x0, v0=args.v0, t=args.t)
     dC, dK, dA = corrections.path_deviation(query, sol, p)
     table = corrections.elasticity_table(args.t, sol, p)
@@ -225,6 +241,8 @@ def _cmd_deviations(args, p, sol):
 
 
 def _cmd_two_agent(args, p, sol):
+    from cyclefield import corrections
+
     query = corrections.TwoAgentQuery(
         from1=args.from1, to1=args.to1, from2=args.from2, to2=args.to2, t=args.t
     )
@@ -232,6 +250,9 @@ def _cmd_two_agent(args, p, sol):
 
 
 def _cmd_mc_validate(args, p, sol):
+    from cyclefield import montecarlo
+    from cyclefield.paths import AgentState
+
     if args.export:  # the endpoint CSV and the report each need their own target
         csv, report = (None if f in (None, "-") else os.path.realpath(f) for f in (args.export, args.output))
         if csv == report:

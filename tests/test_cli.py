@@ -416,6 +416,35 @@ class TestMCValidate:
         assert "--export" in err and "--output" in err and "both.txt" in err
 
 
+class TestUnwritableOutput:
+    """An output target that cannot be written is bad usage: exit 2 and one error line."""
+
+    def check(self, capsys, argv, target):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {target}: ")
+        assert err.count("\n") == 1
+
+    def test_phases_to_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        self.check(capsys, ["phases", "--output", str(target)], target)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_phase_scan_to_a_full_device(self, capsys):
+        argv = ["phase-scan", "--key", "A0", "--values", "7.5,8.0", "--output", "/dev/full"]
+        self.check(capsys, argv, "/dev/full")
+
+    def test_transit_to_a_directory(self, tmp_path, capsys):
+        argv = ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01"]
+        self.check(capsys, argv + ["--output", str(tmp_path)], tmp_path)
+
+    def test_mc_validate_export_to_a_missing_directory(self, tmp_path, capsys):
+        export, report = tmp_path / "missing" / "e.csv", tmp_path / "r.json"
+        argv = ["mc-validate", "--t", "0.01", "--n", "20", "--export", str(export), "--output", str(report)]
+        self.check(capsys, argv, export)
+        assert not report.exists()
+
+
 class TestDeterminism:
     CASES = [
         ["phases"],
@@ -605,6 +634,34 @@ for argv in (
 ):
     assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
     assert not loaded(), (argv[0], loaded())
+"""
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cold_start_loads_no_numpy(self, tmp_path):
+        # the phase layer is plain math; NumPy is ~0.1 s of every cold start
+        # and loads only with the kernel modules of the five horizon commands
+        src = str(Path(cli.__file__).resolve().parents[1])
+        check = f"""
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy."))
+import cyclefield
+assert not loaded(), ("import cyclefield", loaded())
+import cyclefield.cli as cli
+assert not loaded(), ("import cyclefield.cli", loaded())
+from cyclefield.params import ModelParams
+from cyclefield.phases import solve_phase
+for phase in (0, 1):
+    solve_phase(ModelParams(), phase)
+    assert not loaded(), ("solve_phase", phase, loaded())
+for argv in (["phases"], ["phase-scan", "--key", "A0", "--values", "7.5,8.0"]):
+    assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
+    assert not loaded(), (argv[0], loaded())
+argv = ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01", "--phase", "1"]
+assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
+assert "numpy" in sys.modules, "transit ran without NumPy"
 """
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)

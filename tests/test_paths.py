@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import cyclefield
+from cyclefield import paths
 from cyclefield.errors import DomainError, ShapeError
 from cyclefield.paths import AgentPath, AgentState
 
@@ -15,6 +17,27 @@ def state_with(name, value):
     values = {"C": 1.0, "K": 10.0, "A": 0.2}
     values[name] = value
     return AgentState(**values)
+
+
+class TestPackageExports:
+    """``AgentPath`` and ``AgentState`` load lazily from the package, as if imported there."""
+
+    @pytest.mark.parametrize("name", ["AgentPath", "AgentState"])
+    def test_names_are_the_paths_classes(self, name):
+        assert getattr(cyclefield, name) is getattr(paths, name)
+        assert name in dir(cyclefield)
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from cyclefield import *", namespace)
+        assert {name: namespace[name] for name in cyclefield.__all__} == {
+            name: getattr(cyclefield, name) for name in cyclefield.__all__
+        }
+
+    def test_unknown_name_raises_the_standard_error(self):
+        with pytest.raises(AttributeError, match="^module 'cyclefield' has no attribute 'no_such_name'$"):
+            cyclefield.no_such_name  # noqa: B018
+        assert not hasattr(cyclefield, "no_such_name")
 
 
 class TestAgentState:
