@@ -261,10 +261,14 @@ def _cmd_mc_validate(args, p, sol):
     if not sol.feasible:
         anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
         raise InfeasiblePhaseError(f"phase {args.phase} is infeasible; its anchor is {anchor}")
+    if args.n < 2:
+        raise ParameterError(f"mc-validate compares sample variances, which needs --n >= 2, got {args.n}")
     mc = montecarlo.MCConfig(n_paths=args.n, dt=args.dt, seed=args.seed)
+    if args.export:  # create or empty the export target now, so one that cannot be written fails before sampling
+        _emit("", args.export)
     initial = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
     ensemble = montecarlo.sample_paths(initial, args.t, sol, p, mc)
-    report = montecarlo.compare_to_green(ensemble, initial, sol, p)  # rejects n < 2 before any export
+    report = montecarlo.compare_to_green(ensemble, initial, sol, p)
     if args.export:
         _emit(_ensemble_csv(ensemble), args.export)
     out = {"zscores": report["zscores"], "ks": report["ks"], "pass": report["pass"]}

@@ -28,15 +28,16 @@ buffers share one per-block budget of ``_NOISE_BYTES``, so memory grows
 with the block size, not the horizon; a stream drawn in chunks gives the
 numbers it gives in one go.
 
-Imports: ``scipy.special`` (``ndtr``, ``kolmogorov``) is loaded inside
-:func:`compare_to_green` and ``scipy.optimize`` (``brentq``) inside
-:func:`appendix5_negligibility`, so importing this module, and every
-command that does not compare an ensemble, loads no SciPy.
+Imports: SciPy is needed only for the Kolmogorov-Smirnov comparison:
+``scipy.special`` (``ndtr``, ``kolmogorov``) is loaded inside
+:func:`compare_to_green`, so importing this module, and every command
+that does not compare an ensemble, loads no SciPy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,11 @@ _TILE = 64  # paths per random stream
 _SUB_STEPS = 32  # most Heun steps between two checks for K <= 0
 
 
-def _check_seed(seed) -> None:
-    """Raise :class:`ParameterError` unless ``seed`` is a Philox key, an integer in [0, 2**128)."""
-    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-    if not (integer and 0 <= int(seed) < 2**128):
-        raise ParameterError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+def _check_integer(name: str, value, span: str, low: int, high: float = math.inf) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer, not a bool, in ``[low, high)`` (``span``)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= int(value) < high):
+        raise ParameterError(f"{name} must be an integer {span}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,11 +68,10 @@ class MCConfig:
     seed: int = 0              # Philox key of every tile stream
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ParameterError(f"n_paths must be >= 1, got {self.n_paths}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ParameterError(f"dt must be a finite positive number, got {self.dt}")
-        _check_seed(self.seed)
+        _check_integer("n_paths", self.n_paths, ">= 1", 1)
+        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+            raise ParameterError(f"dt must be a finite positive number, got {self.dt!r}")
+        _check_integer("seed", self.seed, "in [0, 2**128)", 0, 2**128)
 
 
 @dataclass
@@ -289,6 +289,7 @@ def sample_paths(
     ``n_paths``.  Negative-capital excursions are flagged and retained,
     never reflected or killed.
     """
+    _check_integer("block_size", block_size, ">= 1", 1)
     n_steps = _step_count(t, mc.dt)
 
     n = mc.n_paths
@@ -404,7 +405,7 @@ def budget_brownian_check(
     ``N(0, sigma_bar_sq)`` slack (distributed uniformly over periods);
     with ``sigma_bar_sq = 0`` the residual is identically zero.
     """
-    _check_seed(seed)
+    MCConfig(seed=seed)
     if T < 2:
         raise ParameterError(f"T must be >= 2, got {T}")
     if sigma_bar_sq < 0.0:
@@ -454,7 +455,9 @@ def appendix5_negligibility(
 
     Paths start at the anchor consumption/technology and at the capital
     stock where the capital drift vanishes (the relevant neighborhood for
-    the negligibility claim), found by bisection.
+    the negligibility claim), found by Newton steps with the slope of
+    :func:`_drift_jacobian`.  A drift with no positive root, or a drift
+    maximum above 1e300, raises :class:`DomainError`.
 
     The term is small only near the weak-drift point (A0=1, gamma=0,
     kappa=0, r_c=0, varpi=0.05, nu=0.5, phase 0), where the ratios stay
@@ -462,29 +465,31 @@ def appendix5_negligibility(
     seed 12345 they are 7.54, 1.91, 0.72 and 0.22 for r = 0, 0.05, 0.1
     and 0.2: there the term is not negligible unless discounting is strong.
     """
-    _check_seed(seed)
+    MCConfig(n_paths=n_paths, dt=dt, seed=seed)
     p = params
-    eps = p.epsilon
-    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
+    C_bar, A_bar, eps = solution.C_bar_phase, solution.A_bar_phase, p.epsilon
     n_steps = _step_count(T, dt)
 
+    # the stable root lies right of the drift maximum at lo, where the drift
+    # is concave: Newton steps from a doubling of lo fall monotonically onto it
+    try:
+        lo = (max(A_bar, 0.0) * eps / p.delta) ** (1.0 / (1.0 - eps))
+    except OverflowError:
+        lo = math.inf
+    if lo > 1e300:  # overflowed, or too near the largest double to bracket the root
+        raise DomainError(f"the capital drift maximum (A_bar eps/delta)^(1/(1-eps)) exceeds 1e300 at eps={eps}")
     drift = _drift(solution, p)
-
-    def k_drift(k):
-        return float(drift(C_bar, k, A_bar)[1])
-
-    # the stable root lies above the drift maximum at (A_bar eps/delta)^(1/(1-eps))
-    lo = (A_bar * eps / p.delta) ** (1.0 / (1.0 - eps))
-    if k_drift(lo) <= 0.0:
+    if not (lo > 0.0 and drift(C_bar, lo, A_bar)[1] > 0.0):  # A_bar <= 0 gives lo = 0
         raise DomainError("capital drift has no stable positive root")
-    hi = 2.0 * lo
-    while k_drift(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e15:
-            raise DomainError("capital drift has no stable positive root")
-    from scipy.optimize import brentq
-
-    K_eq = brentq(k_drift, lo, hi, xtol=1e-12)
+    K_eq = 2.0 * lo
+    while drift(C_bar, K_eq, A_bar)[1] > 0.0:  # ends below twice the root
+        K_eq *= 2.0
+    while True:
+        x = (C_bar, K_eq, A_bar)
+        step = drift(*x)[1] / _drift_jacobian(x, solution, p)[1, 1]
+        if not step > 0.0 or K_eq - step == K_eq:
+            break
+        K_eq -= step
 
     rates = [float(r) for r in r_values]
     # e^{-r s} per step and rate; r <= 0 undiscounted

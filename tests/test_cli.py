@@ -357,7 +357,7 @@ class TestMCValidate:
         assert "phase 1" in err and "A_bar_phase=-4.92567" in err
 
     def test_rejected_ensemble_leaves_no_export(self, tmp_path, capsys):
-        # one path has no sample variance: the comparison rejects it before
+        # one path has no sample variance: mc-validate rejects it before
         # anything is written
         export = tmp_path / "e.csv"
         code, text = invoke(tmp_path, "mc-validate", "--t", "0.1", "--n", "1", "--export", str(export))
@@ -438,7 +438,11 @@ class TestUnwritableOutput:
         argv = ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01"]
         self.check(capsys, argv + ["--output", str(tmp_path)], tmp_path)
 
-    def test_mc_validate_export_to_a_missing_directory(self, tmp_path, capsys):
+    def test_mc_validate_export_to_a_missing_directory(self, tmp_path, monkeypatch, capsys):
+        def no_sampling(*a, **k):
+            raise AssertionError("sampled before the export target was opened")
+
+        monkeypatch.setattr(montecarlo, "sample_paths", no_sampling)
         export, report = tmp_path / "missing" / "e.csv", tmp_path / "r.json"
         argv = ["mc-validate", "--t", "0.01", "--n", "20", "--export", str(export), "--output", str(report)]
         self.check(capsys, argv, export)
@@ -667,14 +671,25 @@ assert "numpy" in sys.modules, "transit ran without NumPy"
         proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_mc_validate_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # the linear-noise reference needs no matrix exponential; scipy.linalg
-        # would add ~6 MB to every mc-validate process
+    def test_mc_validate_and_appendix5_load_only_scipy_special(self, tmp_path):
+        # appendix 5's capital root is Newton steps on the sampler's drift, and
+        # the linear-noise reference needs no matrix exponential: the KS
+        # comparison's scipy.special is the only SciPy they load
         src = str(Path(cli.__file__).resolve().parents[1])
-        check = (
-            "import sys; from cyclefield import cli; "
-            f"rc = cli.run(['mc-validate', '--t', '0.1', '--n', '100', '--output', {str(tmp_path / 'r.json')!r}]); "
-            "sys.exit(rc or 'scipy.linalg' in sys.modules)"
-        )
+        check = f"""
+import sys
+from cyclefield import cli, montecarlo
+from cyclefield.params import ModelParams
+from cyclefield.phases import solve_phase
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
+p = ModelParams()
+montecarlo.appendix5_negligibility(p, solve_phase(p, 1), [0.0, 0.1], T=1.0, n_paths=64, seed=1)
+assert not loaded(), ("appendix5_negligibility", loaded())
+assert cli.run(["mc-validate", "--t", "0.1", "--n", "100", "--output", {str(tmp_path / "r.json")!r}]) == 0
+assert not loaded(), ("mc-validate", loaded())
+assert "scipy.special" in sys.modules, "mc-validate ran without scipy.special"
+"""
         env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", check], env=env, timeout=60).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

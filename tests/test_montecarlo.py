@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cyclefield import green, montecarlo as mc
-from cyclefield.errors import DomainError, ParameterError
+from cyclefield.errors import CycleFieldError, DomainError, ParameterError
 from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
@@ -26,10 +26,24 @@ def quiet_setup():
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            mc.MCConfig(n_paths=0)
-        with pytest.raises(ParameterError):
-            mc.MCConfig(dt=-0.1)
+        # n_paths=2.5 and True constructed, and dt="x" raised a TypeError
+        for bad in ({"n_paths": 0}, {"n_paths": 2.5}, {"n_paths": True}, {"dt": -0.1}, {"dt": "x"}):
+            with pytest.raises(ParameterError, match=next(iter(bad))):
+                mc.MCConfig(**bad)
+
+    @pytest.mark.parametrize("block_size", [0, -64, True, 2.5, "64"])
+    def test_block_size_must_be_a_positive_integer(self, quiet_setup, block_size):
+        # -64 returned uninitialised memory as endpoints, 0 a bare ValueError
+        p, sol, x0 = quiet_setup
+        with pytest.raises(ParameterError, match="block_size"):
+            mc.sample_paths(x0, 0.02, sol, p, mc.MCConfig(n_paths=2), block_size=block_size)
+
+    @pytest.mark.parametrize("bad", [{"n_paths": 0}, {"n_paths": 2.5}, {"dt": 0.0}, {"dt": "x"}])
+    def test_appendix5_checks_its_config(self, quiet_setup, bad):
+        # n_paths=0 divided by zero
+        p, sol, _ = quiet_setup
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            mc.appendix5_negligibility(p, sol, [0.0], **{"T": 0.1, "dt": 0.02, "n_paths": 2, **bad})
 
     @pytest.mark.parametrize("seed", [-1, 2**128, 1.0, True, "1"])
     def test_seed_outside_philox_keys_rejected(self, quiet_setup, seed):
@@ -493,3 +507,61 @@ class TestAppendix5:
             p, sol, [0.0, 0.05], T=20.0, dt=0.05, n_paths=50, seed=1
         )
         assert all(v > 0.0 for v in ratios.values())
+
+    def test_capital_root_matches_brentq(self, monkeypatch):
+        # appendix 5's Newton root against a bracketing reference on the drift
+        # written out, over random draws of both phases; a stand-in Heun
+        # engine stops each run at the start state
+        from scipy.optimize import brentq
+
+        class Started(Exception):
+            pass
+
+        def start_only(start, *args):
+            raise Started(start[1])
+
+        monkeypatch.setattr(mc, "_heun_paths", start_only)
+        rng = np.random.default_rng(22)
+        counts = [0, 0]
+        while min(counts) < 200:
+            p = ModelParams().replace(
+                A0=rng.uniform(4.0, 12.0), epsilon=rng.uniform(0.15, 0.85),
+                delta=rng.uniform(0.02, 0.3), kappa=rng.uniform(0.0, 0.4),
+            )
+            for phase in (0, 1):
+                try:
+                    sol = solve_phase(p, phase)
+                except CycleFieldError:
+                    continue
+                C, A, eps, delta = sol.C_bar_phase, sol.A_bar_phase, p.epsilon, p.delta
+
+                def k_drift(k):
+                    return A * k ** eps - C - delta * k
+
+                lo = (A * eps / delta) ** (1.0 / (1.0 - eps))
+                if not k_drift(lo) > 0.0:  # the drift maximum is not positive
+                    with pytest.raises(DomainError, match="no stable positive root"):
+                        mc.appendix5_negligibility(p, sol, [0.0], T=0.02, n_paths=1)
+                    continue
+                hi = 2.0 * lo
+                while k_drift(hi) > 0.0:
+                    hi *= 2.0
+                want = brentq(k_drift, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+                with pytest.raises(Started) as got:
+                    mc.appendix5_negligibility(p, sol, [0.0], T=0.02, n_paths=1)
+                assert got.value.args[0] == pytest.approx(want, rel=1e-14, abs=0.0), (p, phase)
+                counts[phase] += 1
+
+    def test_overflowing_drift_maximum_is_a_domain_error(self):
+        # (A_bar eps/delta)^(1/(1-eps)) raised a raw OverflowError
+        p = load_config(BASE_CFG).replace(epsilon=0.995)
+        with pytest.raises(DomainError, match="exceeds 1e300"):
+            mc.appendix5_negligibility(p, solve_phase(p, 0), [0.0], T=0.1, n_paths=2)
+
+    @pytest.mark.parametrize("change, phase", [({"C_bar": 50.0}, 0), ({"nu": 3.0}, 1)])
+    def test_drift_without_a_positive_root_is_a_domain_error(self, change, phase):
+        # C_bar = 50 lies above the drift maximum; at nu = 3 the infeasible
+        # phase 1 has A_bar < 0, which raised a TypeError on a complex maximum
+        p = load_config(BASE_CFG).replace(**change)
+        with pytest.raises(DomainError, match="no stable positive root"):
+            mc.appendix5_negligibility(p, solve_phase(p, phase), [0.0], T=0.1, n_paths=2)
