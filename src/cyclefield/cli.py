@@ -258,9 +258,7 @@ def _cmd_mc_validate(args, p, sol):
         if csv == report:
             where = "stdout" if csv is None else repr(args.export)
             raise ParameterError(f"--export and --output both write to {where}; give them separate targets")
-    if not sol.feasible:
-        anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
-        raise InfeasiblePhaseError(f"phase {args.phase} is infeasible; its anchor is {anchor}")
+    montecarlo.check_feasible(sol)
     if args.n < 2:
         raise ParameterError(f"mc-validate compares sample variances, which needs --n >= 2, got {args.n}")
     mc = montecarlo.MCConfig(n_paths=args.n, dt=args.dt, seed=args.seed)

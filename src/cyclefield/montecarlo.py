@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyclefield.errors import DomainError, ParameterError
+from cyclefield.errors import DomainError, InfeasiblePhaseError, ParameterError
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState, check_horizon
 from cyclefield.phases import PhaseSolution
@@ -119,14 +119,13 @@ def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, reserved: int 
     buf = np.empty((n_tiles, chunk, _TILE, 3))
     rng = np.random.Generator(np.random.Philox(key=seed))
     bitgen = rng.bit_generator
-    states = []
-    for j in range(tile, tile + n_tiles):
-        states.append(bitgen.state)  # counter [0, 0, 0, 0], empty output buffer
-        states[-1]["state"]["counter"][2] = j
+    start = bitgen.state  # counter [0, 0, 0, 0], empty output buffer
+    states = [None] * n_tiles  # each tile's state after its last chunk
     for k in range(0, n_steps, chunk):
         m = min(chunk, n_steps - k)
         for j in range(n_tiles):
-            bitgen.state = states[j]
+            start["state"]["counter"][2] = tile + j  # the tile's first chunk starts from start
+            bitgen.state = states[j] or start
             rng.standard_normal(out=buf[j, :m])
             if k + m < n_steps:
                 states[j] = bitgen.state
@@ -134,64 +133,75 @@ def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, reserved: int 
 
 
 def _drift(solution: PhaseSolution, params: ModelParams):
-    """Nonlinear drift of the phase Langevin system.
+    """Nonlinear drift of the phase Langevin system, on a block of paths.
 
     ``dC = (A F'(K) + r_c)(C - C_bar_phase)``, ``dK = A F(K) - C - delta K``,
     ``dA = -(A - A_bar_phase)/(2 lambda^2)`` with ``F = K^eps`` and
-    ``F' = eps F / K`` clamped to zero where ``K <= 0``.  ``drift(C, K, A)``
-    takes arrays or scalars and gives the three rates, the mask ``K > 0``
-    and the rate ``A F' + r_c``; :func:`_drift_jacobian` is its Jacobian.
-
-    The Heun engine passes one-dimensional buffers: ``out`` for the three
-    rates, ``rate``, and ``work`` for a temporary.  With ``clamp=False``
-    the clamp and the mask are skipped, which changes nothing while every
-    ``K > 0``.
+    ``F' = eps F / K`` clamped to zero where ``K <= 0``.  ``drift(C, K, A,
+    dC, dK, dA, rate, work, clamp)`` reads a (3, P) state's rows and writes
+    the rates, ``A F' + r_c`` and a temporary into (P,) buffers; it returns
+    the mask ``K > 0``, or None with ``clamp=False``, which skips the clamp
+    and changes nothing while every ``K > 0``.
     """
-    eps, r_c, delta = params.epsilon, params.r_c, params.delta
-    C_bar, A_bar = solution.C_bar_phase, solution.A_bar_phase
-    relax_A = 1.0 / (2.0 * params.lambda_sq)
+    eps, r_c, delta, C_bar, A_bar, relax_A = map(np.array, (  # 0-d arrays: no conversion per call
+        params.epsilon, params.r_c, params.delta,
+        solution.C_bar_phase, solution.A_bar_phase, 1.0 / (2.0 * params.lambda_sq),
+    ))
+    add, subtract, multiply, divide, power = np.add, np.subtract, np.multiply, np.divide, np.power
 
-    def drift(C, K, A, out=(None, None, None), rate=None, work=None, clamp=True):
-        dC, dK, dA = out
+    def drift(C, K, A, dC, dK, dA, rate, work, clamp):
         if clamp:
             pos = K > 0.0
             Kp = np.maximum(K, 5e-324)  # K where K > 0, else the least positive double (masked below)
             F = Kp ** eps * pos
         else:
-            pos, Kp = True, K
-            F = np.power(K, eps, out=work)
-        rate = np.multiply(eps, F, out=rate)
-        rate /= Kp
-        rate *= A
-        rate += r_c
-        dC = np.subtract(C, C_bar, out=dC)
-        dC *= rate
-        dK = np.multiply(A, F, out=dK)
-        dK -= C
-        dK -= np.multiply(delta, K, out=work)
-        dA = np.subtract(A_bar, A, out=dA)
-        dA *= relax_A
-        return dC, dK, dA, pos, rate
+            pos, Kp = None, K
+            F = power(K, eps, work)
+        multiply(eps, F, rate)
+        divide(rate, Kp, rate)
+        multiply(rate, A, rate)
+        add(rate, r_c, rate)
+        multiply(subtract(C, C_bar, dC), rate, dC)
+        subtract(multiply(A, F, dK), C, dK)
+        subtract(dK, multiply(delta, K, work), dK)
+        multiply(subtract(A_bar, A, dA), relax_A, dA)
+        return pos
 
     return drift
 
 
-def _drift_jacobian(x, solution: PhaseSolution, params: ModelParams) -> np.ndarray:
-    """Analytic Jacobian of :func:`_drift` at ``x = (C, K, A)`` with ``K > 0``.
+def _drift_and_jacobian(solution: PhaseSolution, params: ModelParams):
+    """The rates of :func:`_drift` and its Jacobian at one state, in plain floats.
 
-    At the phase anchor it is ``green._drift_matrix``.
+    ``f(C, K, A)``, for ``K > 0``, gives ``(dC, dK, dA, jCC, jCK, jCA, jKK,
+    jKA, jAA)``: the rates by :func:`_drift`'s IEEE operations in its order,
+    and the Jacobian ``[[jCC, jCK, jCA], [-1, jKK, jKA], [0, 0, jAA]]``
+    (``green._drift_matrix`` at the phase anchor).  Python's ``**`` is
+    NumPy's scalar power (its array ``power`` differs in the last bit for
+    ~5% of inputs); where ``K**(eps-1)`` overflows, ``F'`` is ``inf`` as
+    with NumPy.
     """
-    C, K, A = x
-    eps = params.epsilon
-    Fp = eps * K ** (eps - 1.0)
-    gap = C - solution.C_bar_phase
-    return np.array(
-        [
-            [A * Fp + params.r_c, A * Fp * (eps - 1.0) / K * gap, Fp * gap],
-            [-1.0, A * Fp - params.delta, K ** eps],
-            [0.0, 0.0, -1.0 / (2.0 * params.lambda_sq)],
-        ]
-    )
+    eps, r_c, delta, eps_1 = params.epsilon, params.r_c, params.delta, params.epsilon - 1.0
+    C_bar, A_bar, relax_A = solution.C_bar_phase, solution.A_bar_phase, 1.0 / (2.0 * params.lambda_sq)
+
+    def f(C, K, A):
+        F = K ** eps
+        try:
+            Fp = eps * K ** eps_1
+        except OverflowError:
+            Fp = math.inf
+        gap, AFp = C - C_bar, A * Fp
+        return (gap * (eps * F / K * A + r_c), A * F - C - delta * K, (A_bar - A) * relax_A,
+                AFp + r_c, AFp * eps_1 / K * gap, Fp * gap, AFp - delta, F, -relax_A)
+
+    return f
+
+
+def check_feasible(solution: PhaseSolution) -> None:
+    """Raise :class:`InfeasiblePhaseError`, naming the phase's anchor, unless the phase is feasible."""
+    if not solution.feasible:
+        anchor = f"C_bar_phase={solution.C_bar_phase:.6g}, A_bar_phase={solution.A_bar_phase:.6g}"
+        raise InfeasiblePhaseError(f"phase {solution.phase} is infeasible; its anchor is {anchor}")
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -228,7 +238,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     drift = _drift(solution, params)
     sdt = math.sqrt(dt)
     amps = np.array([params.varpi * sdt, params.nu * sdt, sdt / params.lam])[:, None, None]
-    half = 0.5 * dt
+    dt, half = np.array(dt), np.array(0.5 * dt)  # 0-d: no conversion per call
     n = n_tiles * _TILE
     # Bytes per path: 80 per sub-chunk step (states, predictors, noise,
     # rates) and 88 besides (the end state, D, E, the predictor's rate,
@@ -239,21 +249,16 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     R = np.empty((sub, n))
     (D, E), (r_p, work) = np.empty((2, 3, n)), np.empty((2, n))
     X[0] = np.reshape(start, (3, 1))
-    # the row views (C, K, A) each step reads, made once
-    X_rows, Xp_rows, D_rows, E_rows = [tuple(x) for x in X], [tuple(x) for x in Xp], tuple(D), tuple(E)
+    # each step's arrays and drift arguments, made once
+    plan = [(x, xp, w, x_new, (*x, *D, r), (*xp, *E, r_p)) for x, xp, w, x_new, r in zip(X, Xp, W, X[1:], R)]
+    add, multiply = np.add, np.multiply
 
     def steps(m, clamp):
-        for s in range(m):
-            x, xp, w, x_new = X[s], Xp[s], W[s], X[s + 1]
-            pos = drift(*X_rows[s], out=D_rows, rate=R[s], work=work, clamp=clamp)[3]
-            np.multiply(D, dt, out=xp)
-            xp += x
-            xp += w
-            pos_p = drift(*Xp_rows[s], out=E_rows, rate=r_p, work=work, clamp=clamp)[3]
-            np.add(E, D, out=E)
-            np.multiply(E, half, out=E)
-            np.add(x, E, out=x_new)
-            x_new += w
+        for x, xp, w, x_new, at_x, at_xp in plan[:m]:
+            pos = drift(*at_x, work, clamp)
+            add(add(multiply(D, dt, xp), x, xp), w, xp)
+            pos_p = drift(*at_xp, work, clamp)
+            add(add(x, multiply(add(E, D, E), half, E), x_new), w, x_new)
             if clamp and ok is not None:
                 np.logical_and(ok, pos & pos_p, out=ok)
 
@@ -315,34 +320,47 @@ def lna_moments(initial: AgentState, t: float, dt: float, solution: PhaseSolutio
     van Kampen's LNA: the mean follows the sampler's drift (:func:`_drift`)
     without noise, and the covariance solves ``dV/dt = J V + V J^T + Q``
     from ``V(0) = 0``, with ``J`` the Jacobian of the drift along that mean
-    (:func:`_drift_jacobian`) and ``Q = diag(varpi^2, nu^2, 1/lambda^2)``
+    (:func:`_drift_and_jacobian`) and ``Q = diag(varpi^2, nu^2, 1/lambda^2)``
     the sampler's noise.  Both are stepped together by the sampler's Heun
-    rule at step ``dt``.  Returns ``(mean, cov)``; raises
-    :class:`DomainError`, naming the step, if the mean reaches ``K <= 0``
-    or a moment stops being finite.
+    rule at step ``dt``, in plain floats: the mean and the six independent
+    entries of ``V``, so ``V`` is symmetric bit for bit.  Each product is
+    rounded on its own, so the moments do not depend on the BLAS build (a
+    BLAS matrix product may fuse multiply-adds).  Returns ``(mean,
+    cov)``; raises :class:`DomainError`, naming the step, if the mean
+    reaches ``K <= 0`` or a moment stops being finite.
     """
     n_steps = _step_count(t, dt)
-    drift = _drift(solution, params)
-    Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
+    f = _drift_and_jacobian(solution, params)
+    q_C, q_K, q_A = params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq
 
-    def rates(x, V, k):
-        if not x[1] > 0.0:
-            raise DomainError(f"the linear-noise mean reached K = {x[1]:.6g} <= 0 at step {k} of {n_steps}")
-        JV = _drift_jacobian(x, solution, params) @ V
-        return np.array(drift(*x)[:3]), JV + JV.T + Q
+    def rates(C, K, A, V, k):
+        """The drift, and ``J V + V J^T + Q`` as ``V``'s entries CC, CK, CA, KK, KA, AA."""
+        if not K > 0.0:
+            raise DomainError(f"the linear-noise mean reached K = {K:.6g} <= 0 at step {k} of {n_steps}")
+        dC, dK, dA, a, b, c, d, e, g = f(C, K, A)
+        cc, ck, ca, kk, ka, aa = V
+        # (J V)_ij, row i of J = [[a, b, c], [-1, d, e], [0, 0, g]] on column j of V, summed left
+        # to right; the zeros stay, so a non-finite V gives NaN where the matrix product does
+        CC, CK, CA = a * cc + b * ck + c * ca, a * ck + b * kk + c * ka, a * ca + b * ka + c * aa
+        KC, KK, KA = -cc + d * ck + e * ca, -ck + d * kk + e * ka, -ca + d * ka + e * aa
+        AC, AK, AA = 0.0 * cc + 0.0 * ck + g * ca, 0.0 * ck + 0.0 * kk + g * ka, 0.0 * ca + 0.0 * ka + g * aa
+        return dC, dK, dA, (CC + CC + q_C, CK + KC, CA + AC, KK + KK + q_K, KA + AK, AA + AA + q_A)
 
-    names = [*"CKA", *(f"cov({a}, {b})" for a in "CKA" for b in "CKA")]
-    x, V, half = initial.as_array(), np.zeros((3, 3)), 0.5 * dt
+    C, K, A, V, half = initial.C, initial.K, initial.A, (0.0,) * 6, 0.5 * dt
     for k in range(1, n_steps + 1):
-        f, G = rates(x, V, k)
-        f_p, G_p = rates(x + f * dt, V + G * dt, k)
-        x, V = x + (f + f_p) * half, V + (G + G_p) * half
-        moments = x.tolist() + V.ravel().tolist()
-        if not all(map(math.isfinite, moments)):
+        fC, fK, fA, G = rates(C, K, A, V, k)
+        pC, pK, pA, G_p = rates(C + fC * dt, K + fK * dt, A + fA * dt, [v + g * dt for v, g in zip(V, G)], k)
+        C, K, A = C + (fC + pC) * half, K + (fK + pK) * half, A + (fA + pA) * half
+        V = [v + (g + g_p) * half for v, g, g_p in zip(V, G, G_p)]
+        if not all(map(math.isfinite, (C, K, A, *V))):
+            cc, ck, ca, kk, ka, aa = V
+            moments = (C, K, A, cc, ck, ca, ck, kk, ka, ca, ka, aa)
+            names = [*"CKA", *(f"cov({a}, {b})" for a in "CKA" for b in "CKA")]
             bad = ", ".join(f"{name} = {v:.6g}" for name, v in zip(names, moments) if not math.isfinite(v))
             raise DomainError(f"the linear-noise moments are not finite after step {k} of {n_steps}: {bad}")
-    rates(x, V, n_steps)  # the endpoint must keep K > 0 too
-    return x, V
+    rates(C, K, A, V, n_steps)  # the endpoint must keep K > 0 too
+    cc, ck, ca, kk, ka, aa = V
+    return np.array([C, K, A]), np.array([[cc, ck, ca], [ck, kk, ka], [ca, ka, aa]])
 
 
 def compare_to_green(
@@ -456,8 +474,10 @@ def appendix5_negligibility(
     Paths start at the anchor consumption/technology and at the capital
     stock where the capital drift vanishes (the relevant neighborhood for
     the negligibility claim), found by Newton steps with the slope of
-    :func:`_drift_jacobian`.  A drift with no positive root, or a drift
-    maximum above 1e300, raises :class:`DomainError`.
+    :func:`_drift_and_jacobian`.  An infeasible phase raises
+    :class:`InfeasiblePhaseError`, as ``mc-validate`` does; a drift with no
+    positive root, or a drift maximum above 1e300, raises
+    :class:`DomainError`.
 
     The term is small only near the weak-drift point (A0=1, gamma=0,
     kappa=0, r_c=0, varpi=0.05, nu=0.5, phase 0), where the ratios stay
@@ -466,6 +486,7 @@ def appendix5_negligibility(
     and 0.2: there the term is not negligible unless discounting is strong.
     """
     MCConfig(n_paths=n_paths, dt=dt, seed=seed)
+    check_feasible(solution)
     p = params
     C_bar, A_bar, eps = solution.C_bar_phase, solution.A_bar_phase, p.epsilon
     n_steps = _step_count(T, dt)
@@ -478,15 +499,15 @@ def appendix5_negligibility(
         lo = math.inf
     if lo > 1e300:  # overflowed, or too near the largest double to bracket the root
         raise DomainError(f"the capital drift maximum (A_bar eps/delta)^(1/(1-eps)) exceeds 1e300 at eps={eps}")
-    drift = _drift(solution, p)
-    if not (lo > 0.0 and drift(C_bar, lo, A_bar)[1] > 0.0):  # A_bar <= 0 gives lo = 0
+    f = _drift_and_jacobian(solution, p)
+    if not (lo > 0.0 and f(C_bar, lo, A_bar)[1] > 0.0):  # A_bar <= 0 gives lo = 0
         raise DomainError("capital drift has no stable positive root")
     K_eq = 2.0 * lo
-    while drift(C_bar, K_eq, A_bar)[1] > 0.0:  # ends below twice the root
+    while f(C_bar, K_eq, A_bar)[1] > 0.0:  # ends below twice the root
         K_eq *= 2.0
     while True:
-        x = (C_bar, K_eq, A_bar)
-        step = drift(*x)[1] / _drift_jacobian(x, solution, p)[1, 1]
+        _, dK, _, _, _, _, jKK, _, _ = f(C_bar, K_eq, A_bar)
+        step = dK / jKK
         if not step > 0.0 or K_eq - step == K_eq:
             break
         K_eq -= step

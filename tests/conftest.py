@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -21,3 +22,15 @@ def trivial(params):
 @pytest.fixture(scope="session")
 def nontrivial(params):
     return solve_phase(params, 1)
+
+
+@pytest.fixture(scope="session")
+def drift_jacobian():
+    """The sampler drift's 3x3 Jacobian at ``x``, assembled from ``montecarlo._drift_and_jacobian``."""
+    from cyclefield import montecarlo as mc
+
+    def jacobian(x, solution, params):
+        *_, jCC, jCK, jCA, jKK, jKA, jAA = mc._drift_and_jacobian(solution, params)(*x)
+        return np.array([[jCC, jCK, jCA], [-1.0, jKK, jKA], [0.0, 0.0, jAA]])
+
+    return jacobian

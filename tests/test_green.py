@@ -429,9 +429,9 @@ class TestCorrectedDensityLookup:
 
 def fixed_point(solution, params):
     """The sampler drift's stable fixed point ``(C_bar, K_eq, A_bar)``, K_eq above the drift maximum."""
-    drift = mc._drift(solution, params)
+    point = mc._drift_and_jacobian(solution, params)
     lo = (solution.A_bar_phase * params.epsilon / params.delta) ** (1.0 / (1.0 - params.epsilon))
-    K_eq = brentq(lambda k: float(drift(solution.C_bar_phase, k, solution.A_bar_phase)[1]), lo, 1e3 * lo, xtol=1e-13)
+    K_eq = brentq(lambda k: point(solution.C_bar_phase, k, solution.A_bar_phase)[1], lo, 1e3 * lo, xtol=1e-13)
     return AgentState(C=solution.C_bar_phase, K=K_eq, A=solution.A_bar_phase)
 
 
@@ -459,10 +459,10 @@ class TestCovariance:
     """
 
     @pytest.mark.parametrize("phase", [0, 1])
-    def test_ode_matches_closed_form(self, params, phase):
+    def test_ode_matches_closed_form(self, params, phase, drift_jacobian):
         sol = solve_phase(params, phase)
         x = fixed_point(sol, params)
-        J = mc._drift_jacobian(x.as_array(), sol, params)
+        J = drift_jacobian((x.C, x.K, x.A), sol, params)
         for s in (0.05, 0.2, 0.5):
             _, exact = lyapunov_closed_form(J, params, s)
             err = [
@@ -472,29 +472,29 @@ class TestCovariance:
             assert err[0] < 1e-3, (s, err)
             assert 3.6 < err[0] / err[1] < 4.4, (s, err)
 
-    def test_matches_quadrature(self, trivial, params):
+    def test_matches_quadrature(self, trivial, params, drift_jacobian):
         x = fixed_point(trivial, params)
-        J = mc._drift_jacobian(x.as_array(), trivial, params)
+        J = drift_jacobian((x.C, x.K, x.A), trivial, params)
         Q = np.diag([params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq])
         s = 0.4
         integral, _ = quad_vec(lambda u: expm(J * u) @ Q @ expm(J.T * u), 0.0, s, epsabs=0, epsrel=1e-12)
         _, cov = mc.lna_moments(x, s, 1e-3, trivial, params)
         np.testing.assert_allclose(cov, integral, rtol=1e-5, atol=1e-5 * np.max(np.abs(integral)))
 
-    def test_response_vector_matches(self, trivial, params):
+    def test_response_vector_matches(self, trivial, params, drift_jacobian):
         # near the fixed point the mean responds to the start state through e^{J s}
         x = fixed_point(trivial, params)
         d = np.array([1e-3, 1e-2, 1e-3])
         y = AgentState(*(x.as_array() + d))
-        decay, _ = lyapunov_closed_form(mc._drift_jacobian(x.as_array(), trivial, params), params, 0.4)
+        decay, _ = lyapunov_closed_form(drift_jacobian((x.C, x.K, x.A), trivial, params), params, 0.4)
         response = mc.lna_moments(y, 0.4, 1e-2, trivial, params)[0] - mc.lna_moments(x, 0.4, 1e-2, trivial, params)[0]
         np.testing.assert_allclose(response, decay @ d, rtol=1e-5, atol=0)
 
-    def test_long_horizon_matches_closed_form(self, nontrivial, params):
+    def test_long_horizon_matches_closed_form(self, nontrivial, params, drift_jacobian):
         x = fixed_point(nontrivial, params)
         d = np.array([1e-3, 1e-2, 1e-3])
         y = AgentState(*(x.as_array() + d))
-        decay, exact = lyapunov_closed_form(mc._drift_jacobian(x.as_array(), nontrivial, params), params, 10.0)
+        decay, exact = lyapunov_closed_form(drift_jacobian((x.C, x.K, x.A), nontrivial, params), params, 10.0)
         mean, cov = mc.lna_moments(x, 10.0, 1e-2, nontrivial, params)
         assert np.max(np.abs(cov - exact)) / np.max(np.abs(exact)) < 1e-6
         response = mc.lna_moments(y, 10.0, 1e-2, nontrivial, params)[0] - mean
@@ -757,7 +757,7 @@ class TestPaperKernelConventions:
         AFp = A * params.epsilon * K ** (params.epsilon - 1.0)
         dC = green.average_path_rhs(np.array([C, K, A]), trivial, params, K_e=10.0)[0]
         assert dC / (C - trivial.C_bar_phase) == pytest.approx(AFp + params.r_c - params.delta, rel=1e-12)
-        dC_mc, *_, rate = mc._drift(trivial, params)(C, K, A)
+        dC_mc, _, _, rate, *_ = mc._drift_and_jacobian(trivial, params)(C, K, A)
         assert rate == pytest.approx(AFp + params.r_c, rel=1e-12)
         assert dC_mc == pytest.approx(rate * (C - trivial.C_bar_phase), rel=1e-12)
 

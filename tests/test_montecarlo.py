@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cyclefield import green, montecarlo as mc
-from cyclefield.errors import CycleFieldError, DomainError, ParameterError
+from cyclefield.errors import CycleFieldError, DomainError, InfeasiblePhaseError, ParameterError
 from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentState
 from cyclefield.phases import solve_phase
@@ -296,31 +296,55 @@ class TestDynamics:
         assert -2.2 < order < -1.8
 
     @pytest.mark.parametrize("phase", [0, 1])
-    def test_drift_jacobian_is_kernel_drift_matrix(self, phase):
+    def test_drift_jacobian_is_kernel_drift_matrix(self, phase, drift_jacobian):
         # one nonlinear sampler drift; its Jacobian at the phase anchor is
         # the kernels' drift matrix
         p = load_config(BASE_CFG)
         sol = solve_phase(p, phase)
-        jac = mc._drift_jacobian((sol.C_bar_phase, p.K_bar, sol.A_bar_phase), sol, p)
+        jac = drift_jacobian((sol.C_bar_phase, p.K_bar, sol.A_bar_phase), sol, p)
         np.testing.assert_allclose(jac, green._drift_matrix(sol, p), rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("phase", [0, 1])
-    def test_drift_jacobian_matches_central_differences(self, phase):
+    def test_drift_jacobian_matches_central_differences(self, phase, drift_jacobian):
         # away from the anchor, where the consumption row's K and A entries
         # do not vanish
         p = load_config(BASE_CFG)
         sol = solve_phase(p, phase)
-        drift = mc._drift(sol, p)
+        point = mc._drift_and_jacobian(sol, p)
         for x in ([1.3, 11.5, 9.0], [0.6, 7.0, 10.8], [2.5, 300.0, 9.9]):
-            x = np.array(x)
             jac = np.empty((3, 3))
             for j in range(3):
                 h = 1e-6 * x[j]
-                up, down = x.copy(), x.copy()
+                up, down = list(x), list(x)
                 up[j] += h
                 down[j] -= h
-                jac[:, j] = (np.array(drift(*up)[:3]) - np.array(drift(*down)[:3])) / (2.0 * h)
-            np.testing.assert_allclose(mc._drift_jacobian(x, sol, p), jac, rtol=1e-7, atol=1e-9)
+                jac[:, j] = (np.array(point(*up)[:3]) - np.array(point(*down)[:3])) / (2.0 * h)
+            np.testing.assert_allclose(drift_jacobian(x, sol, p), jac, rtol=1e-7, atol=1e-9)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("phase", [0, 1])
+    def test_point_rates_are_the_block_drift(self, phase, clamp):
+        # the plain-float rates at one state (the reference's mean, appendix 5's
+        # root) against the block drift of the Heun engine, both clamp modes, on
+        # a grid with K > 0.  They are == wherever NumPy's array power gives the
+        # bits of the scalar ** (most states); elsewhere F = K**eps differs in
+        # its last bit, and so may dC and dK.
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, phase)
+        grid = np.meshgrid(np.linspace(0.0, 3.0, 7), np.geomspace(1e-3, 1e3, 41), np.linspace(8.0, 12.0, 5))
+        C, K, A = (g.ravel() for g in grid)
+        block = np.empty((5, C.size))  # dC, dK, dA, the rate A F' + r_c, work
+        mc._drift(sol, p)(C, K, A, *block, clamp)
+        point = mc._drift_and_jacobian(sol, p)
+        rates = np.array([point(*x)[:3] for x in zip(C.tolist(), K.tolist(), A.tolist())]).T
+        same = np.power(K, p.epsilon) == np.array([k ** p.epsilon for k in K.tolist()])
+        assert same.mean() > 0.8
+        np.testing.assert_array_equal(rates[:, same], block[:3, same])
+        np.testing.assert_array_equal(rates[2], block[2])  # dA has no power
+        F = K ** p.epsilon
+        np.testing.assert_allclose(rates[0], block[0], rtol=1e-15, atol=0.0)
+        scale = A * F + C + p.delta * K
+        assert np.all(np.abs(rates[1] - block[1]) <= 4 * np.finfo(float).eps * scale)
 
     def test_variance_convention(self, quiet_setup):
         # Var(C(t)) ~ varpi^2 t at small horizons: the density convention
@@ -351,7 +375,7 @@ class TestDynamics:
         dt = 1e-2
         amp_C, amp_K = p.varpi * math.sqrt(dt), p.nu * math.sqrt(dt)
         x0 = AgentState(C=sol.C_bar_phase, K=1.0, A=sol.A_bar_phase)  # F(1) = 1 exactly
-        dK = mc._drift(sol, p)(x0.C, x0.K, x0.A)[1]
+        dK = mc._drift_and_jacobian(sol, p)(x0.C, x0.K, x0.A)[1]
         z = np.zeros((1, 1, mc._TILE, 3))
         z[..., 0] = (-200.0 - x0.C) / amp_C
         z[..., 1] = -(x0.K + dK * dt) / amp_K
@@ -368,7 +392,7 @@ class TestDynamics:
         p, sol, _ = quiet_setup
         dt = 1e-2
         x0 = AgentState(C=sol.C_bar_phase, K=1.0, A=sol.A_bar_phase)
-        dK = mc._drift(sol, p)(x0.C, x0.K, x0.A)[1]
+        dK = mc._drift_and_jacobian(sol, p)(x0.C, x0.K, x0.A)[1]
         z = np.zeros((1, 1, mc._TILE, 3))
         z[..., 1] = (1e-6 - x0.K - dK * dt) / (p.nu * math.sqrt(dt))
         monkeypatch.setattr(mc, "_tile_noise", lambda *args: iter([z]))
@@ -396,9 +420,9 @@ class TestLinearNoise:
         p = load_config(BASE_CFG)
         sol = solve_phase(p, phase)
         x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
-        drift = mc._drift(sol, p)
+        point = mc._drift_and_jacobian(sol, p)
         exact = solve_ivp(
-            lambda s, y: [float(v) for v in drift(*y)[:3]], (0.0, t), x0.as_array(),
+            lambda s, y: point(*y.tolist())[:3], (0.0, t), x0.as_array(),
             method="DOP853", rtol=1e-12, atol=1e-12,
         ).y[:, -1]
         mean, _ = mc.lna_moments(x0, t, 1e-2, sol, p)
@@ -419,6 +443,45 @@ class TestLinearNoise:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DomainError, match=r"after step 1 of 1: K = inf"):
                 mc.lna_moments(start, 0.01, 1e-2, sol, p)
+
+    def test_overflowing_power_is_a_non_finite_moment(self):
+        # at a subnormal K and eps = 0.01, K**(eps-1) overflows: Python's **
+        # raises OverflowError where NumPy's scalar power gives inf.  F' is
+        # inf, so the Jacobian is, and the step's moments are not finite; the
+        # message is the one the NumPy step gave
+        p = load_config(BASE_CFG).replace(epsilon=0.01)
+        sol = solve_phase(p, 0)
+        with pytest.raises(OverflowError):
+            1e-320 ** (p.epsilon - 1.0)
+        covs = ", ".join(f"cov({a}, {b}) = nan" for a in "CKA" for b in "CKA")
+        message = f"the linear-noise moments are not finite after step 1 of 5: C = -inf, K = inf, {covs}"
+        with pytest.raises(DomainError) as err:
+            mc.lna_moments(AgentState(C=0.0, K=1e-320, A=10.0), 0.05, 1e-2, sol, p)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("phase, t, mean, cov", [
+        (0, 0.1, [1.0797884560802866, 11.886286433128154, 10.0], [
+            [0.0010626384346617422, -5.399097608346444e-05, 0.0],
+            [-5.399097608346444e-05, 0.0010590938073537029, 2.625817171685571e-05],
+            [0.0, 2.625817171685571e-05, 0.0002499687525779683],
+        ]),
+        (1, 10.0, [2.009054638191322, 343.60828224598026, 9.973380936196836], [
+            [0.5889883094570828, -3.046586259580776, 0.0],
+            [-3.046586259580776, 38.67704091399174, 0.6409746496680345],
+            [0.0, 0.6409746496680345, 0.0246900879691274],
+        ]),
+    ])
+    def test_moments_pinned(self, phase, t, mean, cov):
+        # mc-validate's reference at both shipped settings (base.cfg, from
+        # the anchor, dt = 1e-2), as the NumPy-array step gave them, by
+        # repr: every bit and the sign of every zero.  C-A stays exactly 0:
+        # C stays at C_bar along the mean, so J_CK and J_CA vanish there
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, phase)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        got_mean, got_cov = mc.lna_moments(x0, t, 1e-2, sol, p)
+        assert repr(got_mean.tolist()) == repr(mean)
+        assert repr(got_cov.tolist()) == repr(cov)
 
 
 def lna_ensemble(x0, t, sol, p, seed, n=20000, shift=0.0):
@@ -533,6 +596,10 @@ class TestAppendix5:
                     sol = solve_phase(p, phase)
                 except CycleFieldError:
                     continue
+                if not sol.feasible:  # refused before the root is sought
+                    with pytest.raises(InfeasiblePhaseError, match=f"phase {phase} is infeasible"):
+                        mc.appendix5_negligibility(p, sol, [0.0], T=0.02, n_paths=1)
+                    continue
                 C, A, eps, delta = sol.C_bar_phase, sol.A_bar_phase, p.epsilon, p.delta
 
                 def k_drift(k):
@@ -558,10 +625,23 @@ class TestAppendix5:
         with pytest.raises(DomainError, match="exceeds 1e300"):
             mc.appendix5_negligibility(p, solve_phase(p, 0), [0.0], T=0.1, n_paths=2)
 
-    @pytest.mark.parametrize("change, phase", [({"C_bar": 50.0}, 0), ({"nu": 3.0}, 1)])
+    @pytest.mark.parametrize("change, phase", [({"C_bar": 50.0}, 0)])
     def test_drift_without_a_positive_root_is_a_domain_error(self, change, phase):
-        # C_bar = 50 lies above the drift maximum; at nu = 3 the infeasible
-        # phase 1 has A_bar < 0, which raised a TypeError on a complex maximum
+        # C_bar = 50 lies above the drift maximum
         p = load_config(BASE_CFG).replace(**change)
         with pytest.raises(DomainError, match="no stable positive root"):
             mc.appendix5_negligibility(p, solve_phase(p, phase), [0.0], T=0.1, n_paths=2)
+
+    @pytest.mark.parametrize("nu", [1.5, 3.0])
+    def test_infeasible_phase_is_refused(self, nu):
+        # mc-validate refuses an infeasible phase (exit 3), and so does the
+        # estimate, naming the anchor.  At nu = 1.5 it simulated from the
+        # infeasible phase-1 anchor; at nu = 3 that anchor has A_bar < 0, and
+        # the drift has no positive root
+        p = load_config(BASE_CFG).replace(nu=nu)
+        sol = solve_phase(p, 1)
+        assert not sol.feasible
+        anchor = f"C_bar_phase={sol.C_bar_phase:.6g}, A_bar_phase={sol.A_bar_phase:.6g}"
+        with pytest.raises(InfeasiblePhaseError) as err:
+            mc.appendix5_negligibility(p, sol, [0.0], T=0.1, n_paths=2)
+        assert str(err.value) == f"phase 1 is infeasible; its anchor is {anchor}"
