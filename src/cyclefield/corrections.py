@@ -27,8 +27,12 @@ from cyclefield.phases import _LOG_DBL_MAX, PhaseSolution
 
 
 def _check_horizon(t: float, name: str = "t") -> None:
-    """Raise :class:`DomainError` unless ``0 <= t < inf`` (NaN fails)."""
-    if not 0.0 <= t < math.inf:
+    """Raise :class:`DomainError` unless ``t`` is a number, not a bool, with ``0 <= t < inf`` (NaN fails)."""
+    try:
+        valid = not isinstance(t, (bool, np.bool_)) and 0.0 <= t < math.inf
+    except TypeError:  # not comparable with a float, such as a string or None
+        valid = False
+    if not valid:
         raise DomainError(f"{name} must be finite and >= 0, got {t!r}")
 
 
@@ -49,7 +53,11 @@ class DeviationQuery:
         if len(self.v0) != 3:
             raise DomainError(f"v0 must have three components, got {len(self.v0)}")
         for v in self.v0:
-            if not math.isfinite(float(v)):
+            try:
+                valid = not isinstance(v, (bool, np.bool_)) and math.isfinite(v)
+            except TypeError:  # not a real number, such as a string
+                valid = False
+            if not valid:
                 raise DomainError(f"v0 components must be finite, got {self.v0!r}")
         _check_horizon(self.t)
         object.__setattr__(self, "v0", tuple(float(v) for v in self.v0))

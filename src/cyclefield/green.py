@@ -238,53 +238,39 @@ class _Batch:
 
 # The one path batch kept, for the last path, solution, parameters and maintext.
 _last_batch: _Batch | None = None
-_NO_HORIZON = object()  # the horizon of a formula that reads none
-
-
-def _batch(solution, params, from_state, to_state, maintext=False):
-    """The batch holding the pair and its row there; raises if the pair fails a check.
-
-    Samples ``i`` and ``i + 1`` of one path (:meth:`AgentPath.state`) are
-    row ``i`` of the path's batch, built unless it is the one kept; any
-    other pair is a lone batch.
-    """
-    global _last_batch
-    link, to_link = from_state._link, to_state._link
-    if link is not None and to_link is not None and to_link[0] is link[0] and to_link[1] == link[1] + 1:
-        path, i = link
-        batch = _last_batch
-        if batch is None or not (
-            batch.path is path and batch.solution is solution and batch.params is params
-            and batch.maintext is maintext
-        ):
-            batch = _last_batch = _Batch(solution, params, maintext, path)
-        if batch.scale[i] is not None:
-            return batch, i
-    return _Batch(solution, params, maintext, from_state=from_state, to_state=to_state), 0
 
 
 def _lookup(formula, from_state, to_state, t, solution, params, maintext=False, warn=False):
     """``formula``'s value on a pair at horizon ``t``, and the pair's batch and row.
 
-    Two consecutive linked states read the kept batch's list for ``t``, a
-    horizon checked when it was kept.  Any other pair, formula or horizon
-    has ``t`` checked (unless ``_NO_HORIZON``) and goes through
-    :func:`_batch` and :meth:`_Batch.read`, which raise if the pair fails
-    a check.  ``warn`` issues the :class:`SmallTimeWarning` after the
+    Samples ``i`` and ``i + 1`` of one path (:meth:`AgentPath.state`) are
+    row ``i`` of the path's batch, built unless it is the one kept, and
+    read its list for ``t``, a horizon checked when it was kept.  Any other
+    pair, or a linked pair that fails a check, is a lone batch, which
+    raises.  ``t`` is checked unless None (a formula that reads no
+    horizon).  ``warn`` issues the :class:`SmallTimeWarning` after the
     pair's checks, attributed to the first caller outside cyclefield.
     """
+    global _last_batch
     link, to_link, batch, value = from_state._link, to_state._link, _last_batch, None
-    if (
-        link and to_link and batch and to_link[0] is link[0] is batch.path and to_link[1] == link[1] + 1
-        and batch.solution is solution and batch.params is params and batch.maintext is maintext
-    ):
+    linked = link and to_link and to_link[0] is link[0] and to_link[1] == link[1] + 1
+    kept = linked and batch and (
+        batch.path is link[0] and batch.solution is solution and batch.params is params
+        and batch.maintext is maintext
+    )
+    if kept:
         i, got = link[1], batch.values.get(formula)
         if got is not None and got[0] == t:
             value = got[1][i]
     if value is None:
-        if t is not _NO_HORIZON:
+        if t is not None:
             check_horizon(t)
-        batch, i = _batch(solution, params, from_state, to_state, maintext)
+        if linked:
+            if not kept:
+                batch = _last_batch = _Batch(solution, params, maintext, link[0])
+            i = link[1]
+        if not linked or batch.scale[i] is None:
+            batch, i = _Batch(solution, params, maintext, from_state=from_state, to_state=to_state), 0
     if warn and (scale := t * batch.scale[i]) > _SMALL_S_THRESHOLD:
         frame, level = sys._getframe(1), 2  # the caller, and its stacklevel
         while frame is not None and frame.f_globals.get("__name__", "").startswith("cyclefield."):
@@ -334,8 +320,8 @@ def _drift_matrix(solution: PhaseSolution, params: ModelParams) -> np.ndarray:
     )
 
 
-def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = False):
-    """Log of the kernel's Gaussian factor at horizon ``t``.
+def _log_gaussian_rows(pair: _Pair, t: float, params: ModelParams, maintext: bool):
+    """Log of the kernel's Gaussian factor at horizon ``t``, and its check: a variance underflows.
 
     The exponent is ``-sum X_i^2 / (2 v_i)`` with the drifted displacement
     ``X = (to - from) - t drift(from)`` and the variances ``v = t rates``;
@@ -351,15 +337,8 @@ def _log_gaussian(pair: _Pair, t: float, params: ModelParams, maintext: bool = F
     else:
         # a sum of logs: the product v1 v2 v3 underflows at tiny t
         log_norm = -0.5 * (_LOG_TWO_PI_CUBED + np.log(v1) + np.log(v2) + np.log(v3))
-    return log_norm - quad
-
-
-def _log_gaussian_rows(pair: _Pair, t: float, params: ModelParams, maintext: bool):
-    """:func:`_log_gaussian` and its check: ``t`` so small that a variance underflows."""
-    w1, w2, w3 = pair.rates
-    vanish = (w1 * t <= 0.0) | (w2 * t <= 0.0) | (w3 * t <= 0.0)
-    message = f"kernel variances vanish at t = {t!r}"
-    return _log_gaussian(pair, t, params, maintext), ((vanish, DomainError, message),)
+    vanish = (v1 <= 0.0) | (v2 <= 0.0) | (v3 <= 0.0)
+    return log_norm - quad, ((vanish, DomainError, f"kernel variances vanish at t = {t!r}"),)
 
 
 def _log_density_rows(pair: _Pair, t: float, params: ModelParams, maintext: bool):
@@ -502,7 +481,7 @@ def average_path(
     check_horizon(t)
     if n_steps is None:
         n_steps = max(1, math.ceil(1000.0 * t))
-    elif n_steps < 1:
+    elif isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ParameterError(f"n_steps must be >= 1, got {n_steps}")
     K_e = equilibrium(solution, params).K
     h = t / n_steps
@@ -574,7 +553,7 @@ def laplace_propagator(
     Coincident endpoints make the transform diverge (``Q = 0``) and raise
     :class:`DomainError`, as does a value past the largest double.
     """
-    return _lookup(_propagator_rows, from_state, to_state, _NO_HORIZON, solution, params)[0]
+    return _lookup(_propagator_rows, from_state, to_state, None, solution, params)[0]
 
 
 def _propagator_rows(pair: _Pair, t, params: ModelParams, maintext: bool):

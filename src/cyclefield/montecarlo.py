@@ -69,7 +69,8 @@ class MCConfig:
 
     def __post_init__(self):
         _check_integer("n_paths", self.n_paths, ">= 1", 1)
-        if not (isinstance(self.dt, numbers.Real) and math.isfinite(self.dt) and self.dt > 0):
+        dt = self.dt
+        if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
             raise ParameterError(f"dt must be a finite positive number, got {self.dt!r}")
         _check_integer("seed", self.seed, "in [0, 2**128)", 0, 2**128)
 
@@ -424,10 +425,11 @@ def budget_brownian_check(
     with ``sigma_bar_sq = 0`` the residual is identically zero.
     """
     MCConfig(seed=seed)
-    if T < 2:
+    if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 2:
         raise ParameterError(f"T must be >= 2, got {T}")
-    if sigma_bar_sq < 0.0:
+    if not sigma_bar_sq >= 0.0:  # NaN fails
         raise ParameterError(f"sigma_bar_sq must be >= 0, got {sigma_bar_sq}")
+    _check_integer("n_reps", n_reps, ">= 1", 1)
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.standard_normal((n_reps, T))
     xi = rng.standard_normal((n_reps, T))

@@ -13,8 +13,12 @@ from cyclefield.errors import DomainError, ShapeError
 
 
 def check_horizon(t: float) -> None:
-    """Raise :class:`DomainError` unless the horizon satisfies ``0 < t < inf`` (NaN fails)."""
-    if not 0.0 < t < math.inf:
+    """Raise :class:`DomainError` unless the horizon is a number, not a bool, with ``0 < t < inf`` (NaN fails)."""
+    try:
+        valid = not isinstance(t, (bool, np.bool_)) and 0.0 < t < math.inf
+    except TypeError:  # not comparable with a float, such as a string or None
+        valid = False
+    if not valid:
         raise DomainError(f"t must be finite and > 0, got {t!r}")
 
 

@@ -22,7 +22,7 @@ def utility_quadratic(c, theta: float, c_hat: float):
     ``C_tilde = c_hat + 1/theta`` is the satiation point implied by the
     anchor ``c_hat``.  ``theta`` must be strictly positive.
     """
-    if not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0):
+    if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0):
         raise ParameterError(f"theta must be a finite positive number, got {theta!r}")
     c = np.asarray(c, dtype=float)
     c_tilde = c_hat + 1.0 / theta
@@ -69,40 +69,28 @@ def production_derivative(K, A, params: ModelParams, mode: str = "exact"):
     return out if out.ndim else float(out)
 
 
-def _forward_rates(path: AgentPath):
-    """Forward-difference rates ``(dC, dK, dA)`` of a path, one per step."""
-    dt = path.dt
-    dC = np.diff(path.C) / dt
-    dK = np.diff(path.K) / dt
-    dA = np.diff(path.A) / dt
-    return dC, dK, dA
-
-
 def log_weight_consumption(path: AgentPath, params: ModelParams, mode: str = "exact") -> float:
     """Consumption log weight.
 
     ``-sum dt (Cdot - r (C - C_bar))^2 / varpi^2 + C0 * T`` with the
     pointwise rate ``r(t) = A(t) F'(K(t)) + r_c`` and ``T`` the path span.
     """
-    dC, _, _ = _forward_rates(path)
     C, K, A = path.C[:-1], path.K[:-1], path.A[:-1]
     r = production_derivative(K, A, params, mode=mode) + params.r_c
-    resid = dC - r * (C - params.C_bar)
+    resid = np.diff(path.C) / path.dt - r * (C - params.C_bar)
     return float(-np.sum(resid ** 2) * path.dt / params.varpi ** 2 + params.C0 * path.duration)
 
 
 def log_weight_capital(path: AgentPath, params: ModelParams, mode: str = "exact") -> float:
     """Capital log weight ``-sum dt (Kdot - (A F(K) - C - delta K))^2 / nu^2``."""
-    _, dK, _ = _forward_rates(path)
     C, K, A = path.C[:-1], path.K[:-1], path.A[:-1]
     drift = production(K, A, params, mode=mode) - C - params.delta * K
-    return float(-np.sum((dK - drift) ** 2) * path.dt / params.nu ** 2)
+    return float(-np.sum((np.diff(path.K) / path.dt - drift) ** 2) * path.dt / params.nu ** 2)
 
 
 def _log_weight_technology_single(path: AgentPath, params: ModelParams, A_bar: float) -> float:
-    _, _, dA = _forward_rates(path)
     A = path.A[:-1]
-    kinetic = (dA - params.g * A) ** 2 / params.lam ** 2
+    kinetic = (np.diff(path.A) / path.dt - params.g * A) ** 2 / params.lam ** 2
     potential = (A - A_bar) ** 2
     return float(-np.sum(kinetic + potential) * path.dt)
 

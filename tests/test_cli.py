@@ -190,6 +190,25 @@ class TestPhaseScan:
         assert code == 2
         assert "expected one argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option,grid,message",
+        [
+            ("--values", "1,x", "invalid --values list '1,x'"),
+            ("--range", "1,2", "--range expects 'start,stop,count', got '1,2'"),
+            ("--range", "1,x,3", "invalid --range '1,x,3'"),
+            ("--range", "1,2,0", "--range count must be >= 1, got 0"),
+        ],
+    )
+    def test_malformed_grid_is_a_usage_error(self, tmp_path, capsys, option, grid, message):
+        code, text = invoke(tmp_path, "phase-scan", "--key", "A0", option, grid)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_range_of_one_point_is_its_start(self, tmp_path):
+        code, text = invoke(tmp_path, "phase-scan", "--key", "A0", "--range", "5,9,1")
+        assert code == 0
+        assert [float(r["A0"]) for r in self.parse(text)] == [5.0]
+
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = invoke(tmp_path, "phase-scan", "--key", "bogus", "--values", "1")
         assert code == 2

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,10 @@ class TestCorrectionPotential:
             corrections.correction_potential(x, x, -1.0, trivial, params)
 
 
-@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize(
+    "t", [math.nan, math.inf, -1.0, True, np.True_, "0.1", None],
+    ids=["nan", "inf", "negative", "True", "np.True_", "text", "None"],
+)
 @pytest.mark.parametrize(
     "call",
     [
@@ -58,6 +62,25 @@ class TestCorrectionPotential:
 def test_horizon_outside_zero_to_infinity_rejected(call, t, trivial, params):
     with pytest.raises(DomainError, match="finite and >= 0"):
         call(t, trivial, params)
+
+
+class TestDeviationQuery:
+    @pytest.mark.parametrize(
+        "v0", [("a", 0, 0), (True, 0.0, 0.0), (0.0, np.False_, 0.0), (0.0, 0.0, None), (0.0, math.nan, 0.0)],
+        ids=["text", "True", "np.False_", "None", "nan"],
+    )
+    def test_velocity_components_must_be_finite_numbers(self, v0):
+        # "a" raised a bare ValueError, and True ran as 1.0
+        with pytest.raises(DomainError) as excinfo:
+            corrections.DeviationQuery(x0=AgentState(C=1.1, K=10.5, A=9.8), v0=v0, t=0.2)
+        assert str(excinfo.value) == f"v0 components must be finite, got {v0!r}"
+
+    def test_real_components_stored_as_floats(self):
+        q = corrections.DeviationQuery(
+            x0=AgentState(C=1.1, K=10.5, A=9.8), v0=(np.float32(0.5), Fraction(1, 4), -1), t=np.float32(0.5)
+        )
+        assert q.v0 == (0.5, 0.25, -1.0) and q.t == 0.5
+        assert all(type(v) is float for v in (*q.v0, q.t))
 
 
 class TestPathDeviation:

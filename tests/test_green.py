@@ -13,7 +13,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from cyclefield import corrections, green, montecarlo as mc
-from cyclefield.errors import DomainError, SingularityError, TrajectoryTerminated
+from cyclefield.errors import DomainError, ParameterError, SingularityError, TrajectoryTerminated
 from cyclefield.params import ModelParams, load_config
 from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import solve_phase
@@ -183,7 +183,7 @@ class TestDensityMemo:
         path = AgentPath([x.C, y.C], [x.K, y.K], [x.A, y.A], dt=0.01)
         for a, b in ((x, y), (path.state(0), path.state(1))):
             green.transition_density(a, b, 0.01, trivial, params)
-            for t in (0.0, -0.01, math.nan, math.inf):
+            for t in (0.0, -0.01, math.nan, math.inf, True, "0.01"):
                 with pytest.raises(DomainError):
                     green.transition_density(a, b, t, trivial, params)
                 with pytest.raises(DomainError):
@@ -321,9 +321,10 @@ class TestPathBatch:
             (path.state(1), copy_state(path.state(2))),
             (dataclasses.replace(path.state(1)), path.state(2)),
         ):
-            batch, i = green._batch(nontrivial, params, a, b)
+            _, batch, i = green._lookup(green._log_density_rows, a, b, 0.01, nontrivial, params)
             assert batch.path is None and i == 0
-        batch, i = green._batch(nontrivial, params, path.state(-2), path.state(-1))
+        last = (path.state(-2), path.state(-1))
+        _, batch, i = green._lookup(green._log_density_rows, *last, 0.01, nontrivial, params)
         assert batch.path is path and i == len(path) - 2
 
     SCENARIOS = {
@@ -635,7 +636,7 @@ class TestDrift:
             # the Gaussian exponent reads the same displacement
             quad = sum(Xi * Xi / (2.0 * w * t) for Xi, w in zip(X, pair.rates))
             log_norm = -0.5 * sum(math.log(2.0 * math.pi * w * t) for w in pair.rates)
-            assert green._log_gaussian(pair, t, p) == pytest.approx(log_norm - quad, rel=1e-13)
+            assert green._log_gaussian_rows(pair, t, p, False)[0] == pytest.approx(log_norm - quad, rel=1e-13)
             F = Fraction
             a, Kb = F(c.alpha), F(p.K_bar)
             exact_dK = -(a * (F(x.K) - Kb) + F(p.delta) * Kb + F(x.C) - F(x.A) * F(Keps))
@@ -711,6 +712,18 @@ class TestAveragePath:
         np.testing.assert_allclose(path.C, eq.C, rtol=1e-12)
         np.testing.assert_allclose(path.K, eq.K, rtol=1e-12)
         np.testing.assert_allclose(path.A, eq.A, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [2.5, True, False, np.True_, "2", 0, -1, np.float64(2.0)])
+    def test_step_count_must_be_a_positive_integer(self, trivial, params, n_steps):
+        # 2.5 raised a bare TypeError, and True ran one step
+        with pytest.raises(ParameterError) as excinfo:
+            green.average_path(green.equilibrium(trivial, params), 0.5, trivial, params, n_steps=n_steps)
+        assert str(excinfo.value) == f"n_steps must be >= 1, got {n_steps}"
+
+    @pytest.mark.parametrize("n_steps", [2, np.int64(2), np.uint8(2)])
+    def test_integer_step_counts_accepted(self, trivial, params, n_steps):
+        path = green.average_path(green.equilibrium(trivial, params), 0.5, trivial, params, n_steps=n_steps)
+        assert len(path) == 3
 
     def test_capital_crash_terminates_with_partial(self, trivial, params):
         start = AgentState(C=10.0, K=2.0, A=trivial.A_bar_phase)

@@ -31,6 +31,24 @@ class TestConfig:
             with pytest.raises(ParameterError, match=next(iter(bad))):
                 mc.MCConfig(**bad)
 
+    @pytest.mark.parametrize("dt", [True, False, np.True_, "0.01", None, 0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_a_positive_number(self, dt):
+        # True was stored as the step
+        with pytest.raises(ParameterError) as excinfo:
+            mc.MCConfig(dt=dt)
+        assert str(excinfo.value) == f"dt must be a finite positive number, got {dt!r}"
+
+    @pytest.mark.parametrize("dt", [0.01, 1, np.float32(0.01), np.float64(0.01)])
+    def test_real_steps_accepted_as_given(self, dt):
+        assert mc.MCConfig(dt=dt).dt is dt
+
+    @pytest.mark.parametrize("t", [True, "0.1"])
+    def test_horizon_must_be_a_number(self, quiet_setup, t):
+        p, sol, x0 = quiet_setup
+        with pytest.raises(DomainError) as excinfo:
+            mc.sample_paths(x0, t, sol, p, mc.MCConfig(n_paths=2, dt=1e-3))
+        assert str(excinfo.value) == f"t must be finite and > 0, got {t!r}"
+
     @pytest.mark.parametrize("block_size", [0, -64, True, 2.5, "64"])
     def test_block_size_must_be_a_positive_integer(self, quiet_setup, block_size):
         # -64 returned uninitialised memory as endpoints, 0 a bare ValueError
@@ -494,6 +512,14 @@ def lna_ensemble(x0, t, sol, p, seed, n=20000, shift=0.0):
 
 
 class TestCompareToGreen:
+    def test_one_path_is_refused(self, quiet_setup):
+        # the CLI's --n check fires first, so only library callers reach this
+        p, sol, x0 = quiet_setup
+        ens = mc.sample_paths(x0, 0.02, sol, p, mc.MCConfig(n_paths=1, dt=1e-3))
+        with pytest.raises(ParameterError) as excinfo:
+            mc.compare_to_green(ens, x0, sol, p)
+        assert str(excinfo.value) == "comparing moments needs at least 2 paths, got 1"
+
     def test_self_test_passes(self, quiet_setup):
         # an ensemble drawn from the analytic marginals must pass
         p, sol, x0 = quiet_setup
@@ -544,6 +570,34 @@ class TestBudgetBrownian:
     def test_short_series_rejected(self):
         with pytest.raises(ParameterError):
             mc.budget_brownian_check(T=1)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"T": 2.5}, "T must be >= 2, got 2.5"),
+            ({"T": True}, "T must be >= 2, got True"),
+            ({"T": "10"}, "T must be >= 2, got 10"),
+            ({"n_reps": 0}, "n_reps must be an integer >= 1, got 0"),
+            ({"n_reps": -1}, "n_reps must be an integer >= 1, got -1"),
+            ({"n_reps": 1.5}, "n_reps must be an integer >= 1, got 1.5"),
+            ({"n_reps": True}, "n_reps must be an integer >= 1, got True"),
+            ({"sigma_bar_sq": math.nan}, "sigma_bar_sq must be >= 0, got nan"),
+            ({"sigma_bar_sq": -1.0}, "sigma_bar_sq must be >= 0, got -1.0"),
+        ],
+        ids=[
+            "T-2.5", "T-True", "T-text", "n_reps-0", "n_reps--1", "n_reps-1.5", "n_reps-True",
+            "sigma-nan", "sigma-negative",
+        ],
+    )
+    def test_arguments_checked(self, bad, message):
+        # T=2.5 raised a bare TypeError, n_reps=0 a NumPy ValueError, and NaN ran
+        with pytest.raises(ParameterError) as excinfo:
+            mc.budget_brownian_check(**{"T": 10, **bad})
+        assert str(excinfo.value) == message
+
+    def test_integer_types_accepted(self):
+        report = mc.budget_brownian_check(T=np.int64(10), n_reps=np.int32(2))
+        assert report["n_increments"] == 20
 
 
 class TestAppendix5:

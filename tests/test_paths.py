@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,52 @@ class TestAgentPathArrays:
         assert (path.dt, path.t0, path.duration) == (0.01, 2.0, 0.01)
         with pytest.raises(AttributeError):
             path.extra = 1.0
+
+
+class TestCheckHorizon:
+    """A horizon is a real number, not a bool, in ``(0, inf)``; anything else raises its DomainError."""
+
+    @pytest.mark.parametrize(
+        "t", [True, False, np.True_, "0.1", None, [0.1], 0.0, -1.0, math.nan, math.inf],
+        ids=["True", "False", "np.True_", "text", "None", "list", "zero", "negative", "nan", "inf"],
+    )
+    def test_non_horizons_rejected(self, t):
+        # True ran as t = 1, and "0.1" raised a bare TypeError
+        with pytest.raises(DomainError) as excinfo:
+            paths.check_horizon(t)
+        assert str(excinfo.value) == f"t must be finite and > 0, got {t!r}"
+
+    @pytest.mark.parametrize("t", [0.01, 2, np.float32(0.01), np.int64(2), Fraction(1, 100), np.array(0.01)])
+    def test_real_horizons_accepted(self, t):
+        paths.check_horizon(t)
+
+
+class TestAgentPathConstruction:
+    """Each malformed coordinate set raises its own typed error and message."""
+
+    @pytest.mark.parametrize(
+        "coords,error,message",
+        [
+            (
+                ([[1.0, 1.1]], [10.0, 10.5], [0.2, 0.3]), ShapeError,
+                "path coordinates must be one-dimensional arrays",
+            ),
+            (
+                ([1.0, 1.1], [10.0, 10.5, 11.0], [0.2, 0.3]), ShapeError,
+                "coordinate arrays must share a length, got (2,), (3,), (2,)",
+            ),
+            (([1.0], [10.0], [0.2]), ShapeError, "a path needs at least 2 samples, got 1"),
+            (
+                ([1.0, 1.1], [10.0, math.nan], [0.2, 0.3]), DomainError,
+                "path coordinate K contains non-finite values",
+            ),
+        ],
+        ids=["2-D", "unequal lengths", "one sample", "NaN sample"],
+    )
+    def test_malformed_coordinates_rejected(self, coords, error, message):
+        with pytest.raises(error) as excinfo:
+            AgentPath(*coords, dt=0.01)
+        assert type(excinfo.value) is error and str(excinfo.value) == message
 
 
 class TestAgentPathGrid:

@@ -46,6 +46,13 @@ class TestUtility:
         with pytest.raises(ParameterError):
             utility_quadratic(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("theta", [True, False, np.True_, "2", None, 0.0, -1.0, math.nan, math.inf])
+    def test_theta_must_be_a_positive_number(self, theta):
+        # True ran as theta = 1
+        with pytest.raises(ParameterError) as excinfo:
+            utility_quadratic(1.0, theta, 1.0)
+        assert str(excinfo.value) == f"theta must be a finite positive number, got {theta!r}"
+
     @given(st.floats(0.1, 10.0), st.floats(0.1, 5.0), st.floats(-2.0, 2.0))
     def test_bounded_above(self, theta, c_hat, c):
         assert utility_quadratic(c, theta, c_hat) <= 1.0 / (2.0 * theta) + 1e-12
@@ -78,6 +85,19 @@ class TestProduction:
             production(0.0, 10.0, params)
         with pytest.raises(ParameterError):
             production(10.0, 10.0, params, mode="bogus")
+
+
+class TestProductionDerivative:
+    @pytest.mark.parametrize("K", [0.0, -1.0, [10.0, 0.0]])
+    def test_exact_mode_needs_positive_capital(self, params, K):
+        with pytest.raises(DomainError) as excinfo:
+            production_derivative(K, 10.0, params)
+        assert str(excinfo.value) == "marginal product in exact mode requires K > 0"
+
+    def test_unknown_mode_rejected(self, params):
+        with pytest.raises(ParameterError) as excinfo:
+            production_derivative(10.0, 10.0, params, mode="cubic")
+        assert str(excinfo.value) == "unknown production mode 'cubic'"
 
 
 class TestConsumptionWeight:
@@ -185,6 +205,13 @@ class TestTotalWeight:
     def test_empty_collection_rejected(self, params):
         with pytest.raises(ShapeError):
             log_weight_total([], params, A_bar=10.0)
+
+    @pytest.mark.parametrize("other", [{"n": 22}, {"dt": 0.04}], ids=["length", "step"])
+    def test_paths_on_different_grids_rejected(self, params, other):
+        paths = [make_path(rng=np.random.default_rng(5)), make_path(rng=np.random.default_rng(6), **other)]
+        with pytest.raises(ShapeError) as excinfo:
+            log_weight_total(paths, params, A_bar=10.0)
+        assert str(excinfo.value) == "all paths must share a time grid"
 
 
 class TestIntertemporalConstraint:
