@@ -247,8 +247,8 @@ def _lookup(formula, from_state, to_state, t, solution, params, maintext=False, 
     row ``i`` of the path's batch, built unless it is the one kept, and
     read its list for ``t``, a horizon checked when it was kept.  Any other
     pair, or a linked pair that fails a check, is a lone batch, which
-    raises.  ``t`` is checked unless None (a formula that reads no
-    horizon).  ``warn`` issues the :class:`SmallTimeWarning` after the
+    raises.  ``t`` is checked except for the propagator, which reads no
+    horizon.  ``warn`` issues the :class:`SmallTimeWarning` after the
     pair's checks, attributed to the first caller outside cyclefield.
     """
     global _last_batch
@@ -263,7 +263,7 @@ def _lookup(formula, from_state, to_state, t, solution, params, maintext=False, 
         if got is not None and got[0] == t:
             value = got[1][i]
     if value is None:
-        if t is not None:
+        if formula is not _propagator_rows:
             check_horizon(t)
         if linked:
             if not kept:

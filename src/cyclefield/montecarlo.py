@@ -28,10 +28,9 @@ buffers share one per-block budget of ``_NOISE_BYTES``, so memory grows
 with the block size, not the horizon; a stream drawn in chunks gives the
 numbers it gives in one go.
 
-Imports: SciPy is needed only for the Kolmogorov-Smirnov comparison:
-``scipy.special`` (``ndtr``, ``kolmogorov``) is loaded inside
-:func:`compare_to_green`, so importing this module, and every command
-that does not compare an ensemble, loads no SciPy.
+Imports: no SciPy.  The Kolmogorov-Smirnov comparison's module,
+:mod:`cyclefield.ks`, is loaded inside :func:`compare_to_green`, so
+importing this module does not compile its tables.
 """
 
 from __future__ import annotations
@@ -374,15 +373,17 @@ def compare_to_green(
 
     The reference is :func:`lna_moments` from ``initial`` over the
     ensemble's horizon at the ensemble's step.  Returns per-coordinate
-    z-scores for mean and variance, Kolmogorov-Smirnov p-proxies, and an
-    overall verdict (all |z| <= 4 and all p >= 1e-3).  Raises
+    z-scores for mean and variance, Kolmogorov-Smirnov p-values of the
+    standardised coordinates against N(0, 1) (:func:`cyclefield.ks.normal_ks`,
+    with ``scipy.special``'s bits), and an overall verdict (all |z| <= 4 and
+    all p >= 1e-3; a NaN p fails).  Raises
     :class:`ParameterError` for fewer than two paths, whose variance is
     undefined.
     """
     n = ensemble.n_paths
     if n < 2:
         raise ParameterError(f"comparing moments needs at least 2 paths, got {n}")
-    from scipy.special import kolmogorov, ndtr
+    from cyclefield.ks import normal_ks
 
     mu, cov = lna_moments(initial, ensemble.t, ensemble.dt, solution, params)
     var_an = np.diag(cov)
@@ -394,17 +395,11 @@ def compare_to_green(
         se_mean = math.sqrt(v_mc / n)
         zscores[f"mean_{name}"] = (m_mc - float(mu[idx])) / se_mean
         zscores[f"var_{name}"] = (v_mc - var_an[idx]) / (var_an[idx] * math.sqrt(2.0 / (n - 1)))
-        # KS against the analytic normal marginal, in three arrays of n
-        cdf = np.subtract(x, mu[idx])
-        cdf /= math.sqrt(var_an[idx])
-        cdf.sort()
-        ndtr(cdf, out=cdf)
-        grid = np.arange(1.0, n + 1)
-        grid /= n
-        above = np.max(grid - cdf)
-        grid -= 1.0 / n
-        D = float(np.maximum(above, np.max(np.subtract(cdf, grid, out=cdf))))
-        ks[name] = float(kolmogorov(D * (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n))))
+        # KS against the analytic normal marginal
+        z = np.subtract(x, mu[idx])
+        z /= math.sqrt(var_an[idx])
+        z.sort()
+        ks[name] = normal_ks(z)[1]
     passed = all(abs(z) <= 4.0 for z in zscores.values()) and all(p >= 1e-3 for p in ks.values())
     return {"zscores": zscores, "ks": ks, "pass": passed}
 

@@ -636,8 +636,7 @@ class TestUsage:
     def test_cold_start_loads_no_scipy(self, tmp_path):
         # scipy.special alone is ~0.38 s of a ~0.5 s cold start and
         # scipy.linalg ~6 MB of RSS; the phase layer computes erfc/erfcx with
-        # math, and SciPy is imported only where the KS comparison and
-        # appendix 5 use it
+        # math, and no command imports SciPy
         src = str(Path(cli.__file__).resolve().parents[1])
         check = f"""
 import sys
@@ -690,10 +689,10 @@ assert "numpy" in sys.modules, "transit ran without NumPy"
         proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_mc_validate_and_appendix5_load_only_scipy_special(self, tmp_path):
-        # appendix 5's capital root is Newton steps on the sampler's drift, and
-        # the linear-noise reference needs no matrix exponential: the KS
-        # comparison's scipy.special is the only SciPy they load
+    def test_mc_validate_and_appendix5_load_no_scipy(self, tmp_path):
+        # appendix 5's capital root is Newton steps on the sampler's drift, the
+        # linear-noise reference needs no matrix exponential, and the KS
+        # comparison's ndtr and kolmogorov are cyclefield.ks's ports
         src = str(Path(cli.__file__).resolve().parents[1])
         check = f"""
 import sys
@@ -701,14 +700,40 @@ from cyclefield import cli, montecarlo
 from cyclefield.params import ModelParams
 from cyclefield.phases import solve_phase
 def loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.linalg") if m in sys.modules)
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 p = ModelParams()
 montecarlo.appendix5_negligibility(p, solve_phase(p, 1), [0.0, 0.1], T=1.0, n_paths=64, seed=1)
 assert not loaded(), ("appendix5_negligibility", loaded())
 assert cli.run(["mc-validate", "--t", "0.1", "--n", "100", "--output", {str(tmp_path / "r.json")!r}]) == 0
 assert not loaded(), ("mc-validate", loaded())
-assert "scipy.special" in sys.modules, "mc-validate ran without scipy.special"
+assert "cyclefield.ks" in sys.modules, "mc-validate ran without its KS comparison"
 """
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_mc_validate_runs_with_scipy_blocked(self, tmp_path):
+        # an install without SciPy: a finder refuses every scipy import, and the
+        # report keeps the bytes of a run in this process, where SciPy is importable
+        base_cfg = str(Path(__file__).resolve().parent.parent / "base.cfg")
+        argv = ["--config", base_cfg, "mc-validate", "--t", "0.1", "--n", "2000"]
+        blocked = tmp_path / "blocked.json"
+        check = """
+import sys
+class BlockSciPy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked)", name=name)
+sys.meta_path.insert(0, BlockSciPy())
+from cyclefield.cli import main
+main()
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", check, *argv, "--output", str(blocked)],
+            env=env, timeout=60, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert run([*argv, "--output", str(tmp_path / "open.json")]) == 0
+        assert blocked.read_bytes() == (tmp_path / "open.json").read_bytes()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -183,12 +184,13 @@ class TestDensityMemo:
         path = AgentPath([x.C, y.C], [x.K, y.K], [x.A, y.A], dt=0.01)
         for a, b in ((x, y), (path.state(0), path.state(1))):
             green.transition_density(a, b, 0.01, trivial, params)
-            for t in (0.0, -0.01, math.nan, math.inf, True, "0.01"):
-                with pytest.raises(DomainError):
+            for t in (0.0, -0.01, math.nan, math.inf, True, "0.01", None):
+                message = re.escape(f"t must be finite and > 0, got {t!r}")
+                with pytest.raises(DomainError, match=message):
                     green.transition_density(a, b, t, trivial, params)
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match=message):
                     corrections.corrected_density(a, b, t, trivial, params)
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match=message):
                     green.gaussian_factor(a, b, t, trivial, params)
 
 
