@@ -198,18 +198,25 @@ class TestNoiseStreams:
         assert ens.n_negative_K == 94
 
     def test_appendix5_ratios_pinned_at_base_cfg(self):
-        # the README's figures, exactly
+        # the docstring's and README's figures, bit for bit; at the shipped
+        # budget the 2000 steps of 1024 paths cross several noise chunks
         p = load_config(BASE_CFG)
         sol = solve_phase(p, 1)
+        assert mc._chunk_steps(16, 2000) < 2000
         ratios = mc.appendix5_negligibility(
             p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
         )
-        assert ratios == {
-            0.0: 7.536926988801071,
-            0.05: 1.9120521328673534,
-            0.1: 0.7165379450153092,
-            0.2: 0.22462705097703478,
+        assert {r: repr(v) for r, v in ratios.items()} == {
+            0.0: "7.536926988801071",
+            0.05: "1.9120521328673534",
+            0.1: "0.7165379450153092",
+            0.2: "0.22462705097703478",
         }
+        a, b, c, d = (f"{v:.2f}" for v in ratios.values())
+        quoted = f"{a}, {b}, {c} and {d} for r = 0, 0.05, 0.1 and 0.2"
+        readme = (Path(BASE_CFG).parent / "README.md").read_text(encoding="utf-8")
+        for text in (mc.appendix5_negligibility.__doc__, readme):
+            assert quoted in " ".join(text.split())
 
 
 class TestMemory:
@@ -244,6 +251,26 @@ class TestMemory:
             short = self._peak(lambda: run(1))
             long = self._peak(lambda: run(10))
             assert long <= 1.5 * short, (name, short, long)
+
+    def test_shipped_budget_peaks(self):
+        # mc-validate's sampler at phase 1, t = 10, 512 paths (1000 steps), and
+        # appendix 5 at base.cfg (2000 steps of 1000 paths), with no patch: about
+        # 4.4 and 4.5 MB at the shipped 4 MiB; a 16 MiB budget would peak at
+        # 13.9 and 17.1 MB
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, 1)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        cfg = mc.MCConfig(n_paths=512, dt=1e-2, seed=0)
+        mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=1)  # warm-up
+        runs = {
+            "sample_paths": lambda: mc.sample_paths(x0, 10.0, sol, p, cfg),
+            "appendix5_negligibility": lambda: mc.appendix5_negligibility(
+                p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
+            ),
+        }
+        for name, run in runs.items():
+            peak = self._peak(run)
+            assert peak <= 6 * 10**6, (name, peak)
 
     @pytest.mark.parametrize("n_paths", [128, 512])
     def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
