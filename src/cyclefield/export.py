@@ -18,8 +18,8 @@ to even, as ``%.17g`` rounds (D. M. Gay's correctly rounded conversion).
    ``bytes.translate`` drops them.
 
 A row with any other value (zero, |x| < 1e-4 or >= 1e17, NaN, infinity), or
-whose N carries to 1e17, is written with ``ROW`` itself, and a block with no
-row in fixed notation skips the kernel.  ``ROW`` is also the tests' oracle.
+whose N carries to 1e17, is written with ``ROW`` itself.  ``ROW`` is also the
+tests' oracle.
 
 Memory: the CLI imports this module only when it writes an export.  The
 kernel keeps to the kinds of NumPy operation the sampler and the report
@@ -100,13 +100,14 @@ def _place(out, digits, d: int) -> None:
         out[:, 17:] = 0
 
 
-def _fixed(x, ok, out):
+def _fixed(x, out):
     """Write ``|x|`` in ``%.17g``'s fixed notation into ``out`` (rows by ``_WIDTH``), NUL-padded.
 
-    ``ok`` marks where 1e-4 <= |x| < 1e17.  Returns the mask of the rows it
-    wrote; the other rows of ``out`` are junk.
+    Returns the mask of the rows it wrote; the other rows of ``out`` are junk.
     """
-    a = np.where(ok, np.abs(x), 1.0)
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e17)
+    a = np.where(ok, a, 1.0)
     d = np.clip(np.floor(np.log(a) / _LN10), -4, 16)
     i = (d + 4).astype(np.intp)
     p, e = _product(a, i)
@@ -121,7 +122,7 @@ def _fixed(x, ok, out):
     under, over = lo < 0, lo >= 1e8
     hi = np.where(under, hi - 1, np.where(over, hi + 1, hi))
     lo = np.where(under, lo + 1e8, np.where(over, lo - 1e8, lo))
-    ok = ok & (hi < 1e9)  # a carry to 1e17: left to the template
+    ok &= hi < 1e9  # a carry to 1e17: left to the template
     groups = _groups(hi, 3) + _groups(lo, 2)
     text, index = _ascii(groups)
     digits = text[:, 3:]
@@ -150,10 +151,6 @@ def _fixed(x, ok, out):
 def rows(first: int, C, K, A) -> str:
     """``ROW`` for paths ``first, first + 1, ...`` with endpoints ``C``, ``K``, ``A``."""
     cols = [np.asarray(v, dtype=np.float64) for v in (C, K, A)]
-    fits = [(a >= 1e-4) & (a < 1e17) for a in map(np.abs, cols)]
-    fixed = fits[0] & fits[1] & fits[2]
-    if not fixed.any():  # no row in fixed notation: the template alone
-        return "".join(ROW % (first + i, *row) for i, row in enumerate(zip(*(x.tolist() for x in cols))))
     n = cols[0].size
     at = 4 * ((len(str(first + n - 1)) + 3) // 4)
     ids = _ascii(_groups(np.arange(first, first + n, dtype=np.float64), at // 4))[0]
@@ -161,10 +158,11 @@ def rows(first: int, C, K, A) -> str:
         ids[: max(0, min(n, 10**k - first)), : at - k] = 0
     mat = np.empty((n, at + 3 * (_WIDTH + 2) + 1), np.uint8)
     mat[:, :at] = ids
-    for x, ok in zip(cols, fits):
+    fixed = np.ones(n, bool)
+    for x in cols:
         mat[:, at] = ord(",")
         mat[:, at + 1] = np.where(np.signbit(x), ord("-"), 0)
-        fixed &= _fixed(x, ok, mat[:, at + 2 : at + 2 + _WIDTH])
+        fixed &= _fixed(x, mat[:, at + 2 : at + 2 + _WIDTH])
         at += _WIDTH + 2
     mat[:, at] = ord("\n")
     parts, start = [], 0

@@ -24,11 +24,11 @@ it when a step start or predictor reaches ``K <= 0``, so the numbers are
 those of a clamped step-by-step loop.
 
 Memory: noise is drawn in time chunks, and the noise and the engine's
-buffers share one per-block budget, ``_NOISE_BYTES`` = 4 MiB, so memory
-grows with the block size, not the horizon; a stream drawn in chunks gives
-the numbers it gives in one go.  4 MiB is the least budget that cost no
-time in alternating benchmark pairs: 3 and 2 MiB were 2-3% slower on
-``mc_long``.
+buffers share one per-block budget (:func:`_chunk_steps`), so memory grows
+with the block size, not the horizon; a stream drawn in chunks gives the
+numbers it gives in one go.  The budget is 4 MiB up to 1024 paths (3 and
+2 MiB ran 2-3% slower in benchmark pairs) and 16 MiB at 4096 paths (4 MiB
+ran 1-5% slower there, in 5-step sub-chunks).
 
 Imports: no SciPy.  The Kolmogorov-Smirnov comparison's module,
 :mod:`cyclefield.ks`, is loaded inside :func:`compare_to_green`, so
@@ -48,7 +48,7 @@ from cyclefield.params import ModelParams
 from cyclefield.paths import AgentState, check_horizon
 from cyclefield.phases import PhaseSolution
 
-_NOISE_BYTES = 4 * 2**20  # noise and Heun buffer budget per block of paths
+_NOISE_BYTES = 4 * 2**20  # noise and Heun buffer budget of a block of up to 16 tiles
 _TILE = 64  # paths per random stream
 _SUB_STEPS = 32  # most Heun steps between two checks for K <= 0
 
@@ -93,16 +93,25 @@ class PathEnsemble:
         return self.C.size
 
     def moments(self) -> dict:
-        cols = {name: getattr(self, name) for name in "CKA"}
         return {
-            "mean": {name: float(np.mean(x)) for name, x in cols.items()},
-            "var": {name: float(np.var(x, ddof=1)) for name, x in cols.items()},
+            "mean": {"C": float(np.mean(self.C)), "K": float(np.mean(self.K)), "A": float(np.mean(self.A))},
+            "var": {
+                "C": float(np.var(self.C, ddof=1)),
+                "K": float(np.var(self.K, ddof=1)),
+                "A": float(np.var(self.A, ddof=1)),
+            },
         }
 
 
 def _chunk_steps(n_tiles: int, n_steps: int, reserved: int = 0) -> int:
-    """Steps per noise chunk: what ``reserved`` bytes leave of ``_NOISE_BYTES``, at least one."""
-    return max(1, min(n_steps, (_NOISE_BYTES - reserved) // (24 * _TILE * n_tiles)))
+    """Steps per noise chunk: what ``reserved`` bytes leave of the block's budget, at least one.
+
+    The budget is ``_NOISE_BYTES`` up to 16 tiles and grows with the block
+    to 4 times that at 64 tiles, :func:`sample_paths`' default block, so
+    blocks of 1024 to 4096 paths get chunks of the same length.
+    """
+    budget = _NOISE_BYTES * min(max(n_tiles, 16), 64) // 16
+    return max(1, min(n_steps, (budget - reserved) // (24 * _TILE * n_tiles)))
 
 
 def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, reserved: int = 0):
@@ -227,7 +236,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     starts and predictors is not positive (or is NaN), it reruns from its
     start with the clamp, clearing ``ok`` (if given, shape (P,)) on the paths
     with ``K <= 0`` at a step start or predictor.  The buffers and the noise
-    share ``_NOISE_BYTES``.
+    share the block's budget (:func:`_chunk_steps`).
 
     Yields per sub-chunk of ``m`` steps ``X`` (m+1, 3, P), the states at the
     step starts and at the end, ``R`` (m, P), the rates ``A F' + r_c`` at the
@@ -242,10 +251,8 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     # Bytes per path: 80 per sub-chunk step (states, predictors, noise,
     # rates) and 88 besides (the end state, D, E, the predictor's rate,
     # work).  They take at most about half of what the noise would take
-    # alone, and the noise gets what they leave of the 4 MiB budget.
-    # Horizons of at most 16 steps get 1-step sub-chunks, as measured and
-    # intended: at t = 0.1 (10 steps of 4096 paths), 10-step sub-chunks
-    # ran ~15% slower and peaked 4 MB higher.
+    # alone, and the noise gets what they leave of the budget.  1-step
+    # sub-chunks at <= 16 steps are deliberate: 10-step ones ran ~15% slower.
     sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 88) // 160))
     X, Xp, W = (np.empty((m, 3, n)) for m in (sub + 1, sub, sub))
     R = np.empty((sub, n))
@@ -430,7 +437,11 @@ def budget_brownian_check(
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.standard_normal((n_reps, T))
     xi = rng.standard_normal((n_reps, T))
-    slack = rng.normal(0.0, math.sqrt(sigma_bar_sq), size=n_reps)  # zeros at sigma_bar_sq = 0
+    slack = (
+        rng.normal(0.0, math.sqrt(sigma_bar_sq), size=n_reps)
+        if sigma_bar_sq > 0.0
+        else np.zeros(n_reps)
+    )
     C_levels = np.concatenate([np.zeros((n_reps, 1)), np.cumsum(steps, axis=1)], axis=1)
     Y = float(T) * xi
     gap0 = np.sum(Y, axis=1) - np.sum(C_levels[:, 1:], axis=1)

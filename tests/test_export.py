@@ -106,20 +106,6 @@ class TestOracle:
         monkeypatch.setattr(cli, "_EXPORT_ROWS", 3)
         assert "".join(cli._ensemble_csv(_ensemble(C, K, A))) == "path_id,C,K,A\n" + oracle(0, C, K, A)
 
-    def test_block_without_fixed_notation_rows_skips_the_kernel(self, monkeypatch):
-        rng = np.random.default_rng(27)
-        tiny = rng.normal(0.0, 1e-6, (3, 8192))  # every value below 1e-4 in magnitude
-        tiny[:, ::97] = 0.0
-        wide = rng.normal(10, 1, (3, 8192))
-        wide[1] = 1e20  # every row has one value outside fixed notation
-        expected = [oracle(0, *tiny), oracle(9995, *wide)]
-
-        def kernel(*args):
-            raise AssertionError("the fixed-notation kernel ran")
-
-        monkeypatch.setattr(export, "_fixed", kernel)
-        assert [export.rows(0, *tiny), export.rows(9995, *wide)] == expected
-
     def test_ids_crossing_group_widths(self):
         rng = np.random.default_rng(24)
         C, K, A = rng.normal(10, 1, (3, 10))

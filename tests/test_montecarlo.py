@@ -138,6 +138,15 @@ def _reference_noise(seed, tile, n_steps):
     return rng.standard_normal((n_steps, mc._TILE, 3))
 
 
+def _traced(fn):
+    """``fn()`` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNoiseStreams:
     """Tile j draws the stream Philox(key=seed).jumped(j), whatever the chunking."""
 
@@ -159,6 +168,12 @@ class TestNoiseStreams:
         chunks = self._check(seed=123, tile=10, n_tiles=n_tiles, n_steps=30)
         assert [c.shape[0] for c in chunks] == [7, 7, 7, 7, 2]
         self._check(seed=123, tile=11, n_tiles=n_tiles, n_steps=30)
+
+    def test_budget_grows_with_block_to_64_tiles(self):
+        # 4 MiB up to 16 tiles, then in proportion to 16 MiB at 64 tiles: one
+        # chunk length from 1024 to 4096 paths, halved at 8192
+        steps = [mc._chunk_steps(n, 10**6) for n in (8, 16, 32, 64, 128)]
+        assert steps == [341, 170, 170, 170, 85]
 
     def test_chunking_leaves_ensembles_unchanged(self, quiet_setup, monkeypatch):
         p, sol, x0 = quiet_setup
@@ -199,13 +214,18 @@ class TestNoiseStreams:
 
     def test_appendix5_ratios_pinned_at_base_cfg(self):
         # the docstring's and README's figures, bit for bit; at the shipped
-        # budget the 2000 steps of 1024 paths cross several noise chunks
+        # budget the 2000 steps of 1024 paths cross several noise chunks, and
+        # the tracemalloc peak is about 4.5 MB (17.1 MB at a 16 MiB budget)
         p = load_config(BASE_CFG)
         sol = solve_phase(p, 1)
         assert mc._chunk_steps(16, 2000) < 2000
-        ratios = mc.appendix5_negligibility(
-            p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
+        mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=1)  # warm-up
+        ratios, peak = _traced(
+            lambda: mc.appendix5_negligibility(
+                p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
+            )
         )
+        assert peak <= 6 * 10**6, peak
         assert {r: repr(v) for r, v in ratios.items()} == {
             0.0: "7.536926988801071",
             0.05: "1.9120521328673534",
@@ -221,15 +241,6 @@ class TestNoiseStreams:
 
 class TestMemory:
     """Memory grows with the block size, not with the horizon."""
-
-    @staticmethod
-    def _peak(fn):
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
     def test_peak_does_not_grow_with_horizon(self, monkeypatch):
         monkeypatch.setattr(mc, "_NOISE_BYTES", 64 * 1024)
@@ -248,29 +259,21 @@ class TestMemory:
             ),
         }
         for name, run in runs.items():
-            short = self._peak(lambda: run(1))
-            long = self._peak(lambda: run(10))
+            short = _traced(lambda: run(1))[1]
+            long = _traced(lambda: run(10))[1]
             assert long <= 1.5 * short, (name, short, long)
 
-    def test_shipped_budget_peaks(self):
-        # mc-validate's sampler at phase 1, t = 10, 512 paths (1000 steps), and
-        # appendix 5 at base.cfg (2000 steps of 1000 paths), with no patch: about
-        # 4.4 and 4.5 MB at the shipped 4 MiB; a 16 MiB budget would peak at
-        # 13.9 and 17.1 MB
+    def test_shipped_budget_peak(self):
+        # mc-validate's sampler at phase 1, t = 10, 512 paths (1000 steps),
+        # with no patch: about 4.4 MB at the shipped 4 MiB, 13.9 MB at 16 MiB
+        # (the base.cfg pin checks appendix 5's peak)
         p = load_config(BASE_CFG)
         sol = solve_phase(p, 1)
         x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
         cfg = mc.MCConfig(n_paths=512, dt=1e-2, seed=0)
-        mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=1)  # warm-up
-        runs = {
-            "sample_paths": lambda: mc.sample_paths(x0, 10.0, sol, p, cfg),
-            "appendix5_negligibility": lambda: mc.appendix5_negligibility(
-                p, sol, [0.0, 0.05, 0.1, 0.2], T=40.0, dt=0.02, n_paths=1000, seed=12345
-            ),
-        }
-        for name, run in runs.items():
-            peak = self._peak(run)
-            assert peak <= 6 * 10**6, (name, peak)
+        mc.sample_paths(x0, 0.1, sol, p, cfg)  # warm-up
+        peak = _traced(lambda: mc.sample_paths(x0, 10.0, sol, p, cfg))[1]
+        assert peak <= 6 * 10**6, peak
 
     @pytest.mark.parametrize("n_paths", [128, 512])
     def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
@@ -294,7 +297,7 @@ class TestMemory:
         }
         for name, run in runs.items():
             run(0.1)  # warm-up
-            peak = self._peak(lambda: run(0.5))
+            peak = _traced(lambda: run(0.5))[1]
             assert peak <= budget + 384 * n_paths, (name, peak)
 
 
