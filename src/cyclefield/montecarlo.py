@@ -24,11 +24,11 @@ it when a step start or predictor reaches ``K <= 0``, so the numbers are
 those of a clamped step-by-step loop.
 
 Memory: noise is drawn in time chunks, and the noise and the engine's
-buffers share one per-block budget (:func:`_chunk_steps`), so memory grows
-with the block size, not the horizon; a stream drawn in chunks gives the
-numbers it gives in one go.  The budget is 4 MiB up to 1024 paths (3 and
-2 MiB ran 2-3% slower in benchmark pairs) and 16 MiB at 4096 paths (4 MiB
-ran 1-5% slower there, in 5-step sub-chunks).
+buffers share one per-block budget (:func:`_chunk_steps`), and one block's
+buffers are alive at a time, so memory grows with the block size, not the
+horizon; a stream drawn in chunks gives the numbers it gives in one go.
+The budget is 4 MiB up to 1024 paths (3 and 2 MiB ran 2-3% slower in
+benchmark pairs) and 16 MiB at 4096 paths (4 MiB ran 1-5% slower there).
 
 Imports: no SciPy.  The Kolmogorov-Smirnov comparison's module,
 :mod:`cyclefield.ks`, is loaded inside :func:`compare_to_green`, so
@@ -103,27 +103,31 @@ class PathEnsemble:
         }
 
 
-def _chunk_steps(n_tiles: int, n_steps: int, reserved: int = 0) -> int:
-    """Steps per noise chunk: what ``reserved`` bytes leave of the block's budget, at least one.
+def _chunk_steps(n_tiles: int, n_steps: int) -> tuple[int, int]:
+    """Steps per noise chunk and per Heun sub-chunk of a block: ``(chunk, sub)``.
 
     The budget is ``_NOISE_BYTES`` up to 16 tiles and grows with the block
-    to 4 times that at 64 tiles, :func:`sample_paths`' default block, so
-    blocks of 1024 to 4096 paths get chunks of the same length.
+    to 4 times that at 64, so blocks of 1024 to 4096 paths get the same
+    chunks.  Per path, noise takes 24 bytes a step, and :func:`_heun_paths`'
+    buffers 80 per sub-chunk step (states, predictors, noise, rates) and 88
+    besides (end state, D, E, predictor's rate, work): at most about half
+    of what the noise would take alone, and the noise gets the rest.  1-step
+    sub-chunks at <= 16 steps are deliberate: 10-step ones ran ~15% slower.
     """
-    budget = _NOISE_BYTES * min(max(n_tiles, 16), 64) // 16
-    return max(1, min(n_steps, (budget - reserved) // (24 * _TILE * n_tiles)))
+    budget, n = _NOISE_BYTES * min(max(n_tiles, 16), 64) // 16, n_tiles * _TILE
+    alone = min(n_steps, budget // (24 * n))  # noise steps the budget holds without the buffers
+    sub = max(1, min(_SUB_STEPS, (24 * alone - 88) // 160))
+    return max(1, min(n_steps, (budget - n * (88 + 80 * sub)) // (24 * n))), sub
 
 
-def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, reserved: int = 0):
+def _tile_noise(seed: int, tile: int, n_tiles: int, n_steps: int, chunk: int):
     """Noise for tiles [tile, tile+n_tiles) in consecutive time chunks.
 
-    Yields views of shape ``(m, n_tiles, _TILE, 3)`` covering steps
-    ``[k, k+m)`` in order; each view is overwritten by the next one.  One
-    Philox generator is re-pointed at each tile's stream and fills the
-    tile's chunk in one call.  ``reserved`` bytes of the budget are the
-    caller's own buffers (:func:`_chunk_steps`).
+    Yields views of shape ``(m, n_tiles, _TILE, 3)``, ``m <= chunk``,
+    covering steps ``[k, k+m)`` in order; each view is overwritten by the
+    next one.  One Philox generator is re-pointed at each tile's stream and
+    fills the tile's chunk in one call.
     """
-    chunk = _chunk_steps(n_tiles, n_steps, reserved)
     buf = np.empty((n_tiles, chunk, _TILE, 3))
     rng = np.random.Generator(np.random.Philox(key=seed))
     bitgen = rng.bit_generator
@@ -248,12 +252,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
     amps = np.array([params.varpi * sdt, params.nu * sdt, sdt / params.lam])[:, None, None]
     dt, half = np.array(dt), np.array(0.5 * dt)  # 0-d: no conversion per call
     n = n_tiles * _TILE
-    # Bytes per path: 80 per sub-chunk step (states, predictors, noise,
-    # rates) and 88 besides (the end state, D, E, the predictor's rate,
-    # work).  They take at most about half of what the noise would take
-    # alone, and the noise gets what they leave of the budget.  1-step
-    # sub-chunks at <= 16 steps are deliberate: 10-step ones ran ~15% slower.
-    sub = max(1, min(_SUB_STEPS, (24 * _chunk_steps(n_tiles, n_steps) - 88) // 160))
+    chunk, sub = _chunk_steps(n_tiles, n_steps)
     X, Xp, W = (np.empty((m, 3, n)) for m in (sub + 1, sub, sub))
     R = np.empty((sub, n))
     (D, E), (r_p, work) = np.empty((2, 3, n)), np.empty((2, n))
@@ -271,7 +270,7 @@ def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, 
             if clamp and ok is not None:
                 np.logical_and(ok, pos & pos_p, out=ok)
 
-    for noise in _tile_noise(seed, tile, n_tiles, n_steps, n * (88 + 80 * sub)):
+    for noise in _tile_noise(seed, tile, n_tiles, n_steps, chunk):
         for j in range(0, len(noise), sub):
             z = noise[j:j + sub]
             m = len(z)
@@ -318,6 +317,7 @@ def sample_paths(
             pass
         out[:, sl] = X[-1]  # the last sub-chunk's end
         ok[sl] &= X[-1, 1] > 0.0
+        del X, _  # views of the block's buffers: free them before the next block allocates
     C, K, A = out[:, :n]
     n_negative_K = n - int(np.count_nonzero(ok[:n]))
     return PathEnsemble(C=C, K=K, A=A, t=t, dt=mc.dt, seed=mc.seed, n_negative_K=n_negative_K)
@@ -336,8 +336,10 @@ def lna_moments(initial: AgentState, t: float, dt: float, solution: PhaseSolutio
     rounded on its own, so the moments do not depend on the BLAS build (a
     BLAS matrix product may fuse multiply-adds).  Returns ``(mean,
     cov)``; raises :class:`DomainError`, naming the step, if the mean
-    reaches ``K <= 0`` or a moment stops being finite.
+    reaches ``K <= 0`` or a moment stops being finite, and
+    :class:`ParameterError` for a step :class:`MCConfig` refuses.
     """
+    MCConfig(dt=dt)
     n_steps = _step_count(t, dt)
     f = _drift_and_jacobian(solution, params)
     q_C, q_K, q_A = params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq
@@ -431,8 +433,8 @@ def budget_brownian_check(
     MCConfig(seed=seed)
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 2:
         raise ParameterError(f"T must be >= 2, got {T}")
-    if not sigma_bar_sq >= 0.0:  # NaN fails
-        raise ParameterError(f"sigma_bar_sq must be >= 0, got {sigma_bar_sq}")
+    if not 0.0 <= sigma_bar_sq < math.inf:  # NaN fails
+        raise ParameterError(f"sigma_bar_sq must be finite and >= 0, got {sigma_bar_sq}")
     _check_integer("n_reps", n_reps, ">= 1", 1)
     rng = np.random.Generator(np.random.Philox(key=seed))
     steps = rng.standard_normal((n_reps, T))
@@ -475,7 +477,8 @@ def appendix5_negligibility(
     Simulates the phase Langevin system over a long horizon and compares
     the mean of ``(2 r_bar / nu^2) (int Kdot e^{-r s} ds)^2`` (with
     ``r_bar = 1 / int e^{-r s} ds``) against the mean magnitude of the
-    consumption weight.  Returns the ratio per discount rate ``r``.
+    consumption weight.  Returns the ratio per discount rate ``r``; a rate
+    that is a bool or not a finite real number raises :class:`ParameterError`.
 
     Paths start at the anchor consumption/technology and at the capital
     stock where the capital drift vanishes (the relevant neighborhood for
@@ -492,6 +495,10 @@ def appendix5_negligibility(
     and 0.2: there the term is not negligible unless discounting is strong.
     """
     MCConfig(n_paths=n_paths, dt=dt, seed=seed)
+    rates = list(r_values)
+    for r in rates:
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and math.isfinite(r)):
+            raise ParameterError(f"discount rate must be a finite real number, got {r!r}")
     check_feasible(solution)
     p = params
     C_bar, A_bar, eps = solution.C_bar_phase, solution.A_bar_phase, p.epsilon
@@ -518,7 +525,7 @@ def appendix5_negligibility(
             break
         K_eq -= step
 
-    rates = [float(r) for r in r_values]
+    rates = [float(r) for r in rates]
     # e^{-r s} per step and rate; r <= 0 undiscounted
     disc = np.exp(-np.outer(dt * np.arange(n_steps), np.maximum(rates, 0.0)))
     n_tiles = -(-n_paths // _TILE)  # whole tiles, truncated to n_paths below

@@ -27,10 +27,7 @@ class AgentState:
     """A single (consumption, capital, technology) point.
 
     Each coordinate must be a real number (not a bool), finite and >= 0,
-    and is stored as a ``float``.  Three Python floats in ``[0, inf)``
-    (NaN fails the comparison) pass on one fast check; any other input
-    goes through the coordinate-by-coordinate check that names the
-    offending coordinate.
+    and is stored as a ``float``.
 
     A state read by :meth:`AgentPath.state` is linked to ``(path, i)`` by a
     private field that equality, hashing and ``repr`` ignore; the pair
@@ -45,12 +42,6 @@ class AgentState:
     _link: tuple | None = field(default=None, init=False, compare=False, repr=False)  # (path, index)
 
     def __post_init__(self):
-        C, K, A = self.C, self.K, self.A
-        if (
-            type(C) is float and type(K) is float and type(A) is float
-            and 0.0 <= C < math.inf and 0.0 <= K < math.inf and 0.0 <= A < math.inf
-        ):
-            return
         for name in ("C", "K", "A"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):

@@ -150,8 +150,8 @@ def _traced(fn):
 class TestNoiseStreams:
     """Tile j draws the stream Philox(key=seed).jumped(j), whatever the chunking."""
 
-    def _check(self, seed, tile, n_tiles, n_steps):
-        chunks = [c.copy() for c in mc._tile_noise(seed, tile, n_tiles, n_steps)]
+    def _check(self, seed, tile, n_tiles, n_steps, chunk):
+        chunks = [c.copy() for c in mc._tile_noise(seed, tile, n_tiles, n_steps, chunk)]
         noise = np.concatenate(chunks, axis=0)
         assert noise.shape == (n_steps, n_tiles, mc._TILE, 3)
         for j in range(n_tiles):
@@ -160,20 +160,32 @@ class TestNoiseStreams:
         return chunks
 
     def test_start_offset_beyond_32_bits(self):
-        self._check(seed=2**40 + 1, tile=2**32 + 5, n_tiles=2, n_steps=17)
+        chunk, _ = mc._chunk_steps(2, 17)
+        self._check(seed=2**40 + 1, tile=2**32 + 5, n_tiles=2, n_steps=17, chunk=chunk)
 
-    def test_multi_chunk_horizon(self, monkeypatch):
-        n_tiles = 2
-        monkeypatch.setattr(mc, "_NOISE_BYTES", 24 * mc._TILE * n_tiles * 7)
-        chunks = self._check(seed=123, tile=10, n_tiles=n_tiles, n_steps=30)
+    def test_multi_chunk_horizon(self):
+        chunks = self._check(seed=123, tile=10, n_tiles=2, n_steps=30, chunk=7)
         assert [c.shape[0] for c in chunks] == [7, 7, 7, 7, 2]
-        self._check(seed=123, tile=11, n_tiles=n_tiles, n_steps=30)
+        self._check(seed=123, tile=11, n_tiles=2, n_steps=30, chunk=7)
 
     def test_budget_grows_with_block_to_64_tiles(self):
         # 4 MiB up to 16 tiles, then in proportion to 16 MiB at 64 tiles: one
-        # chunk length from 1024 to 4096 paths, halved at 8192
-        steps = [mc._chunk_steps(n, 10**6) for n in (8, 16, 32, 64, 128)]
-        assert steps == [341, 170, 170, 170, 85]
+        # (chunk, sub) from 1024 to 4096 paths, and shorter ones at 8192
+        shapes = [mc._chunk_steps(n, 10**6) for n in (8, 16, 32, 64, 128)]
+        assert shapes == [(231, 32), (87, 24), (87, 24), (87, 24), (41, 12)]
+
+    @pytest.mark.parametrize(
+        "n_tiles, n_steps, shape",
+        [(8, 1000, (231, 32)), (16, 2000, (87, 24)), (64, 1000, (87, 24)), (29, 1000, (87, 24)),
+         (64, 10, (10, 1)), (27, 10, (10, 1))],
+        ids=["mc_long-sample", "appendix5", "mc-validate-block", "mc-validate-last",
+             "mc_wide-block", "mc_wide-last"],
+    )
+    def test_shipped_block_shapes(self, n_tiles, n_steps, shape):
+        # mc_long's 512 paths at t = 10; appendix 5's 1000 paths at T = 40,
+        # dt = 0.02; mc-validate's default 10,000 paths at t = 10 and mc_wide's
+        # 100,000 paths at t = 0.1, in 4096-path blocks and a last partial one
+        assert mc._chunk_steps(n_tiles, n_steps) == shape
 
     def test_chunking_leaves_ensembles_unchanged(self, quiet_setup, monkeypatch):
         p, sol, x0 = quiet_setup
@@ -218,7 +230,7 @@ class TestNoiseStreams:
         # the tracemalloc peak is about 4.5 MB (17.1 MB at a 16 MiB budget)
         p = load_config(BASE_CFG)
         sol = solve_phase(p, 1)
-        assert mc._chunk_steps(16, 2000) < 2000
+        assert mc._chunk_steps(16, 2000) == (87, 24)
         mc.appendix5_negligibility(p, sol, [0.0], T=0.1, dt=0.02, n_paths=2, seed=1)  # warm-up
         ratios, peak = _traced(
             lambda: mc.appendix5_negligibility(
@@ -274,6 +286,20 @@ class TestMemory:
         mc.sample_paths(x0, 0.1, sol, p, cfg)  # warm-up
         peak = _traced(lambda: mc.sample_paths(x0, 10.0, sol, p, cfg))[1]
         assert peak <= 6 * 10**6, peak
+
+    def test_one_block_alive_at_a_time(self):
+        # four 1024-path blocks against one: beyond the endpoints and flags
+        # (25 bytes a path), the later blocks may not add to the peak.  With
+        # the finished block's buffers alive while the next one allocates it
+        # was 787 kB over
+        p = load_config(BASE_CFG)
+        sol = solve_phase(p, 1)
+        x0 = AgentState(C=sol.C_bar_phase, K=p.K_bar, A=sol.A_bar_phase)
+        runs = {n: mc.MCConfig(n_paths=n, dt=1e-2, seed=3) for n in (1024, 4096)}
+        mc.sample_paths(x0, 0.1, sol, p, runs[1024], block_size=1024)  # warm-up
+        one, four = (_traced(lambda: mc.sample_paths(x0, 1.0, sol, p, cfg, block_size=1024))[1]
+                     for cfg in runs.values())
+        assert four - one <= 25 * 3072 + 16_000, (one, four)
 
     @pytest.mark.parametrize("n_paths", [128, 512])
     def test_saved_stream_state_is_small(self, monkeypatch, n_paths):
@@ -476,6 +502,14 @@ class TestLinearNoise:
         mean, _ = mc.lna_moments(x0, t, 1e-2, sol, p)
         np.testing.assert_allclose(mean, exact, rtol=0.0, atol=gap)
 
+    @pytest.mark.parametrize("dt", [0.0, math.nan, "0.01", True])
+    def test_step_checked_as_by_the_config(self, quiet_setup, dt):
+        # 0.0 raised ZeroDivisionError, NaN ValueError and "0.01" TypeError
+        p, sol, x0 = quiet_setup
+        with pytest.raises(ParameterError) as excinfo:
+            mc.lna_moments(x0, 0.1, dt, sol, p)
+        assert str(excinfo.value) == f"dt must be a finite positive number, got {dt!r}"
+
     def test_capital_crash_raises(self, quiet_setup):
         p, sol, _ = quiet_setup
         start = AgentState(C=10.0, K=0.5, A=sol.A_bar_phase)
@@ -611,16 +645,19 @@ class TestBudgetBrownian:
             ({"n_reps": -1}, "n_reps must be an integer >= 1, got -1"),
             ({"n_reps": 1.5}, "n_reps must be an integer >= 1, got 1.5"),
             ({"n_reps": True}, "n_reps must be an integer >= 1, got True"),
-            ({"sigma_bar_sq": math.nan}, "sigma_bar_sq must be >= 0, got nan"),
-            ({"sigma_bar_sq": -1.0}, "sigma_bar_sq must be >= 0, got -1.0"),
+            ({"sigma_bar_sq": math.nan}, "sigma_bar_sq must be finite and >= 0, got nan"),
+            ({"sigma_bar_sq": -1.0}, "sigma_bar_sq must be finite and >= 0, got -1.0"),
+            ({"sigma_bar_sq": math.inf}, "sigma_bar_sq must be finite and >= 0, got inf"),
+            ({"sigma_bar_sq": -math.inf}, "sigma_bar_sq must be finite and >= 0, got -inf"),
         ],
         ids=[
             "T-2.5", "T-True", "T-text", "n_reps-0", "n_reps--1", "n_reps-1.5", "n_reps-True",
-            "sigma-nan", "sigma-negative",
+            "sigma-nan", "sigma-negative", "sigma-inf", "sigma--inf",
         ],
     )
     def test_arguments_checked(self, bad, message):
-        # T=2.5 raised a bare TypeError, n_reps=0 a NumPy ValueError, and NaN ran
+        # T=2.5 raised a bare TypeError, n_reps=0 a NumPy ValueError, NaN ran,
+        # and inf returned a NaN variance
         with pytest.raises(ParameterError) as excinfo:
             mc.budget_brownian_check(**{"T": 10, **bad})
         assert str(excinfo.value) == message
@@ -642,6 +679,22 @@ class TestAppendix5:
         assert set(ratios) == {0.0, 0.01, 0.05}
         for r, ratio in ratios.items():
             assert ratio < 0.1, r
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, True, np.True_, "0.05", None, np.array(0.05)])
+    def test_rate_must_be_a_finite_real(self, quiet_setup, r):
+        # NaN returned {nan: nan}, inf {inf: nan}, and True ran as r = 1
+        p, sol, _ = quiet_setup
+        with pytest.raises(ParameterError) as excinfo:
+            mc.appendix5_negligibility(p, sol, [0.0, r], T=0.1, dt=0.02, n_paths=2)
+        assert str(excinfo.value) == f"discount rate must be a finite real number, got {r!r}"
+
+    def test_negative_rate_is_undiscounted(self, quiet_setup):
+        p, sol, _ = quiet_setup
+        ratios = mc.appendix5_negligibility(
+            p, sol, [0.0, -0.05, np.float64(0.05), 1], T=0.2, dt=0.02, n_paths=2
+        )
+        assert list(ratios) == [0.0, -0.05, 0.05, 1.0]
+        assert ratios[-0.05] == ratios[0.0]
 
     def test_ratio_grows_with_discount_weighting(self):
         # larger r concentrates r_bar, but the integral shrinks; the
