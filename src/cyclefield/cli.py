@@ -19,10 +19,12 @@ the payload is written.  Errors become exit codes in one place.
 ``_EXPORT_ROWS`` rows through :mod:`cyclefield.export`, which is imported
 only then; the export and the report must go to separate targets.
 
-Only ``transit``, ``path``, ``deviations``, ``two-agent`` and
-``mc-validate`` load NumPy: each imports the kernel modules it calls, and
-the state arguments import :mod:`cyclefield.paths`.  ``phases`` and
-``phase-scan`` run on :mod:`cyclefield.phases` alone, in plain ``math``.
+Only ``phase-scan``, ``transit``, ``path``, ``deviations``, ``two-agent``
+and ``mc-validate`` load NumPy: each imports the modules it calls, and the
+state arguments import :mod:`cyclefield.paths`.  ``phases`` runs on
+:mod:`cyclefield.phases` alone, in plain ``math``.  ``phase-scan`` solves its
+grid in one array pass (:mod:`cyclefield.grid`) and re-solves, one at a
+time, the rows that pass leaves unsettled.
 An output file that cannot be written is bad usage (exit 2).
 
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, fields
@@ -49,7 +52,7 @@ from cyclefield.errors import (
     SingularityError,
     TrajectoryTerminated,
 )
-from cyclefield.params import ModelParams, load_config
+from cyclefield.params import ModelParams, _checked, load_config
 from cyclefield.phases import solve_phase
 
 # phase-scan result columns: (CSV header, PhaseSolution field), twelve floats then two flags
@@ -59,9 +62,11 @@ _SCAN_COLUMNS = (
     ("avgA", "avg_A"), ("avgC", "avg_C"), ("avgK", "avg_K"), ("avgY", "avg_Y"),
     ("feasible", "feasible"), ("stable", "stable"),
 )
-_scan_floats = attrgetter(*(field for _, field in _SCAN_COLUMNS[:-2]))
-_SCAN_FLOATS = ",".join(["%.17g"] * (len(_SCAN_COLUMNS) - 2))
+_SCAN_FLOAT_FIELDS = tuple(field for _, field in _SCAN_COLUMNS[:-2])
+_scan_floats = attrgetter(*_SCAN_FLOAT_FIELDS)
+_SCAN_FLOATS = ",".join(["%.17g"] * len(_SCAN_FLOAT_FIELDS))
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
+_FLAGS = ("false", "true")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +181,8 @@ def _scan_values(args):
     if count == 1:
         return [start]
     step = (stop - start) / (count - 1)
+    if math.isfinite(start) and math.isfinite(stop) and not math.isfinite(step):
+        raise ParameterError(f"--range span {start!r} to {stop!r} overflows: stop - start is not a finite number")
     return [start + i * step for i in range(count)]
 
 
@@ -188,27 +195,37 @@ def _scan_point(p: ModelParams, paper_k1_approx: bool):
 
 
 def _cmd_phase_scan(args, base, _sol):
+    from cyclefield.grid import ROW_INFEASIBLE, ROW_OK, ROW_UNSETTLED, solve_grid  # loads NumPy
+
     param_keys = tuple(f.name for f in fields(ModelParams))
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
     values = _scan_values(args)
+    for value in values:  # the first bad value raises the constructor's message
+        _checked({args.key: value})
     # the fixed parameter cells are formatted once, around the swept one
     cells, i = [_fmt(getattr(base, k)) for k in param_keys], param_keys.index(args.key)
     head, tail = ",".join(cells[:i] + [""]), ",".join([""] + cells[i + 1 :])
+    row = f"{head}%.17g{tail},{_SCAN_FLOATS},%s,%s,%s"  # a row's template; the cells hold no %
     lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS) + ("status",))]
+    columns, status = solve_grid(base, args.key, values, args.paper_k1_approx)
+    columns["feasible"] &= status == ROW_OK  # a phase-0 fallback row is flagged infeasible
+    floats = [columns[field].tolist() for field in _SCAN_FLOAT_FIELDS]
+    feasible, stable = (map(_FLAGS.__getitem__, columns[k].tolist()) for k in ("feasible", "stable"))
+    statuses = map({ROW_OK: "ok", ROW_INFEASIBLE: "infeasible"}.get, status.tolist())
+    lines += map(row.__mod__, zip(values, *floats, feasible, stable, statuses))
     failures = []
-    for value in values:
-        p, cell = base.replace(**{args.key: value}), f"{value:.17g}"
+    for j in (status == ROW_UNSETTLED).nonzero()[0].tolist():  # the rows only the one-row solve settles
+        value = values[j]
         try:
-            sol, status = _scan_point(p, args.paper_k1_approx)
-            feasible = sol.feasible and status == "ok"  # a phase-0 fallback row is flagged infeasible
-            result = _SCAN_FLOATS % _scan_floats(sol) + f",{str(feasible).lower()},{str(sol.stable).lower()}"
+            sol, row_status = _scan_point(base.replace(**{args.key: value}), args.paper_k1_approx)
+            feasible = sol.feasible and row_status == "ok"
+            lines[1 + j] = row % (value, *_scan_floats(sol), _FLAGS[feasible], _FLAGS[sol.stable], row_status)
         except (ConvergenceError, SingularityError) as exc:
             # a failed row keeps its parameters and leaves the solution empty
-            status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
-            failures.append(f"{args.key}={cell}: {exc}")
-            result = "," * (len(_SCAN_COLUMNS) - 1)
-        lines.append(f"{head}{cell}{tail},{result},{status}")
+            row_status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
+            failures.append(f"{args.key}={value:.17g}: {exc}")
+            lines[1 + j] = f"{head}{value:.17g}{tail},{',' * (len(_SCAN_COLUMNS) - 1)},{row_status}"
     text = "\n".join(lines) + "\n"
     if failures:  # named on stderr after every row is written
         first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"

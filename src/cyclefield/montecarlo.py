@@ -433,7 +433,8 @@ def budget_brownian_check(
     MCConfig(seed=seed)
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)) or T < 2:
         raise ParameterError(f"T must be >= 2, got {T}")
-    if not 0.0 <= sigma_bar_sq < math.inf:  # NaN fails
+    real = isinstance(sigma_bar_sq, numbers.Real) and not isinstance(sigma_bar_sq, bool)
+    if not (real and 0.0 <= sigma_bar_sq < math.inf):  # NaN fails
         raise ParameterError(f"sigma_bar_sq must be finite and >= 0, got {sigma_bar_sq}")
     _check_integer("n_reps", n_reps, ">= 1", 1)
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cyclefield import cli, phases
+from cyclefield import cli, grid, phases
 from cyclefield.cli import run
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "base.cfg")
@@ -114,6 +114,14 @@ def test_solver_branch_scans_pinned(tmp_path, monkeypatch, argv, digest, statuse
     fake_math.erfc = counted(math.erfc, lambda x: "erfc<0" if x < 0.0 else "erfc>=0")
     fake_math.log = counted(math.log, lambda x: "log")
     monkeypatch.setattr(phases, "math", fake_math)
+    # the grid solve's rows per phase, and the rows left to the one-row solve
+    grid_rows, solve_rows = Counter(), grid._solve_rows
+
+    def counted_rows(p, phase, paper_k1_approx, *rest):
+        grid_rows[(phase, paper_k1_approx)] += len(p)
+        return solve_rows(p, phase, paper_k1_approx, *rest)
+
+    monkeypatch.setattr(grid, "_solve_rows", counted_rows)
     monkeypatch.setattr(
         cli, "solve_phase",
         counted(phases.solve_phase, lambda p, ph, paper_k1_approx: (ph, paper_k1_approx)),
@@ -124,8 +132,9 @@ def test_solver_branch_scans_pinned(tmp_path, monkeypatch, argv, digest, statuse
     assert sha256(out) == digest
     approx = "--paper-k1-approx" in argv
     rows = sum(statuses.values())
-    assert calls[(1, approx)] == rows  # every row tries phase 1 first
-    assert calls[(0, approx)] == statuses.get("infeasible", 0)  # the phase-0 fallback
+    assert grid_rows[(1, approx)] == rows  # every row tries phase 1 first
+    assert grid_rows[(0, approx)] == statuses.get("infeasible", 0)  # the phase-0 fallback
+    assert calls[(1, approx)] == calls[(0, approx)] == 0  # no row needed the one-row solve
     if approx:
         assert calls["log"] == 0  # the exact form never ran
     else:

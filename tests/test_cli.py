@@ -197,6 +197,12 @@ class TestPhaseScan:
             ("--range", "1,2", "--range expects 'start,stop,count', got '1,2'"),
             ("--range", "1,x,3", "invalid --range '1,x,3'"),
             ("--range", "1,2,0", "--range count must be >= 1, got 0"),
+            # both ends are finite, but their difference is not: the step was inf
+            # and the first point start + 0 * inf read as "A0 must be finite, got nan"
+            (
+                "--range", "-1e308,1e308,3",
+                "--range span -1e+308 to 1e+308 overflows: stop - start is not a finite number",
+            ),
         ],
     )
     def test_malformed_grid_is_a_usage_error(self, tmp_path, capsys, option, grid, message):
@@ -662,8 +668,9 @@ for argv in (
         assert proc.returncode == 0, proc.stderr
 
     def test_cold_start_loads_no_numpy(self, tmp_path):
-        # the phase layer is plain math; NumPy is ~0.1 s of every cold start
-        # and loads only with the kernel modules of the five horizon commands
+        # the phase layer is plain math for floats; NumPy is ~0.1 s of every
+        # cold start and loads only with the kernel modules of the five horizon
+        # commands and with phase-scan's grid solve
         src = str(Path(cli.__file__).resolve().parents[1])
         check = f"""
 import sys
@@ -678,9 +685,19 @@ from cyclefield.phases import solve_phase
 for phase in (0, 1):
     solve_phase(ModelParams(), phase)
     assert not loaded(), ("solve_phase", phase, loaded())
-for argv in (["phases"], ["phase-scan", "--key", "A0", "--values", "7.5,8.0"]):
-    assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
-    assert not loaded(), (argv[0], loaded())
+argv = ["phases"]
+assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
+assert not loaded(), (argv[0], loaded())
+argv = ["phase-scan", "--key", "A0", "--values", "7.5,8.0"]
+assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
+assert "numpy" in sys.modules, "phase-scan ran without NumPy"
+"""
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", check], env=env, timeout=60, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        check = f"""
+import sys
+import cyclefield.cli as cli
 argv = ["transit", "--from", "1.1,10.2,10.0", "--to", "1.12,10.3,10.01", "--t", "0.01", "--phase", "1"]
 assert cli.run(argv + ["--output", {str(tmp_path / "out")!r}]) == 0, argv
 assert "numpy" in sys.modules, "transit ran without NumPy"

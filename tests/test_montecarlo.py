@@ -649,15 +649,21 @@ class TestBudgetBrownian:
             ({"sigma_bar_sq": -1.0}, "sigma_bar_sq must be finite and >= 0, got -1.0"),
             ({"sigma_bar_sq": math.inf}, "sigma_bar_sq must be finite and >= 0, got inf"),
             ({"sigma_bar_sq": -math.inf}, "sigma_bar_sq must be finite and >= 0, got -inf"),
+            ({"sigma_bar_sq": True}, "sigma_bar_sq must be finite and >= 0, got True"),
+            ({"sigma_bar_sq": "1"}, "sigma_bar_sq must be finite and >= 0, got 1"),
+            ({"sigma_bar_sq": None}, "sigma_bar_sq must be finite and >= 0, got None"),
+            ({"sigma_bar_sq": 1 + 0j}, "sigma_bar_sq must be finite and >= 0, got (1+0j)"),
         ],
         ids=[
             "T-2.5", "T-True", "T-text", "n_reps-0", "n_reps--1", "n_reps-1.5", "n_reps-True",
             "sigma-nan", "sigma-negative", "sigma-inf", "sigma--inf",
+            "sigma-True", "sigma-text", "sigma-None", "sigma-complex",
         ],
     )
     def test_arguments_checked(self, bad, message):
         # T=2.5 raised a bare TypeError, n_reps=0 a NumPy ValueError, NaN ran,
-        # and inf returned a NaN variance
+        # inf returned a NaN variance, sigma_bar_sq=True ran as 1.0, and a
+        # string, None or a complex raised a bare TypeError
         with pytest.raises(ParameterError) as excinfo:
             mc.budget_brownian_check(**{"T": 10, **bad})
         assert str(excinfo.value) == message
