@@ -11,9 +11,10 @@ arguments are parsed.  ``run`` then checks ``--format`` against the
 subcommand's natural format, loads ``--config``, solves ``--phase`` for the
 five commands that take a horizon (``--t``), calls the subcommand's
 ``_cmd_*(args, params, solution)`` and writes the payload it returns to
-``--output``: a dict as JSON, text as CSV.  With the payload a command
-returns its exit code, or a :class:`CycleFieldError` that ``run`` raises once
-the payload is written.  Errors become exit codes in one place.
+``--output``: a dict as JSON, text (a string or a list of strings) as CSV.
+With the payload a command returns its exit code, or a
+:class:`CycleFieldError` that ``run`` raises once the payload is written.
+Errors become exit codes in one place.
 
 ``mc-validate --export`` writes the endpoint CSV in blocks of
 ``_EXPORT_ROWS`` rows through :mod:`cyclefield.export`, which is imported
@@ -23,8 +24,10 @@ Only ``phase-scan``, ``transit``, ``path``, ``deviations``, ``two-agent``
 and ``mc-validate`` load NumPy: each imports the modules it calls, and the
 state arguments import :mod:`cyclefield.paths`.  ``phases`` runs on
 :mod:`cyclefield.phases` alone, in plain ``math``.  ``phase-scan`` solves its
-grid in one array pass (:mod:`cyclefield.grid`) and re-solves, one at a
-time, the rows that pass leaves unsettled.
+grid ``_SCAN_ROWS`` rows at a time, each block in one array pass
+(:mod:`cyclefield.grid`), and re-solves, one at a time, the rows that pass
+leaves unsettled.  The parser gives options only to the subcommands named
+in ``argv``, so a run builds its own command's options and no other.
 An output file that cannot be written is bad usage (exit 2).
 
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
@@ -66,6 +69,7 @@ _SCAN_FLOAT_FIELDS = tuple(field for _, field in _SCAN_COLUMNS[:-2])
 _scan_floats = attrgetter(*_SCAN_FLOAT_FIELDS)
 _SCAN_FLOATS = ",".join(["%.17g"] * len(_SCAN_FLOAT_FIELDS))
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
+_SCAN_ROWS = 4096  # phase-scan rows solved and formatted at a time
 _FLAGS = ("false", "true")
 
 
@@ -201,32 +205,43 @@ def _cmd_phase_scan(args, base, _sol):
     if args.key not in param_keys:
         raise ParameterError(f"unknown scan key {args.key!r}")
     values = _scan_values(args)
-    for value in values:  # the first bad value raises the constructor's message
-        _checked({args.key: value})
+    try:  # the range checks are bounds, so finite values pass them all if both ends pass
+        if not all(map(math.isfinite, values)):
+            raise ParameterError("a scan value is not finite")
+        for end in (min(values), max(values)):
+            _checked({args.key: end})
+    except ParameterError:
+        for value in values:  # the first bad value raises the constructor's message
+            _checked({args.key: value})
     # the fixed parameter cells are formatted once, around the swept one
     cells, i = [_fmt(getattr(base, k)) for k in param_keys], param_keys.index(args.key)
     head, tail = ",".join(cells[:i] + [""]), ",".join([""] + cells[i + 1 :])
     row = f"{head}%.17g{tail},{_SCAN_FLOATS},%s,%s,%s"  # a row's template; the cells hold no %
-    lines = [",".join(param_keys + tuple(header for header, _ in _SCAN_COLUMNS) + ("status",))]
-    columns, status = solve_grid(base, args.key, values, args.paper_k1_approx)
-    columns["feasible"] &= status == ROW_OK  # a phase-0 fallback row is flagged infeasible
-    floats = [columns[field].tolist() for field in _SCAN_FLOAT_FIELDS]
-    feasible, stable = (map(_FLAGS.__getitem__, columns[k].tolist()) for k in ("feasible", "stable"))
-    statuses = map({ROW_OK: "ok", ROW_INFEASIBLE: "infeasible"}.get, status.tolist())
-    lines += map(row.__mod__, zip(values, *floats, feasible, stable, statuses))
     failures = []
-    for j in (status == ROW_UNSETTLED).nonzero()[0].tolist():  # the rows only the one-row solve settles
-        value = values[j]
-        try:
-            sol, row_status = _scan_point(base.replace(**{args.key: value}), args.paper_k1_approx)
-            feasible = sol.feasible and row_status == "ok"
-            lines[1 + j] = row % (value, *_scan_floats(sol), _FLAGS[feasible], _FLAGS[sol.stable], row_status)
-        except (ConvergenceError, SingularityError) as exc:
-            # a failed row keeps its parameters and leaves the solution empty
-            row_status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
-            failures.append(f"{args.key}={value:.17g}: {exc}")
-            lines[1 + j] = f"{head}{value:.17g}{tail},{',' * (len(_SCAN_COLUMNS) - 1)},{row_status}"
-    text = "\n".join(lines) + "\n"
+
+    def block(values):
+        """The CSV rows of ``values``, each line ended."""
+        columns, status = solve_grid(base, args.key, values, args.paper_k1_approx)
+        columns["feasible"] &= status == ROW_OK  # a phase-0 fallback row is flagged infeasible
+        floats = [columns[field].tolist() for field in _SCAN_FLOAT_FIELDS]
+        feasible, stable = (map(_FLAGS.__getitem__, columns[k].tolist()) for k in ("feasible", "stable"))
+        statuses = map({ROW_OK: "ok", ROW_INFEASIBLE: "infeasible"}.get, status.tolist())
+        lines = list(map(row.__mod__, zip(values, *floats, feasible, stable, statuses)))
+        for j in (status == ROW_UNSETTLED).nonzero()[0].tolist():  # the rows only the one-row solve settles
+            value = values[j]
+            try:
+                sol, row_status = _scan_point(base.replace(**{args.key: value}), args.paper_k1_approx)
+                feasible = sol.feasible and row_status == "ok"
+                lines[j] = row % (value, *_scan_floats(sol), _FLAGS[feasible], _FLAGS[sol.stable], row_status)
+            except (ConvergenceError, SingularityError) as exc:
+                # a failed row keeps its parameters and leaves the solution empty
+                row_status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
+                failures.append(f"{args.key}={value:.17g}: {exc}")
+                lines[j] = f"{head}{value:.17g}{tail},{',' * (len(_SCAN_COLUMNS) - 1)},{row_status}"
+        return "\n".join(lines) + "\n"
+
+    text = [",".join(param_keys + tuple(name for name, _ in _SCAN_COLUMNS) + ("status",)) + "\n"]
+    text += (block(values[i0 : i0 + _SCAN_ROWS]) for i0 in range(0, len(values), _SCAN_ROWS))
     if failures:  # named on stderr after every row is written
         first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"
         return text, CycleFieldError(first)
@@ -319,15 +334,23 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Every subcommand's name and summary, with options for those named in ``argv``.
+
+    argparse picks a subcommand by its exact name (none has an alias), so the
+    invoked one gets its options, and help and usage errors read as with all.
+    """
     parser = argparse.ArgumentParser(
         prog="cyclefield", description="Phase solver and transition-kernel toolkit."
     )
     _add_global_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
 
     def command(name, func, fmt, summary, horizon=True):
         sp = sub.add_parser(name, help=summary)
+        if name not in named:  # not invoked: its options would go unread
+            return None
         _add_global_options(sp, suppress=True)
         if horizon:
             sp.add_argument("--t", type=float, required=True, help="horizon")
@@ -337,36 +360,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     command("phases", _cmd_phases, "json", "solve both phases", horizon=False)
 
-    scan = command(
-        "phase-scan", _cmd_phase_scan, "csv", "sweep one parameter, CSV output", horizon=False
-    )
-    scan.add_argument("--key", required=True, help="ModelParams field to sweep")
-    scan.add_argument("--values", help="comma-separated grid values")
-    scan.add_argument("--range", help="start,stop,count linear grid")
+    if scan := command("phase-scan", _cmd_phase_scan, "csv", "sweep one parameter, CSV output", horizon=False):
+        scan.add_argument("--key", required=True, help="ModelParams field to sweep")
+        scan.add_argument("--values", help="comma-separated grid values")
+        scan.add_argument("--range", help="start,stop,count linear grid")
 
     state = {"type": _state, "required": True, "metavar": "C,K,A"}
-    transit = command("transit", _cmd_transit, "json", "transition density between two states")
-    transit.add_argument("--from", dest="from_state", help="initial state", **state)
-    transit.add_argument("--to", help="final state", **state)
+    if transit := command("transit", _cmd_transit, "json", "transition density between two states"):
+        transit.add_argument("--from", dest="from_state", help="initial state", **state)
+        transit.add_argument("--to", help="final state", **state)
 
-    path = command("path", _cmd_path, "csv", "average path from an initial state, CSV output")
-    path.add_argument("--x0", help="initial state", **state)
-    path.add_argument("--n-steps", type=int, default=None, help="RK4 step count")
+    if path := command("path", _cmd_path, "csv", "average path from an initial state, CSV output"):
+        path.add_argument("--x0", help="initial state", **state)
+        path.add_argument("--n-steps", type=int, default=None, help="RK4 step count")
 
-    dev = command("deviations", _cmd_deviations, "json", "self-interaction path deviations")
-    dev.add_argument("--x0", help="initial state", **state)
-    dev.add_argument("--v0", type=_triple, required=True, metavar="dC,dK,dA", help="initial velocities")
+    if dev := command("deviations", _cmd_deviations, "json", "self-interaction path deviations"):
+        dev.add_argument("--x0", help="initial state", **state)
+        dev.add_argument("--v0", type=_triple, required=True, metavar="dC,dK,dA", help="initial velocities")
 
-    two = command("two-agent", _cmd_two_agent, "json", "two-agent interaction corrections")
-    for agent in "12":
-        two.add_argument(f"--from{agent}", help=f"agent {agent} initial state", **state)
-        two.add_argument(f"--to{agent}", help=f"agent {agent} final state", **state)
+    if two := command("two-agent", _cmd_two_agent, "json", "two-agent interaction corrections"):
+        for agent in "12":
+            two.add_argument(f"--from{agent}", help=f"agent {agent} initial state", **state)
+            two.add_argument(f"--to{agent}", help=f"agent {agent} final state", **state)
 
-    mcv = command("mc-validate", _cmd_mc_validate, "json", "Monte Carlo check of the analytic kernel")
-    mcv.add_argument("--n", type=int, default=10000, help="number of paths")
-    mcv.add_argument("--dt", type=float, default=1e-2, help="Heun step")
-    mcv.add_argument("--export", help="write the endpoint ensemble CSV to this file")
-    mcv.add_argument("--strict", action="store_true", help="exit 5 after the report if the check fails")
+    if mcv := command("mc-validate", _cmd_mc_validate, "json", "Monte Carlo check of the analytic kernel"):
+        mcv.add_argument("--n", type=int, default=10000, help="number of paths")
+        mcv.add_argument("--dt", type=float, default=1e-2, help="Heun step")
+        mcv.add_argument("--export", help="write the endpoint ensemble CSV to this file")
+        mcv.add_argument("--strict", action="store_true", help="exit 5 after the report if the check fails")
     return parser
 
 
@@ -384,7 +405,8 @@ def _join_grid_values(argv: list[str]) -> list[str]:
 def run(argv=None) -> int:
     """Parse arguments, run the subcommand, emit its payload and map errors to exit codes."""
     try:
-        args = _build_parser().parse_args(_join_grid_values(sys.argv[1:] if argv is None else argv))
+        argv = _join_grid_values(sys.argv[1:] if argv is None else argv)
+        args = _build_parser(argv).parse_args(argv)
         if args.format not in (None, args.natural_format):
             raise ParameterError(
                 f"subcommand {args.command!r} only supports --format {args.natural_format}"
@@ -394,7 +416,7 @@ def run(argv=None) -> int:
         if "phase" in args:  # the commands that take a horizon
             solution = solve_phase(params, args.phase, paper_k1_approx=args.paper_k1_approx)
         payload, status = args.func(args, params, solution)
-        _emit(payload if isinstance(payload, str) else _json_dumps(payload) + "\n", args.output)
+        _emit(_json_dumps(payload) + "\n" if isinstance(payload, dict) else payload, args.output)
         if isinstance(status, CycleFieldError):
             raise status
         return status

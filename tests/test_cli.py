@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from cyclefield import cli, green, montecarlo
 from cyclefield.cli import run
-from cyclefield.errors import InfeasiblePhaseError
+from cyclefield.errors import InfeasiblePhaseError, ParameterError
 from cyclefield.params import ModelParams
 from cyclefield.paths import AgentPath, AgentState
 from cyclefield.phases import compatibility_root, solve_phase
@@ -218,6 +219,42 @@ class TestPhaseScan:
     def test_unknown_key_rejected(self, tmp_path):
         code, _ = invoke(tmp_path, "phase-scan", "--key", "bogus", "--values", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key,grid,message",
+        [
+            ("A0", "8,nan,-1", "A0 must be finite, got nan"),  # NaN mid-grid, before a negative value
+            ("A0", "8,-1,-2,9", "A0 must be > 0, got -1.0"),  # not the minimum, -2
+            ("A0", "8,9,inf", "A0 must be finite, got inf"),
+            ("epsilon", "0.5,1.5,-1", "epsilon must lie in (0, 1), got 1.5"),  # not the minimum's "> 0"
+            ("g", "-5,nan,5", "g must be finite, got nan"),  # a signed key has no range check
+        ],
+    )
+    def test_first_bad_value_named(self, tmp_path, capsys, key, grid, message):
+        # the grid is checked at its ends; a fault falls back to the value-by-value check
+        with pytest.raises(ParameterError) as first:
+            for value in map(float, grid.split(",")):
+                cli._checked({key: value})
+        assert str(first.value) == message
+        code, text = invoke(tmp_path, "phase-scan", "--key", key, "--values", grid)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_written_in_blocks(self, tmp_path, monkeypatch, capsys):
+        # singular (S) and infeasible (I) rows on both sides of the block edges:
+        # ok S I ok I S ok, in one block and in blocks of 1, 2 and 3 rows
+        grid = "8,3.691903901261551,2,9,2,3.691903901261551,10"
+        results = []
+        for block in (cli._SCAN_ROWS, 1, 2, 3):
+            monkeypatch.setattr(cli, "_SCAN_ROWS", block)
+            code, text = invoke(tmp_path, "phase-scan", "--key", "A0", "--values", grid, name=f"b{block}.csv")
+            results.append((code, text, capsys.readouterr().err))
+        assert results[1:] == results[:1] * 3
+        code, text, err = results[0]
+        assert code == 4
+        statuses = ["ok", "singular", "infeasible", "ok", "infeasible", "singular", "ok"]
+        assert [r["status"] for r in self.parse(text)] == statuses
+        assert err.startswith("error: numerical failure in 2 of 7 rows; first: A0=3.6919039012615511: ")
 
     def test_values_and_range_mutually_exclusive(self, tmp_path):
         code, _ = invoke(
@@ -622,6 +659,50 @@ class TestDispatcher:
         code, text = invoke(tmp_path, *argv)
         assert (code, text) == (2, "")
         assert capsys.readouterr().err == "error: K must be >= 0, got -1.0\n"
+
+
+def _lean_cases():
+    """Each subcommand's argv with the globals before and after it, and names as option values."""
+    flags = ["--config", "x.cfg", "--seed", "5", "--output", "o.txt", "--paper-k1-approx", "--maintext-convention"]
+    cases = {}
+    for name, (argv, natural) in TestDispatcher.COMMANDS.items():
+        cases[name] = [*flags, "--format", natural, *argv]
+        cases[f"{name}-late"] = [*argv, *flags, "--format", natural]
+    cases["config-named-phases"] = ["--config", "phases", *TestDispatcher.COMMANDS["transit"][0]]
+    cases["output-named-mc-validate"] = [*TestDispatcher.COMMANDS["phase-scan"][0], "--output", "mc-validate"]
+    return cases
+
+
+LEAN_CASES = _lean_cases()
+
+
+class TestLeanParser:
+    """A run gives options only to the subcommands its argv names; parsing is as with every option."""
+
+    NAMES = tuple(
+        next(a for a in cli._build_parser([])._actions if isinstance(a, argparse._SubParsersAction)).choices
+    )
+
+    def test_every_subcommand_listed(self):
+        assert set(self.NAMES) == set(TestDispatcher.COMMANDS)
+
+    @pytest.mark.parametrize("argv", list(LEAN_CASES.values()), ids=list(LEAN_CASES))
+    def test_namespace_matches_full_parser(self, argv):
+        assert cli._build_parser(argv).parse_args(argv) == cli._build_parser(self.NAMES).parse_args(argv)
+
+    CALLS = [
+        [], ["-h"], ["nosuch"], ["phase-sc", "--key", "A0"], ["transit", "--bogus", "1"],
+        ["phase-scan", "--key", "A0", "--bogus"], ["mc-validate", "--t"], ["two-agent", "--t", "1"],
+    ] + [[name, "-h"] for name in NAMES]
+
+    @pytest.mark.parametrize("argv", CALLS, ids=[" ".join(c) or "empty" for c in CALLS])
+    def test_usage_and_errors_match_full_parser(self, monkeypatch, capsys, argv):
+        lean = run(argv), capsys.readouterr()
+        build = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda _argv: build(self.NAMES))
+        full = run(argv), capsys.readouterr()
+        assert lean == full
+        assert lean[1].out or lean[1].err
 
 
 class TestUsage:
