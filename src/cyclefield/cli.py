@@ -25,9 +25,10 @@ and ``mc-validate`` load NumPy: each imports the modules it calls, and the
 state arguments import :mod:`cyclefield.paths`.  ``phases`` runs on
 :mod:`cyclefield.phases` alone, in plain ``math``.  ``phase-scan`` solves its
 grid ``_SCAN_ROWS`` rows at a time, each block in one array pass
-(:mod:`cyclefield.grid`), and re-solves, one at a time, the rows that pass
-leaves unsettled.  The parser gives options only to the subcommands named
-in ``argv``, so a run builds its own command's options and no other.
+(:mod:`cyclefield.grid`), which checks the values and settles every row;
+the CLI formats the rows and names the first failed one.  The parser gives
+options only to the subcommands named in ``argv``, so a run builds its own
+command's options and no other.
 An output file that cannot be written is bad usage (exit 2).
 
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
@@ -43,7 +44,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, fields
-from operator import attrgetter
 
 from cyclefield.errors import (
     ConvergenceError,
@@ -55,7 +55,7 @@ from cyclefield.errors import (
     SingularityError,
     TrajectoryTerminated,
 )
-from cyclefield.params import ModelParams, _checked, load_config
+from cyclefield.params import ModelParams, load_config
 from cyclefield.phases import solve_phase
 
 # phase-scan result columns: (CSV header, PhaseSolution field), twelve floats then two flags
@@ -66,7 +66,6 @@ _SCAN_COLUMNS = (
     ("feasible", "feasible"), ("stable", "stable"),
 )
 _SCAN_FLOAT_FIELDS = tuple(field for _, field in _SCAN_COLUMNS[:-2])
-_scan_floats = attrgetter(*_SCAN_FLOAT_FIELDS)
 _SCAN_FLOATS = ",".join(["%.17g"] * len(_SCAN_FLOAT_FIELDS))
 _EXPORT_ROWS = 8192  # endpoint CSV rows formatted and written at a time
 _SCAN_ROWS = 4096  # phase-scan rows solved and formatted at a time
@@ -190,30 +189,13 @@ def _scan_values(args):
     return [start + i * step for i in range(count)]
 
 
-def _scan_point(p: ModelParams, paper_k1_approx: bool):
-    """``(solution, status)`` of one scan value: phase 1, or phase 0 with status "infeasible"."""
-    try:
-        return solve_phase(p, 1, paper_k1_approx=paper_k1_approx), "ok"
-    except InfeasiblePhaseError:
-        return solve_phase(p, 0, paper_k1_approx=paper_k1_approx), "infeasible"
-
-
 def _cmd_phase_scan(args, base, _sol):
-    from cyclefield.grid import ROW_INFEASIBLE, ROW_OK, ROW_UNSETTLED, solve_grid  # loads NumPy
+    from cyclefield import grid  # loads NumPy
 
-    param_keys = tuple(f.name for f in fields(ModelParams))
-    if args.key not in param_keys:
-        raise ParameterError(f"unknown scan key {args.key!r}")
     values = _scan_values(args)
-    try:  # the range checks are bounds, so finite values pass them all if both ends pass
-        if not all(map(math.isfinite, values)):
-            raise ParameterError("a scan value is not finite")
-        for end in (min(values), max(values)):
-            _checked({args.key: end})
-    except ParameterError:
-        for value in values:  # the first bad value raises the constructor's message
-            _checked({args.key: value})
+    grid.check_grid(args.key, values)  # every value, before any block is solved
     # the fixed parameter cells are formatted once, around the swept one
+    param_keys = tuple(f.name for f in fields(ModelParams))
     cells, i = [_fmt(getattr(base, k)) for k in param_keys], param_keys.index(args.key)
     head, tail = ",".join(cells[:i] + [""]), ",".join([""] + cells[i + 1 :])
     row = f"{head}%.17g{tail},{_SCAN_FLOATS},%s,%s,%s"  # a row's template; the cells hold no %
@@ -221,23 +203,15 @@ def _cmd_phase_scan(args, base, _sol):
 
     def block(values):
         """The CSV rows of ``values``, each line ended."""
-        columns, status = solve_grid(base, args.key, values, args.paper_k1_approx)
-        columns["feasible"] &= status == ROW_OK  # a phase-0 fallback row is flagged infeasible
+        columns, status, errors = grid.solve_grid(base, args.key, values, args.paper_k1_approx)
         floats = [columns[field].tolist() for field in _SCAN_FLOAT_FIELDS]
         feasible, stable = (map(_FLAGS.__getitem__, columns[k].tolist()) for k in ("feasible", "stable"))
-        statuses = map({ROW_OK: "ok", ROW_INFEASIBLE: "infeasible"}.get, status.tolist())
+        statuses = map(grid.STATUSES.__getitem__, status.tolist())
         lines = list(map(row.__mod__, zip(values, *floats, feasible, stable, statuses)))
-        for j in (status == ROW_UNSETTLED).nonzero()[0].tolist():  # the rows only the one-row solve settles
-            value = values[j]
-            try:
-                sol, row_status = _scan_point(base.replace(**{args.key: value}), args.paper_k1_approx)
-                feasible = sol.feasible and row_status == "ok"
-                lines[j] = row % (value, *_scan_floats(sol), _FLAGS[feasible], _FLAGS[sol.stable], row_status)
-            except (ConvergenceError, SingularityError) as exc:
-                # a failed row keeps its parameters and leaves the solution empty
-                row_status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
-                failures.append(f"{args.key}={value:.17g}: {exc}")
-                lines[j] = f"{head}{value:.17g}{tail},{',' * (len(_SCAN_COLUMNS) - 1)},{row_status}"
+        for j, exc in errors.items():  # a failed row keeps its parameter cells and empties the solution's
+            failures.append(f"{args.key}={values[j]:.17g}: {exc}")
+            params, *solution = lines[j].rsplit(",", len(_SCAN_COLUMNS) + 1)
+            lines[j] = ",".join([params, *[""] * len(_SCAN_COLUMNS), solution[-1]])
         return "\n".join(lines) + "\n"
 
     text = [",".join(param_keys + tuple(name for name, _ in _SCAN_COLUMNS) + ("status",)) + "\n"]

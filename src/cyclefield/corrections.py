@@ -13,7 +13,6 @@ cross-check is restricted to the coefficients both routes share.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,19 +20,9 @@ import numpy as np
 from cyclefield.errors import DomainError
 from cyclefield.green import _drift_matrix, _exp_density, _log_density_rows, _lookup, coefficients
 from cyclefield.green import transition_density  # noqa: F401  (perfbench traces it under this name)
-from cyclefield.params import ModelParams
-from cyclefield.paths import AgentState
+from cyclefield.params import ModelParams, _finite
+from cyclefield.paths import AgentState, _horizon
 from cyclefield.phases import _LOG_DBL_MAX, PhaseSolution
-
-
-def _check_horizon(t: float, name: str = "t") -> None:
-    """Raise :class:`DomainError` unless ``t`` is a number, not a bool, with ``0 <= t < inf`` (NaN fails)."""
-    try:
-        valid = not isinstance(t, (bool, np.bool_)) and 0.0 <= t < math.inf
-    except TypeError:  # not comparable with a float, such as a string or None
-        valid = False
-    if not valid:
-        raise DomainError(f"{name} must be finite and >= 0, got {t!r}")
 
 
 def _horizon_overflow(formula: str, t: float, name: str = "t") -> OverflowError:
@@ -54,14 +43,13 @@ class DeviationQuery:
             raise DomainError(f"v0 must have three components, got {len(self.v0)}")
         for v in self.v0:
             try:
-                valid = not isinstance(v, (bool, np.bool_)) and math.isfinite(v)
+                valid = not isinstance(v, (bool, np.bool_)) and _finite(v)
             except TypeError:  # not a real number, such as a string
                 valid = False
             if not valid:
                 raise DomainError(f"v0 components must be finite, got {self.v0!r}")
-        _check_horizon(self.t)
+        object.__setattr__(self, "t", _horizon(self.t, "t", zero_ok=True))
         object.__setattr__(self, "v0", tuple(float(v) for v in self.v0))
-        object.__setattr__(self, "t", float(self.t))
 
 
 @dataclass(frozen=True)
@@ -75,8 +63,7 @@ class TwoAgentQuery:
     t: float           # shared horizon
 
     def __post_init__(self):
-        _check_horizon(self.t)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _horizon(self.t, "t", zero_ok=True))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +83,7 @@ def correction_potential(
     Unprimed variables are the final state, primed the initial one.  The
     corrected kernel is ``G * exp(-gamma V)``.
     """
-    _check_horizon(t)
+    t = _horizon(t, "t", zero_ok=True)
     X = (to_state.C - from_state.C, to_state.K - from_state.K, to_state.A - from_state.A)
     return _potential((to_state.C, to_state.K, to_state.A), X, t, params)
 
@@ -141,7 +128,7 @@ def corrected_density(
     log_g, batch, i = _lookup(_log_density_rows, from_state, to_state, t, solution, params, maintext, True)
     if log_g > _LOG_DBL_MAX:
         _exp_density(log_g)  # raises the uncorrected density's error
-    log_density = log_g - params.gamma * batch.read(_potential_rows, i, t)
+    log_density = log_g - params.gamma * batch.read(_potential_rows, i, float(t))  # t passed _lookup's check
     return _exp_density(log_density), log_density
 
 
@@ -175,7 +162,7 @@ def elasticity_table(t: float, solution: PhaseSolution, params: ModelParams) -> 
     in the initial state and velocities (each carries the overall
     ``gamma``); the signs encode the synergy and eviction effects.
     """
-    _check_horizon(t)
+    t = _horizon(t, "t", zero_ok=True)
     coeffs = coefficients(solution, params)
     b, c = coeffs.b_coef, coeffs.c_coef
     A2 = solution.A_bar_phase ** 2
@@ -215,7 +202,7 @@ def modified_matrices(s: float, solution: PhaseSolution, params: ModelParams) ->
     keeping (1,3), an asymmetry flagged here and not reproduced.  The
     quadratic source matrix ``gamma (R3 - M^T (2 R2 - R1))`` is included.
     """
-    _check_horizon(s, "s")
+    s = _horizon(s, "s", zero_ok=True)
     coeffs = coefficients(solution, params)
     a = 2.0 * params.varpi ** 2
     b = coeffs.b_coef

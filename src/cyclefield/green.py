@@ -260,11 +260,11 @@ def _lookup(formula, from_state, to_state, t, solution, params, maintext=False, 
     )
     if kept:
         i, got = link[1], batch.values.get(formula)
-        if got is not None and got[0] == t:
+        if got is not None and (got[0] is t or type(t) is float and got[0] == t):  # kept horizons are checked floats
             value = got[1][i]
     if value is None:
         if formula is not _propagator_rows:
-            check_horizon(t)
+            t = check_horizon(t)
         if linked:
             if not kept:
                 batch = _last_batch = _Batch(solution, params, maintext, link[0])
@@ -396,7 +396,7 @@ def dmcvr_residuals(from_state, to_state, t, solution, params):
     relation is the printed linear form
     ``lambda^2 (A - A') + ((A+A')/2 - A_bar) t/2``.
     """
-    check_horizon(t)
+    t = check_horizon(t)
     pair = _Batch(solution, params, False, from_state=from_state, to_state=to_state).pair
     (X1, X2, X3), (Y1, Y2) = pair.X, pair.Y
     return float(X1 - t * Y1), float(X2 - t * Y2), float(params.lambda_sq * X3 + 0.5 * pair.a_gap * t)
@@ -415,7 +415,7 @@ def most_likely_endpoint(
     coefficients are then re-evaluated at the new midpoint until the step
     falls below ``_ENDPOINT_TOL``.
     """
-    check_horizon(t)
+    t = check_horizon(t)
     slope_A = params.lambda_sq + 0.25 * t  # d r3 / dA'
     to = from_state
     for _ in range(_ENDPOINT_MAX_ITER):
@@ -478,7 +478,7 @@ def average_path(
     Terminates with :class:`TrajectoryTerminated` (carrying the partial
     path) if capital leaves the positive domain.
     """
-    check_horizon(t)
+    t = check_horizon(t)
     if n_steps is None:
         n_steps = max(1, math.ceil(1000.0 * t))
     elif isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 1:

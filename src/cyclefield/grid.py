@@ -8,9 +8,8 @@ are, since each takes floats or arrays.  The compatibility gates become
 masks (:class:`_Gates`), and the Gamma_3 root-find runs its rows in
 lockstep (:func:`gamma3_rows`), dropping each row from the active set as it
 converges.  Each solved row gets the bits of
-:func:`~cyclefield.phases.solve_phase`.  A row where that solve would
-raise, or where the array pass cannot tell that it would not, is left
-unsettled for it to solve.
+:func:`~cyclefield.phases.solve_phase`, which solves alone each row where
+it would raise, or where the array pass cannot tell that it would not.
 
 It also holds the array forms of :mod:`cyclefield.phases`' float-or-array
 helpers (:func:`each`, :func:`branch`), which those import on their first
@@ -25,8 +24,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from cyclefield.errors import CycleFieldError
-from cyclefield.params import ModelParams
+from cyclefield import phases
+from cyclefield.errors import ConvergenceError, CycleFieldError, InfeasiblePhaseError, ParameterError, SingularityError
+from cyclefield.params import _FIELD_NAMES, ModelParams, _checked
 from cyclefield.phases import (
     _FIELDS,
     _FLOAT_FIELDS,
@@ -43,38 +43,67 @@ from cyclefield.phases import (
 )
 
 
-ROW_UNSETTLED, ROW_INFEASIBLE, ROW_OK = -1, 0, 1
+# a row's status: its code indexes its name, the scan's status column
+STATUSES = ("infeasible", "ok", "no_convergence", "singular")
+ROW_INFEASIBLE, ROW_OK, ROW_NO_CONVERGENCE, ROW_SINGULAR = range(len(STATUSES))
+_UNSETTLED = -1  # a row the array pass leaves to the one-row solve
+
+
+def check_grid(key: str, values) -> None:
+    """Raise the :class:`ParameterError` of an unknown ``key``, or of the first value :class:`ModelParams` refuses."""
+    if key not in _FIELD_NAMES:
+        raise ParameterError(f"unknown scan key {key!r}")
+    try:  # the range checks are bounds, so finite values pass them all if both ends pass
+        if not all(map(math.isfinite, values)):
+            raise ParameterError("a scan value is not finite")
+        for end in (min(values), max(values)):
+            _checked({key: end})
+    except (ParameterError, OverflowError, TypeError, ValueError):  # or a value not a number, or no values
+        for value in values:  # the first bad value raises the constructor's message
+            _checked({key: value})
 
 
 def solve_grid(base: ModelParams, key: str, values, paper_k1_approx: bool = False):
     """Solve ``base`` with field ``key`` at each of ``values``, as a scan defines its rows.
 
     A row is phase 1 where :func:`~cyclefield.phases.compatibility_root`
-    admits it (status ``ROW_OK``), and phase 0 where it finds phase 1
-    infeasible (``ROW_INFEASIBLE``).  Returns ``(columns, status)``:
-    ``columns`` maps each :class:`PhaseSolution` field but ``phase`` to an
-    array over the rows, and ``status`` holds each row's status.  Each
-    solved row has the bits of ``solve_phase`` at ``base.replace(key=value)``.
-    A row where that solve would raise, or where the array pass cannot tell
-    that it would not (a non-finite intermediate, a zero denominator, an
-    exception in a per-element ``math`` call, the Gamma_3 iteration cap), is
-    ``ROW_UNSETTLED``, with NaN fields, for the caller to solve one at a
-    time.  ``values`` must pass the checks of :class:`ModelParams`.
+    admits it (``ROW_OK``), phase 0 where it finds phase 1 infeasible
+    (``ROW_INFEASIBLE``), and otherwise the failure its solve raised
+    (``ROW_NO_CONVERGENCE``, ``ROW_SINGULAR``), with NaN fields.  Returns
+    ``(columns, status, errors)``: each :class:`PhaseSolution` field but
+    ``phase`` as an array over the rows, each row's status (an index into
+    ``STATUSES``), and each failed row's error, in row order.  Each solved
+    row has the bits of ``solve_phase`` at ``base.replace(key=value)``, and
+    is ``feasible`` only if ``ROW_OK``.  Raises :func:`check_grid`'s error.
     """
+    check_grid(key, values)
     rows = _Rows(base, key, np.array(values, dtype=float))
     n = len(rows)
     columns = {
         f.name: np.zeros(n, bool) if f.type == "bool" else np.full(n, math.nan)
         for f in fields(PhaseSolution)[1:]
     }
-    status = np.full(n, ROW_UNSETTLED, np.int8)
-    every = np.arange(n)
+    status = np.full(n, _UNSETTLED, np.int8)
     with np.errstate(all="ignore"):
-        solved, infeasible = _solve_rows(rows, 1, paper_k1_approx, columns, every)
+        solved, infeasible = _solve_rows(rows, 1, paper_k1_approx, columns, np.arange(n))
         status[solved] = ROW_OK
         solved, _ = _solve_rows(_take(rows, infeasible), 0, paper_k1_approx, columns, infeasible)
         status[solved] = ROW_INFEASIBLE
-    return columns, status
+    errors = {}
+    for j in (status == _UNSETTLED).nonzero()[0].tolist():  # the rows only the one-row solve settles
+        p = base.replace(**{key: getattr(rows, key)[j].item()})
+        try:  # through phases, so a trace of solve_phase counts these calls
+            try:
+                sol, status[j] = phases.solve_phase(p, 1, paper_k1_approx=paper_k1_approx), ROW_OK
+            except InfeasiblePhaseError:
+                sol, status[j] = phases.solve_phase(p, 0, paper_k1_approx=paper_k1_approx), ROW_INFEASIBLE
+        except (ConvergenceError, SingularityError) as exc:
+            status[j], errors[j] = ROW_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else ROW_SINGULAR, exc
+            continue
+        for name, column in columns.items():
+            column[j] = getattr(sol, name)
+    columns["feasible"] &= status == ROW_OK  # a phase-0 row is flagged infeasible
+    return columns, status, errors
 
 
 def _solve_rows(p, phase: int, paper_k1_approx: bool, columns: dict, where):

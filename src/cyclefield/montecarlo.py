@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclefield.errors import DomainError, InfeasiblePhaseError, ParameterError
-from cyclefield.params import ModelParams
+from cyclefield.params import ModelParams, _finite
 from cyclefield.paths import AgentState, check_horizon
 from cyclefield.phases import PhaseSolution
 
@@ -71,7 +71,7 @@ class MCConfig:
     def __post_init__(self):
         _check_integer("n_paths", self.n_paths, ">= 1", 1)
         dt = self.dt
-        if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and math.isfinite(dt) and dt > 0):
+        if isinstance(dt, bool) or not (isinstance(dt, numbers.Real) and _finite(dt) and dt > 0):
             raise ParameterError(f"dt must be a finite positive number, got {self.dt!r}")
         _check_integer("seed", self.seed, "in [0, 2**128)", 0, 2**128)
 
@@ -216,13 +216,13 @@ def check_feasible(solution: PhaseSolution) -> None:
         raise InfeasiblePhaseError(f"phase {solution.phase} is infeasible; its anchor is {anchor}")
 
 
-def _step_count(t: float, dt: float) -> int:
-    """Number of steps ``dt`` in the horizon ``t``; raises unless ``t`` is a positive multiple of ``dt``."""
-    check_horizon(t)
-    n_steps = round(t / dt)
-    if n_steps < 1 or abs(t / dt - n_steps) > 1e-9 * n_steps:
+def _step_count(t: float, dt: float) -> tuple[float, int]:
+    """``t`` as a float, and its number of steps ``dt``; raises unless ``t`` is a positive multiple of ``dt``."""
+    x = check_horizon(t)
+    n_steps = round(x / dt)
+    if n_steps < 1 or abs(x / dt - n_steps) > 1e-9 * n_steps:
         raise ParameterError(f"horizon t={t} is not an integer multiple of dt={dt}")
-    return n_steps
+    return x, n_steps
 
 
 def _heun_paths(start, solution: PhaseSolution, params: ModelParams, dt: float, seed: int,
@@ -303,7 +303,7 @@ def sample_paths(
     never reflected or killed.
     """
     _check_integer("block_size", block_size, ">= 1", 1)
-    n_steps = _step_count(t, mc.dt)
+    t, n_steps = _step_count(t, mc.dt)
 
     n = mc.n_paths
     n_tiles, per_block = -(-n // _TILE), -(-block_size // _TILE)
@@ -340,7 +340,7 @@ def lna_moments(initial: AgentState, t: float, dt: float, solution: PhaseSolutio
     :class:`ParameterError` for a step :class:`MCConfig` refuses.
     """
     MCConfig(dt=dt)
-    n_steps = _step_count(t, dt)
+    t, n_steps = _step_count(t, dt)
     f = _drift_and_jacobian(solution, params)
     q_C, q_K, q_A = params.varpi ** 2, params.nu ** 2, 1.0 / params.lambda_sq
 
@@ -498,12 +498,12 @@ def appendix5_negligibility(
     MCConfig(n_paths=n_paths, dt=dt, seed=seed)
     rates = list(r_values)
     for r in rates:
-        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and math.isfinite(r)):
+        if isinstance(r, bool) or not (isinstance(r, numbers.Real) and _finite(r)):
             raise ParameterError(f"discount rate must be a finite real number, got {r!r}")
     check_feasible(solution)
     p = params
     C_bar, A_bar, eps = solution.C_bar_phase, solution.A_bar_phase, p.epsilon
-    n_steps = _step_count(T, dt)
+    T, n_steps = _step_count(T, dt)
 
     # the stable root lies right of the drift maximum at lo, where the drift
     # is concave: Newton steps from a doubling of lo fall monotonically onto it

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
-import operator
 from dataclasses import dataclass, fields
 
 from cyclefield.errors import ParameterError
@@ -38,7 +38,7 @@ class ModelParams:
 
     def __post_init__(self):
         # set each field, not vars(self): a materialised __dict__ makes every attribute read slower
-        for name, v in _checked({name: getattr(self, name) for name in _FIELD_INDEX}).items():
+        for name, v in _checked({name: getattr(self, name) for name in _FIELD_NAMES}).items():
             object.__setattr__(self, name, v)
 
     # -- derived quantities -------------------------------------------------
@@ -54,21 +54,14 @@ class ModelParams:
         return self.A0 / (1.0 - self.kappa)
 
     def replace(self, **changes) -> "ModelParams":
-        """Return a copy with ``changes``; only the changed fields are checked, as the constructor checks them."""
-        if not changes.keys() <= _FIELD_INDEX.keys():  # the constructor's TypeError
-            return ModelParams(**{**self.to_dict(), **changes})
-        checked = _checked({k: changes[k] for k in sorted(changes, key=_FIELD_INDEX.get)})
-        new, set_field = object.__new__(ModelParams), object.__setattr__
-        for name, v in zip(_FIELD_INDEX, _field_values(self)):
-            set_field(new, name, checked.get(name, v))
-        return new
+        """Return a copy with ``changes``, built and checked by the constructor."""
+        return dataclasses.replace(self, **changes)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-_FIELD_INDEX = {f.name: i for i, f in enumerate(fields(ModelParams))}
-_field_values = operator.attrgetter(*_FIELD_INDEX)
+_FIELD_NAMES = tuple(f.name for f in fields(ModelParams))
 _POSITIVE = ("varpi", "nu", "lambda_sq", "delta", "epsilon", "K_bar", "C_bar", "A0", "theta_sq")
 _NONNEGATIVE = ("varsigma", "r_c", "kappa", "gamma", "C0", "sigma_sq", "eta_sq")
 # the range checks, in the order the constructor reports them: (fields, fails, requirement)
@@ -80,13 +73,21 @@ _RANGES = (
 )
 
 
+def _finite(x) -> bool:
+    """Whether the real number ``x`` is finite; an int beyond a double is not (``math.isfinite`` raises)."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _checked(values: dict) -> dict:
     """The given fields, in field order, as floats; raises the constructor's first fault."""
     out = {}
     for name, v in values.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ParameterError(f"{name} must be a real number, got {v!r}")
-        if not math.isfinite(v):
+        if not _finite(v):
             raise ParameterError(f"{name} must be finite, got {v!r}")
         out[name] = float(v)
     for names, fails, need in _RANGES:  # each over the given fields only, in field order
@@ -110,7 +111,7 @@ def parse_config_text(text: str) -> ModelParams:
             raise ParameterError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _FIELD_INDEX:
+        if key not in _FIELD_NAMES:
             raise ParameterError(f"line {lineno}: unknown configuration key {key!r}")
         if key in values:
             raise ParameterError(f"line {lineno}: duplicate configuration key {key!r}")

@@ -10,16 +10,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from cyclefield.errors import DomainError, ShapeError
+from cyclefield.params import _finite
 
 
-def check_horizon(t: float) -> None:
-    """Raise :class:`DomainError` unless the horizon is a number, not a bool, with ``0 < t < inf`` (NaN fails)."""
-    try:
-        valid = not isinstance(t, (bool, np.bool_)) and 0.0 < t < math.inf
-    except TypeError:  # not comparable with a float, such as a string or None
-        valid = False
-    if not valid:
-        raise DomainError(f"t must be finite and > 0, got {t!r}")
+def check_horizon(t: float) -> float:
+    """The horizon as a float; raises :class:`DomainError` unless it is a number, not a bool, with ``0 < t < inf``."""
+    return _horizon(t, "t", zero_ok=False)
+
+
+def _horizon(t, name: str, zero_ok: bool) -> float:
+    """``float(t)``; raises :class:`DomainError` unless ``t`` is a number, not a bool, whose float is finite and > 0."""
+    try:  # the comparison refuses what is not a number (a string, None), float() an int beyond a double
+        x = float(t) if not isinstance(t, (bool, np.bool_)) and t >= 0.0 else math.nan
+    except (TypeError, OverflowError):
+        x = math.nan
+    if not (0.0 <= x if zero_ok else 0.0 < x) or x == math.inf:  # with zero_ok, 0 passes too
+        raise DomainError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {t!r}")
+    return x
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +53,7 @@ class AgentState:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise DomainError(f"{name} must be a real number, got {v!r}")
-            if not math.isfinite(v):
+            if not _finite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
             if v < 0.0:
                 raise DomainError(f"{name} must be >= 0, got {v}")

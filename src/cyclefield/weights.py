@@ -7,12 +7,10 @@ n-1 grid points of an n-point path.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from cyclefield.errors import DomainError, ParameterError, ShapeError
-from cyclefield.params import ModelParams
+from cyclefield.params import ModelParams, _finite
 from cyclefield.paths import AgentPath
 
 
@@ -22,7 +20,7 @@ def utility_quadratic(c, theta: float, c_hat: float):
     ``C_tilde = c_hat + 1/theta`` is the satiation point implied by the
     anchor ``c_hat``.  ``theta`` must be strictly positive.
     """
-    if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and math.isfinite(theta) and theta > 0):
+    if isinstance(theta, bool) or not (isinstance(theta, (int, float)) and _finite(theta) and theta > 0):
         raise ParameterError(f"theta must be a finite positive number, got {theta!r}")
     c = np.asarray(c, dtype=float)
     c_tilde = c_hat + 1.0 / theta

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cyclefield import cli, grid, phases
+from cyclefield import grid, phases
 from cyclefield.cli import run
 
 CONFIG = str(Path(__file__).resolve().parent.parent / "base.cfg")
@@ -123,7 +123,7 @@ def test_solver_branch_scans_pinned(tmp_path, monkeypatch, argv, digest, statuse
 
     monkeypatch.setattr(grid, "_solve_rows", counted_rows)
     monkeypatch.setattr(
-        cli, "solve_phase",
+        phases, "solve_phase",
         counted(phases.solve_phase, lambda p, ph, paper_k1_approx: (ph, paper_k1_approx)),
     )
     out = tmp_path / "out"

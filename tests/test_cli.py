@@ -234,7 +234,7 @@ class TestPhaseScan:
         # the grid is checked at its ends; a fault falls back to the value-by-value check
         with pytest.raises(ParameterError) as first:
             for value in map(float, grid.split(",")):
-                cli._checked({key: value})
+                ModelParams(**{key: value})
         assert str(first.value) == message
         code, text = invoke(tmp_path, "phase-scan", "--key", key, "--values", grid)
         assert (code, text) == (2, "")

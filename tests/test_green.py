@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -281,6 +282,25 @@ class TestPathBatch:
                         linked = kernel(a, b)
                         assert linked == kernel(copy_state(a), copy_state(b)), (name, i)
                         assert linked == kernel(a, b), (name, i)
+
+    @pytest.mark.parametrize(
+        "t", [True, np.True_, Decimal("1"), Fraction(1), np.float64(1.0), np.float32(1.0)],
+        ids=["True", "np.True_", "Decimal", "Fraction", "float64", "float32"],
+    )
+    def test_kept_horizon_reused_only_for_a_float(self, nontrivial, params, t):
+        # once the batch holds t = 1.0, a horizon that only compares equal to it
+        # goes through the check: True read the kept density, and Decimal("1")
+        # crashed corrected_density with a bare TypeError
+        path = seeded_panel(nontrivial, params, seed=7, n_paths=1, n_samples=12)[0]
+        a, b = path.state(0), path.state(1)
+        for kernel in (green.transition_density, green.gaussian_factor, corrections.corrected_density):
+            kernel(a, b, 1.0, nontrivial, params)
+            linked = outcome(kernel, a, b, t, nontrivial, params)
+            assert linked == outcome(kernel, copy_state(a), copy_state(b), t, nontrivial, params)
+            if isinstance(t, (bool, np.bool_)):
+                assert linked == (DomainError, f"t must be finite and > 0, got {t!r}")
+            else:
+                assert linked == kernel(a, b, 1.0, nontrivial, params)
 
     def test_linked_panel_sums_equal_unlinked(self, nontrivial, params):
         kernels = pair_kernels(nontrivial, params, 0.01)

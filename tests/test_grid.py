@@ -1,10 +1,11 @@
 """The grid solve behind ``phase-scan`` against a per-row scan.
 
 ``phase-scan`` solves its whole grid in one array pass
-(:func:`cyclefield.grid.solve_grid`) and re-solves only the rows that pass
-leaves unsettled.  The oracle here is the per-row loop it replaced: each
-value through ``cli._scan_point`` and the row format, so CSV bytes, exit
-code and stderr must match to the byte.
+(:func:`cyclefield.grid.solve_grid`), which re-solves only the rows that
+pass leaves unsettled.  The oracle here is the per-row loop it replaced:
+each value through ``solve_phase`` (phase 1, else phase 0, else the
+error) and the row format, so CSV bytes, exit code and stderr must match
+to the byte.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from cyclefield import cli, grid, phases
-from cyclefield.errors import ConvergenceError, CycleFieldError, SingularityError
+from cyclefield.errors import ConvergenceError, CycleFieldError, InfeasiblePhaseError, ParameterError, SingularityError
 from cyclefield.params import ModelParams
 
 KEYS = tuple(f.name for f in fields(ModelParams))
@@ -35,20 +36,34 @@ def domain(key: str) -> tuple[float, float]:
     return default / 100.0, default * 100.0
 
 
+def one_row(base: ModelParams, key: str, value: float, paper_k1_approx: bool = False):
+    """``(status, solution or error)`` of one scan value: phase 1, else phase 0, else the solve's error."""
+    p = base.replace(**{key: value})
+    try:
+        try:
+            return "ok", phases.solve_phase(p, 1, paper_k1_approx=paper_k1_approx)
+        except InfeasiblePhaseError:
+            return "infeasible", phases.solve_phase(p, 0, paper_k1_approx=paper_k1_approx)
+    except ConvergenceError as exc:
+        return "no_convergence", exc
+    except SingularityError as exc:
+        return "singular", exc
+
+
 def per_row_scan(base: ModelParams, key: str, values, paper_k1_approx: bool):
-    """``(CSV text, exit code, stderr)`` of the scan, one ``_scan_point`` per row."""
+    """``(CSV text, exit code, stderr)`` of the scan, one :func:`one_row` per row."""
     header = KEYS + tuple(h for h, _ in cli._SCAN_COLUMNS) + ("status",)
     lines, failures = [",".join(header)], []
     for value in values:
-        p, cell = base.replace(**{key: value}), f"{value:.17g}"
-        try:
-            sol, status = cli._scan_point(p, paper_k1_approx)
-            feasible = sol.feasible and status == "ok"
-            result = cli._SCAN_FLOATS % cli._scan_floats(sol) + f",{str(feasible).lower()},{str(sol.stable).lower()}"
-        except (ConvergenceError, SingularityError) as exc:
-            status = "no_convergence" if isinstance(exc, ConvergenceError) else "singular"
-            failures.append(f"{key}={cell}: {exc}")
+        cell = f"{value:.17g}"
+        status, sol = one_row(base, key, value, paper_k1_approx)
+        if isinstance(sol, CycleFieldError):
+            failures.append(f"{key}={cell}: {sol}")
             result = "," * (len(cli._SCAN_COLUMNS) - 1)
+        else:
+            feasible = sol.feasible and status == "ok"
+            floats = tuple(getattr(sol, f) for f in cli._SCAN_FLOAT_FIELDS)
+            result = cli._SCAN_FLOATS % floats + f",{str(feasible).lower()},{str(sol.stable).lower()}"
         cells = [cli._fmt(getattr(base, k)) for k in KEYS]
         cells[KEYS.index(key)] = cell
         lines.append(",".join(cells) + f",{result},{status}")
@@ -129,14 +144,71 @@ def test_random_bases(tmp_path, capsys):
     assert statuses >= {"ok", "infeasible", "singular"}  # the draws reach every common status
 
 
+def assert_rows_match_one_row_solve(base, key, values, got):
+    """Each row of ``solve_grid``'s result has :func:`one_row`'s status and, bit for bit, its fields or error."""
+    columns, status, errors = got
+    for j, value in enumerate(values):
+        want_status, want = one_row(base, key, value)
+        assert grid.STATUSES[status[j]] == want_status, (key, value)
+        if isinstance(want, CycleFieldError):
+            assert (type(errors[j]), str(errors[j])) == (type(want), str(want))
+            assert all(math.isnan(columns[f][j]) for f in phases._FLOAT_FIELDS)
+            assert not columns["feasible"][j] and not columns["stable"][j]
+            continue
+        assert j not in errors
+        for name, column in columns.items():
+            expected = getattr(want, name)
+            if name == "feasible":  # a phase-0 row is flagged infeasible
+                expected = expected and want_status == "ok"
+            assert repr(column[j].item()) == repr(expected), (key, value, name)
+
+
 def test_unsettled_rows_are_left_to_the_one_row_solve():
     # a Gamma3 pole and a closed form that overflows: the array pass leaves
-    # both rows unsettled, with NaN fields, and solves the others
-    columns, status = grid.solve_grid(BASE, "A0", [8.0, 3.691903901261551, 1e308, 2.0])
-    assert status.tolist() == [grid.ROW_OK, grid.ROW_UNSETTLED, grid.ROW_UNSETTLED, grid.ROW_INFEASIBLE]
-    assert np.isnan(columns["Gamma3"][1:3]).all()
-    assert columns["Gamma3"][0] == phases.solve_phase(BASE, 1).Gamma3
-    assert columns["avg_K"][3] == phases.solve_phase(BASE.replace(A0=2.0), 0).avg_K
+    # both rows to solve_phase, which raises, and solves the others
+    values = [8.0, 3.691903901261551, 1e308, 2.0]
+    got = grid.solve_grid(BASE, "A0", values)
+    assert [grid.STATUSES[s] for s in got[1].tolist()] == ["ok", "singular", "singular", "infeasible"]
+    assert sorted(got[2]) == [1, 2]
+    assert_rows_match_one_row_solve(BASE, "A0", values, got)
+
+
+@pytest.mark.parametrize("key", ["A0", "nu", "kappa", "C0"])
+def test_every_row_the_one_row_solve_settles(monkeypatch, key):
+    # with an array pass that settles no row, solve_phase settles each one
+    # as the array pass does: the same bits, statuses and errors
+    lo, hi = domain(key)
+    values = [float(v) for v in np.linspace(lo, hi, 30)] + [3.691903901261551] * (key == "A0")
+    want = grid.solve_grid(BASE, key, values)
+    monkeypatch.setattr(grid, "_solve_rows", lambda p, phase, approx, columns, where: (where[:0], where[:0]))
+    got = grid.solve_grid(BASE, key, values)
+    for name, column in want[0].items():
+        assert column.tobytes() == got[0][name].tobytes(), name
+    assert want[1].tolist() == got[1].tolist()
+    assert [(j, type(e), str(e)) for j, e in want[2].items()] == [(j, type(e), str(e)) for j, e in got[2].items()]
+    assert_rows_match_one_row_solve(BASE, key, values, got)
+
+
+@pytest.mark.parametrize(
+    "key,values,message",
+    [
+        ("bogus", [1.0, 2.0], "unknown scan key 'bogus'"),
+        ("bogus", [math.nan], "unknown scan key 'bogus'"),  # the key before the values
+        ("A0", [8.0, -1.0], "A0 must be > 0, got -1.0"),
+        ("A0", [8.0, math.nan, -1.0], "A0 must be finite, got nan"),
+        ("A0", [8.0, 10 ** 400], f"A0 must be finite, got {10 ** 400!r}"),
+        ("A0", [8.0, "9"], "A0 must be a real number, got '9'"),
+        ("A0", [8.0, True], "A0 must be a real number, got True"),
+        ("kappa", [0.2, 1.5, -1.0], "kappa must lie in [0, 1), got 1.5"),  # not the extreme -1
+        ("epsilon", [1.5], "epsilon must lie in (0, 1), got 1.5"),
+        ("epsilon", [0.5, 0.0, 1.0], "epsilon must be > 0, got 0.0"),
+    ],
+)
+def test_library_grid_refuses_what_the_scan_refuses(key, values, message):
+    # solve_grid checks its own input, with the constructor's messages
+    with pytest.raises(ParameterError) as refused:
+        grid.solve_grid(BASE, key, values)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(
@@ -154,6 +226,16 @@ def test_first_bad_value_is_a_usage_error(tmp_path, capsys, key, values, message
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_bad_value_in_a_later_block_writes_no_file(tmp_path, capsys, monkeypatch):
+    # the first blocks are good, and the file would be written block by block
+    monkeypatch.setattr(cli, "_SCAN_ROWS", 2)
+    out = tmp_path / "o"
+    code = cli.run(["phase-scan", "--key", "A0", "--values", "8,9,10,11,-1", "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: A0 must be > 0, got -1.0\n"
+    assert not out.exists()
 
 
 # parameter sets whose one-row solve raises at a chosen step (test_phases.ERROR_ORDER),

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cyclefield
-from cyclefield import paths
-from cyclefield.errors import DomainError, ShapeError
+from cyclefield import corrections, green, montecarlo, paths, weights
+from cyclefield.errors import DomainError, ParameterError, ShapeError
+from cyclefield.params import ModelParams
 from cyclefield.paths import AgentPath, AgentState
 
 COORDS = ("C", "K", "A")
@@ -189,9 +192,118 @@ class TestCheckHorizon:
             paths.check_horizon(t)
         assert str(excinfo.value) == f"t must be finite and > 0, got {t!r}"
 
-    @pytest.mark.parametrize("t", [0.01, 2, np.float32(0.01), np.int64(2), Fraction(1, 100), np.array(0.01)])
+    @pytest.mark.parametrize(
+        "t", [0.01, 2, np.float32(0.01), np.int64(2), Fraction(1, 100), np.array(0.01), Decimal("0.01")]
+    )
     def test_real_horizons_accepted(self, t):
-        paths.check_horizon(t)
+        # the check returns the horizon as the float its callers compute with
+        x = paths.check_horizon(t)
+        assert type(x) is float and x == float(t)
+
+    @pytest.mark.parametrize(
+        "t", [10 ** 400, Decimal("1e400"), Decimal("1e-400"), Fraction(1, 10 ** 400)],
+        ids=["int-1e400", "Decimal-1e400", "Decimal-1e-400", "Fraction-1e-400"],
+    )
+    def test_horizons_beyond_a_double_rejected(self, t):
+        # 0 < t < inf holds, but its float overflows (a bare OverflowError) or is 0 or inf
+        with pytest.raises(DomainError) as excinfo:
+            paths.check_horizon(t)
+        assert str(excinfo.value) == f"t must be finite and > 0, got {t!r}"
+
+
+X0, X1 = AgentState(C=1.1, K=10.2, A=10.0), AgentState(C=1.12, K=10.3, A=10.01)
+
+
+def _leaves(result) -> list:
+    """Every number of an entry point's result, with its type, in order."""
+    if isinstance(result, (AgentState, AgentPath, montecarlo.PathEnsemble)):
+        result = [result.C, result.K, result.A, getattr(result, "t", None), getattr(result, "dt", None)]
+    if isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, np.ndarray):
+        return [(result.dtype.name, result.tobytes())]
+    if isinstance(result, (list, tuple)):
+        return [leaf for item in result for leaf in _leaves(item)]
+    return [(type(result).__name__, repr(result))]
+
+
+# each library entry point that takes a horizon, as a function of it
+HORIZON_ENTRY_POINTS = {
+    "transition_density": lambda t, sol, p: green.transition_density(X0, X1, t, sol, p),
+    "gaussian_factor": lambda t, sol, p: green.gaussian_factor(X0, X1, t, sol, p),
+    "corrected_density": lambda t, sol, p: corrections.corrected_density(X0, X1, t, sol, p),
+    "correction_potential": lambda t, sol, p: corrections.correction_potential(X0, X1, t, sol, p),
+    "elasticity_table": lambda t, sol, p: corrections.elasticity_table(t, sol, p),
+    "dmcvr_residuals": lambda t, sol, p: green.dmcvr_residuals(X0, X1, t, sol, p),
+    "most_likely_endpoint": lambda t, sol, p: green.most_likely_endpoint(X0, t, sol, p),
+    "average_path": lambda t, sol, p: green.average_path(X0, t, sol, p, n_steps=8),
+    "modified_matrices": lambda t, sol, p: corrections.modified_matrices(t, sol, p),
+    "sample_paths": lambda t, sol, p: montecarlo.sample_paths(X0, t, sol, p, montecarlo.MCConfig(n_paths=64)),
+    "lna_moments": lambda t, sol, p: montecarlo.lna_moments(X0, t, 0.01, sol, p),
+    "appendix5_negligibility": lambda t, sol, p: montecarlo.appendix5_negligibility(
+        p, sol, [0.0, 0.1], T=t, dt=0.02, n_paths=64
+    ),
+}
+
+
+class TestHorizonEntryPoints:
+    """Each entry point computes with the float its horizon check returns."""
+
+    @pytest.fixture(autouse=True)
+    def quiet(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", green.SmallTimeWarning)
+            yield
+
+    @pytest.mark.parametrize("name", HORIZON_ENTRY_POINTS)
+    @pytest.mark.parametrize("t", [Decimal("0.5"), np.float32(0.5)], ids=["Decimal", "float32"])
+    def test_a_real_horizon_gives_the_floats_result(self, trivial, params, name, t):
+        # a Decimal raised a bare TypeError, and a float32 leaked into the state
+        # most_likely_endpoint builds ("A must be a real number, got np.float32(10.0)")
+        entry = HORIZON_ENTRY_POINTS[name]
+        assert _leaves(entry(t, trivial, params)) == _leaves(entry(0.5, trivial, params))
+
+    @pytest.mark.parametrize("name", HORIZON_ENTRY_POINTS)
+    def test_a_horizon_beyond_a_double_is_a_domain_error(self, trivial, params, name):
+        t = 10 ** 400
+        with pytest.raises(DomainError) as excinfo:
+            HORIZON_ENTRY_POINTS[name](t, trivial, params)
+        label = "s" if name == "modified_matrices" else "t"
+        bound = ">= 0" if name in ("correction_potential", "elasticity_table", "modified_matrices") else "> 0"
+        assert str(excinfo.value) == f"{label} must be finite and {bound}, got {t!r}"
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda v: ModelParams(A0=v), ParameterError, "A0 must be finite, got {v!r}"),
+        (lambda v: ModelParams().replace(nu=v), ParameterError, "nu must be finite, got {v!r}"),
+        (lambda v: AgentState(C=1.0, K=v, A=1.0), DomainError, "K must be finite, got {v!r}"),
+        (lambda v: montecarlo.MCConfig(dt=v), ParameterError, "dt must be a finite positive number, got {v!r}"),
+        (
+            lambda v: weights.utility_quadratic(1.0, v, 1.0), ParameterError,
+            "theta must be a finite positive number, got {v!r}",
+        ),
+        (
+            lambda v: corrections.DeviationQuery(x0=X0, v0=(0.0, v, 0.0), t=1.0), DomainError,
+            "v0 components must be finite, got (0.0, {v!r}, 0.0)",
+        ),
+        (
+            lambda v: montecarlo.appendix5_negligibility(ModelParams(), None, [0.1, v]), ParameterError,
+            "discount rate must be a finite real number, got {v!r}",
+        ),
+    ],
+    ids=[
+        "ModelParams", "ModelParams.replace", "AgentState", "MCConfig-dt", "utility_quadratic-theta",
+        "DeviationQuery-v0", "appendix5-rate",
+    ],
+)
+def test_an_int_beyond_a_double_is_not_finite(build, error, message):
+    # each raised a bare OverflowError from math.isfinite
+    v = 10 ** 400
+    with pytest.raises(error) as excinfo:
+        build(v)
+    assert str(excinfo.value) == message.format(v=v)
 
 
 class TestAgentPathConstruction:
