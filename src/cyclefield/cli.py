@@ -11,10 +11,9 @@ arguments are parsed.  ``run`` then checks ``--format`` against the
 subcommand's natural format, loads ``--config``, solves ``--phase`` for the
 five commands that take a horizon (``--t``), calls the subcommand's
 ``_cmd_*(args, params, solution)`` and writes the payload it returns to
-``--output``: a dict as JSON, text (a string or a list of strings) as CSV.
-With the payload a command returns its exit code, or a
-:class:`CycleFieldError` that ``run`` raises once the payload is written.
-Errors become exit codes in one place.
+``--output``: a dict as JSON, text (a string or an iterable of strings,
+written as it comes) as CSV.  With the payload a command returns its exit
+code.  Errors become exit codes in one place.
 
 ``mc-validate --export`` writes the endpoint CSV in blocks of
 ``_EXPORT_ROWS`` rows through :mod:`cyclefield.export`, which is imported
@@ -26,9 +25,10 @@ state arguments import :mod:`cyclefield.paths`.  ``phases`` runs on
 :mod:`cyclefield.phases` alone, in plain ``math``.  ``phase-scan`` solves its
 grid ``_SCAN_ROWS`` rows at a time, each block in one array pass
 (:mod:`cyclefield.grid`), which checks the values and settles every row;
-the CLI formats the rows and names the first failed one.  The parser gives
-options only to the subcommands named in ``argv``, so a run builds its own
-command's options and no other.
+the CLI formats each block's rows, which ``run`` writes before the next
+block is solved, and names the first failed row once the last is written.
+The parser gives options only to the subcommands named in ``argv``, so a
+run builds its own command's options and no other.
 An output file that cannot be written is bad usage (exit 2).
 
 Exit codes: 0 success; 2 bad usage or invalid inputs; 3 no admissible
@@ -115,7 +115,7 @@ def _emit(text, output: str | None) -> None:
         sys.stdout.writelines(chunks)
     else:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8", buffering=1) as fh:  # each chunk is flushed as written
                 fh.writelines(chunks)
         except OSError as exc:
             raise ParameterError(f"cannot write output file {output}: {exc}") from exc
@@ -155,7 +155,7 @@ def _state(text: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands: (args, params, solution) -> (payload, exit code or error)
+# subcommands: (args, params, solution) -> (payload, exit code)
 # ---------------------------------------------------------------------------
 
 
@@ -193,7 +193,7 @@ def _cmd_phase_scan(args, base, _sol):
     from cyclefield import grid  # loads NumPy
 
     values = _scan_values(args)
-    grid.check_grid(args.key, values)  # every value, before any block is solved
+    grid.check_grid(args.key, values)  # every value, before the output is opened
     # the fixed parameter cells are formatted once, around the swept one
     param_keys = tuple(f.name for f in fields(ModelParams))
     cells, i = [_fmt(getattr(base, k)) for k in param_keys], param_keys.index(args.key)
@@ -214,12 +214,16 @@ def _cmd_phase_scan(args, base, _sol):
             lines[j] = ",".join([params, *[""] * len(_SCAN_COLUMNS), solution[-1]])
         return "\n".join(lines) + "\n"
 
-    text = [",".join(param_keys + tuple(name for name, _ in _SCAN_COLUMNS) + ("status",)) + "\n"]
-    text += (block(values[i0 : i0 + _SCAN_ROWS]) for i0 in range(0, len(values), _SCAN_ROWS))
-    if failures:  # named on stderr after every row is written
-        first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"
-        return text, CycleFieldError(first)
-    return text, 0
+    def text():
+        """The header, then each block's rows as it is solved; a failed row raises after the last."""
+        yield ",".join(param_keys + tuple(name for name, _ in _SCAN_COLUMNS) + ("status",)) + "\n"
+        for i0 in range(0, len(values), _SCAN_ROWS):
+            yield block(values[i0 : i0 + _SCAN_ROWS])
+        if failures:  # named on stderr after every row is written
+            first = f"numerical failure in {len(failures)} of {len(values)} rows; first: {failures[0]}"
+            raise CycleFieldError(first)
+
+    return text(), 0
 
 
 def _cmd_transit(args, p, sol):
@@ -391,8 +395,6 @@ def run(argv=None) -> int:
             solution = solve_phase(params, args.phase, paper_k1_approx=args.paper_k1_approx)
         payload, status = args.func(args, params, solution)
         _emit(_json_dumps(payload) + "\n" if isinstance(payload, dict) else payload, args.output)
-        if isinstance(status, CycleFieldError):
-            raise status
         return status
     except SystemExit as exc:  # argparse printed help or a usage message
         return 0 if exc.code in (0, None) else 2

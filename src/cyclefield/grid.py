@@ -3,24 +3,26 @@
 ``phase-scan`` asks for one :class:`~cyclefield.params.ModelParams` field
 at many values.  :func:`solve_grid` solves all those rows together: the
 parameters become :class:`_Rows` (the swept field an array, every other
-field one float), and :mod:`cyclefield.phases`' formulas run on them as they
-are, since each takes floats or arrays.  The compatibility gates become
-masks (:class:`_Gates`), and the Gamma_3 root-find runs its rows in
-lockstep (:func:`gamma3_rows`), dropping each row from the active set as it
-converges.  Each solved row gets the bits of
+field one float), and :mod:`cyclefield.phases`' formulas run on them with
+their arithmetic, :data:`ARRAY_OPS`.  The compatibility gates become masks
+(:class:`_Gates`), and the Gamma_3 root-find runs its rows in lockstep
+(:func:`gamma3_rows`).  Each solved row gets the bits of
 :func:`~cyclefield.phases.solve_phase`, which solves alone each row where
 it would raise, or where the array pass cannot tell that it would not.
 
-It also holds the array forms of :mod:`cyclefield.phases`' float-or-array
-helpers (:func:`each`, :func:`branch`), which those import on their first
-array.  This module loads NumPy, and only ``phase-scan`` imports it, so a
-cold start that does not scan neither compiles nor imports it.
+:data:`ARRAY_OPS` has :data:`~cyclefield.phases.FLOAT_OPS`' ops.  On arrays,
+``sqrt`` and ``where`` are NumPy's, which round as Python's do; ``exp``,
+``log``, ``erf``, ``erfc`` and ``pow`` are the float ops per element, since
+NumPy's differ in the last bit.  A row is NaN where the float op raises.
+On floats alone (a step that every row shares) an op is the float op.
+This module loads NumPy, and only ``phase-scan`` imports it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import fields
+from types import ModuleType
 
 import numpy as np
 
@@ -30,15 +32,13 @@ from cyclefield.params import _FIELD_NAMES, ModelParams, _checked
 from cyclefield.phases import (
     _FIELDS,
     _FLOAT_FIELDS,
+    FLOAT_OPS,
     PhaseSolution,
     _false_position,
-    _is_grid,
     _midpoint,
     _phase0,
     _phase1,
     _Shifts,
-    _sqrt,
-    _step_growth,
     compatibility_root,
 )
 
@@ -159,7 +159,7 @@ def gamma3_rows(shifts: _Shifts, gamma_eta, tol: float = 1e-12, max_iter: int = 
     g3 = np.full(n, math.nan)
     rows = np.arange(n)  # the active rows, as indices into the grid
     sh, ge = shifts, gamma_eta
-    x = a = shifts.g0 if _is_grid(shifts.g0) else np.full(n, shifts.g0)
+    x = a = shifts.g0 if isinstance(shifts.g0, np.ndarray) else np.full(n, shifts.g0)
     fx = fa = sh.rhs(ge)(x) - x
     count = 1
     step, b, fb = fa.copy(), np.zeros(n), np.zeros(n)
@@ -171,7 +171,8 @@ def gamma3_rows(shifts: _Shifts, gamma_eta, tol: float = 1e-12, max_iter: int = 
         if count > 1:  # the scalar solve's updates of the bracket and the step
             grow = ~falsi & ((fx < 0.0) == (fa < 0.0))
             flip = falsi & ((fx < 0.0) != (fb < 0.0))
-            step[grow] *= _step_growth(fx[grow] / fa[grow])
+            q = fx[grow] / fa[grow]
+            step[grow] *= np.where(q <= 2.0 / 3.0, q / (1.0 - q), 2.0)
             a = np.where(grow, x, np.where(flip, b, a))
             fa = np.where(grow, fx, np.where(flip, fb, np.where(falsi, fa * 0.5, fa)))
             falsi = ~grow
@@ -194,14 +195,72 @@ def gamma3_rows(shifts: _Shifts, gamma_eta, tol: float = 1e-12, max_iter: int = 
         count += 1
 
 
+# the arithmetic of a grid's rows
+
+
+def _per_row(f):
+    """``f`` per row, NaN where it raises: the rows of each array argument go to ``f`` one float at a time."""
+
+    def op(*args):
+        if (n := next((len(a) for a in args if type(a) is np.ndarray), None)) is None:
+            return f(*args)
+        cols = [a.tolist() if type(a) is np.ndarray else [a] * n for a in args]
+        try:
+            return np.fromiter(map(f, *cols), float, n)
+        except (ArithmeticError, ValueError, TypeError):
+            out = np.full(n, math.nan)
+            for i, row in enumerate(zip(*cols)):
+                try:
+                    out[i] = f(*row)
+                except (ArithmeticError, ValueError, TypeError):
+                    pass  # the one-row solve raises here
+            return out
+
+    return op
+
+
+def _on_array(on_array, on_float):
+    """``on_array`` where the first argument is an array, else the float op ``on_float``."""
+    return lambda first, *rest: (on_array if type(first) is np.ndarray else on_float)(first, *rest)
+
+
+def _branch(cond, if_true, if_false, *args):
+    """``if_true(*args)`` on the rows where ``cond`` holds, ``if_false(*args)`` on the others."""
+    out = np.empty(len(cond))
+    for rows, f in ((cond, if_true), (~cond, if_false)):
+        if rows.any():
+            out[rows] = f(*(a[rows] if type(a) is np.ndarray else a for a in args))
+    return out
+
+
+class _NoMemo:
+    """A grid's shifts memo: it keeps nothing, since each Gamma_3 iterate is a new array."""
+
+    get = __setitem__ = lambda self, *_: None
+
+
+ARRAY_OPS = ModuleType("ARRAY_OPS")  # a module object, as FLOAT_OPS
+vars(ARRAY_OPS).update(
+    {name: _per_row(getattr(FLOAT_OPS, name)) for name in ("exp", "log", "erf", "erfc", "pow")},
+    sqrt=_on_array(np.sqrt, FLOAT_OPS.sqrt),
+    where=_on_array(np.where, FLOAT_OPS.where),
+    branch=_on_array(_branch, FLOAT_OPS.branch),
+    fail_where=_on_array(lambda fails, error, x: np.where(fails, math.nan, x), FLOAT_OPS.fail_where),
+    nonzero=_on_array(lambda d: np.where(d == 0.0, math.nan, d), FLOAT_OPS.nonzero),
+    memo=_NoMemo,
+)
+
+
 class _Rows:
     """A grid's parameters: field ``key`` an array over the rows, every other one ``base``'s float."""
+
+    ops = ARRAY_OPS
 
     def __init__(self, base: ModelParams, key: str, values):
         vars(self).update(base.to_dict())
         setattr(self, key, values)
         self.key = key
-        self.lam = _sqrt(self.lambda_sq)  # ModelParams.lam and A_bar0, per row
+        self.lam = self.ops.sqrt(self.lambda_sq)  # ModelParams.lam and A_bar0, per row
         self.A_bar0 = self.A0 / (1.0 - self.kappa)
 
     def __len__(self) -> int:
@@ -233,43 +292,9 @@ def _take(x, rows):
     if isinstance(x, (_Rows, _Shifts)):
         new = object.__new__(type(x))
         vars(new).update((k, _take(v, rows)) for k, v in vars(x).items())
-        if isinstance(x, _Shifts):
-            new.memo = {}  # its values are the old rows'
         return new
     if isinstance(x, dict):
         return {k: _take(v, rows) for k, v in x.items()}
     if isinstance(x, tuple):
         return tuple(_take(v, rows) for v in x)
-    return x[rows] if _is_grid(x) else x
-
-
-# the array forms of phases' float-or-array helpers (phases._each, phases._branch)
-
-
-def each(f, *args):
-    """``f`` of each row's floats, NaN where it raises.
-
-    The rows of every array among ``args`` go to ``f`` one float at a time,
-    so a grid gets Python's ``math`` bits; a float argument is passed as is.
-    """
-    n = next(len(a) for a in args if _is_grid(a))
-    cols = [a.tolist() if _is_grid(a) else [a] * n for a in args]
-    try:
-        return np.fromiter(map(f, *cols), float, n)
-    except (ArithmeticError, ValueError, TypeError):
-        out = np.full(n, math.nan)
-        for i, row in enumerate(zip(*cols)):
-            try:
-                out[i] = f(*row)
-            except (ArithmeticError, ValueError, TypeError):
-                pass  # the one-row solve raises here
-        return out
-
-
-def branch(cond, if_true, if_false, *args):
-    """``if_true(*args)`` on the rows where ``cond`` holds, ``if_false(*args)`` on the others."""
-    out = np.empty(len(cond))
-    for rows, f in ((cond, if_true), (~cond, if_false)):
-        if rows.any():
-            out[rows] = f(*(a[rows] if _is_grid(a) else a for a in args))
-    return out
+    return x[rows] if isinstance(x, np.ndarray) else x

@@ -14,26 +14,24 @@ them.  The signed capital average is recorded as-is, and its magnitude is
 used wherever a positive capital scale is required (production average,
 stability product, equilibrium quantities).
 
-Every formula takes either floats or, for :mod:`cyclefield.grid`'s one
-array pass over a ``phase-scan``, NumPy arrays over the scan's rows, in
-which the swept field is an array and every other field stays one float.
-On arrays, ``+ - * /``, ``sqrt`` and ``abs`` are NumPy's, which round as
-Python's do; ``exp``, ``log``, ``erf``, ``erfc`` and ``**`` are Python's,
-per element (:func:`_each`), because NumPy's differ from them in the last
-bit.  So a grid row gets the bits of the one-row solve.  Where the one-row
-solve would raise, the grid's row becomes NaN instead (:func:`_fail_where`,
-:func:`_nonzero`, :func:`_each`), and the grid leaves such rows to
-:func:`solve_phase`.  The helpers' array forms live in :mod:`cyclefield.grid`,
-which, with NumPy, is imported only when a helper is given an array.
+Each formula does its arithmetic through the namespace ``ops`` that its
+parameters carry.  A :class:`ModelParams` is one row and carries
+:data:`FLOAT_OPS`: ``math``'s functions, :func:`operator.pow` and plain
+conditionals.  A ``phase-scan``'s rows carry :data:`cyclefield.grid.ARRAY_OPS`,
+with which the same formulas solve all rows in one array pass, each with the
+one-row solve's bits.  This module imports no NumPy.  Its entry points raise
+:class:`SingularityError` where a closed form leaves the double range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from types import ModuleType
 
 from cyclefield.errors import (
     ConvergenceError,
@@ -74,87 +72,45 @@ class PhaseSolution:
 
 
 # ---------------------------------------------------------------------------
-# floats or a grid's arrays
+# one row's arithmetic, and the entry points' errors
 # ---------------------------------------------------------------------------
 
 
-def _is_grid(x) -> bool:
-    """Whether ``x`` is an array over a grid's rows rather than one number."""
-    return type(x) not in _NUMBERS and getattr(x, "ndim", 0) > 0
-
-
-_NUMBERS = frozenset((float, bool, int))  # read without getattr, whose miss costs an exception
-
-
-def _grid():
-    from cyclefield import grid  # the helpers' array forms; loads NumPy
-
-    return grid
-
-
-def _each(f, *args):
-    """``f(*args)``; on a grid, ``f`` of each row's floats, NaN where it raises."""
-    return _grid().each(f, *args) if any(map(_is_grid, args)) else f(*args)
-
-
-def _exp(x):
-    return math.exp(x) if type(x) is float else _each(math.exp, x)
-
-
-def _log(x):
-    return math.log(x) if type(x) is float else _each(math.log, x)
-
-
-def _erf(x):
-    return math.erf(x) if type(x) is float else _each(math.erf, x)
-
-
-def _erfc(x):
-    return math.erfc(x) if type(x) is float else _each(math.erfc, x)
-
-
-def _pow(x, y):
-    """``x ** y``, per element on a grid (NumPy's power differs from it in the last bit)."""
-    return x ** y if type(x) is float and type(y) in (float, int) else _each(operator.pow, x, y)
-
-
-def _sqrt(x):
-    return math.sqrt(x) if not _is_grid(x) else _grid().np.sqrt(x)
-
-
-def _branch(cond, if_true, if_false, *args):
-    """``if_true(*args)`` where ``cond`` holds, else ``if_false(*args)``; on a grid each on its own rows only."""
-    if _is_grid(cond):
-        return _grid().branch(cond, if_true, if_false, *args)
-    return (if_true if cond else if_false)(*args)
-
-
-def _where(cond, x, y):
-    """``x if cond else y``, per row on a grid; both are computed."""
-    return (x if cond else y) if not _is_grid(cond) else _grid().np.where(cond, x, y)
-
-
-def _fail_where(fails, error, x):
-    """``x``; where ``fails``, a one-row solve raises ``error()`` and a grid's row becomes NaN."""
-    if _is_grid(fails):
-        return _grid().np.where(fails, math.nan, x)
+def _raise_where(fails, error, x):
+    """``x``; raises ``error()`` if ``fails``."""
     if fails:
         raise error()
     return x
 
 
-def _nonzero(d):
-    """A denominator, NaN in a grid's rows where it is zero (a float division by zero raises itself)."""
-    return d if not _is_grid(d) else _grid().np.where(d == 0.0, math.nan, d)
+# a module object, whose attributes the interpreter reads fastest; ``where``
+# computes both sides, ``branch`` calls one, and a float division by zero raises itself
+FLOAT_OPS = ModuleType("FLOAT_OPS")
+vars(FLOAT_OPS).update(
+    exp=math.exp, log=math.log, erf=math.erf, erfc=math.erfc, pow=operator.pow, sqrt=math.sqrt,
+    where=lambda cond, x, y: x if cond else y,
+    branch=lambda cond, if_true, if_false, *args: (if_true if cond else if_false)(*args),
+    fail_where=_raise_where,
+    nonzero=lambda d: d,
+    memo=dict,  # a solve's shifts, by background
+)
+ModelParams.ops = FLOAT_OPS  # a class attribute, not a field: every ModelParams is one row
 
 
-def _not(b):
-    """``not b``, per row on a grid."""
-    return b ^ True
+def _in_double_range(what: str, solve, *args, **kwargs):
+    """``solve(*args, **kwargs)``; a closed form that leaves the double range raises :class:`SingularityError`."""
+    try:
+        return solve(*args, **kwargs)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise SingularityError(f"{what} closed forms left the double range ({exc})") from exc
 
 
-def _zero(*_):
-    return 0.0
+def _public(solve):
+    """``solve`` as an entry point named without its underscore, through :func:`_in_double_range`."""
+    what = solve.__name__.lstrip("_")
+    entry = functools.wraps(solve)(lambda *args, **kwargs: _in_double_range(what, solve, *args, **kwargs))
+    entry.__name__ = entry.__qualname__ = what
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +119,10 @@ def _zero(*_):
 
 
 def _Y_of(params: ModelParams, gamma3: float) -> float:
-    return params.delta - gamma3 * params.epsilon * _pow(params.K_bar, params.epsilon - 1.0)
+    return params.delta - gamma3 * params.epsilon * params.ops.pow(params.K_bar, params.epsilon - 1.0)
 
 
-def _erfcx(x: float) -> float:
+def _erfcx(x: float, ops=FLOAT_OPS) -> float:
     """Scaled complementary error function ``exp(x**2) erfc(x)`` for x >= 0.
 
     Below x = 26 it is ``exp(x**2) * math.erfc(x)``, with x split into
@@ -175,22 +131,23 @@ def _erfcx(x: float) -> float:
     Laplace's continued fraction ``1 / (sqrt(pi) (x + (1/2)/(x + 1/(x +
     (3/2)/(x + ...)))))`` cut after 8 terms and evaluated from its tail.
     """
-    return _branch(x < 26.0, _erfcx_near, _erfcx_far, x)
+    return ops.branch(x < 26.0, _erfcx_near, _erfcx_far, x, ops)
 
 
-def _erfcx_near(x):
+def _erfcx_near(x, ops):
     c = 134217729.0 * x  # 2**27 + 1
     hi = c - (c - x)
-    return _exp(hi * hi) * _exp((x - hi) * (x + hi)) * _erfc(x)
+    return ops.exp(hi * hi) * ops.exp((x - hi) * (x + hi)) * ops.erfc(x)
 
 
-def _erfcx_far(x):
+def _erfcx_far(x, ops):
     f = x
     for k in (4.0, 3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5):
         f = x + k / f
     return 1.0 / (_SQRT_PI * f)
 
 
+@_public
 def boundary_shifts(params: ModelParams, gamma3: float, paper_k1_approx: bool = False):
     """Boundary shifts (C1, K1p, A1) at technology background ``gamma3``.
 
@@ -210,52 +167,52 @@ def _consumption_boundary_shift(params: ModelParams) -> float:
     """C1 = sqrt(2/pi) varpi exp(-Cbar^2/(2 varpi^2)) / (1 - erf(Cbar/(sqrt2 varpi)))."""
     p = params
     xc = p.C_bar / (_SQRT_2 * p.varpi)
-    return _SQRT_2_OVER_PI * p.varpi / _erfcx(xc)
+    return _SQRT_2_OVER_PI * p.varpi / _erfcx(xc, p.ops)
 
 
-def _technology_shift(expo, scale, z):
-    """A1 = scale exp(expo) / (2 - erf(z / sqrt2)), where ``exp(expo)`` does not underflow."""
-    return scale * _exp(expo) / (2.0 - _erf(z / _SQRT_2))
-
-
-def _capital_shift(u, Yv, nu, nu2):
+def _capital_shift(u, Yv, nu, nu2, ops):
     """Exact K1p = -sqrt(2/pi) sqrt|Y| nu exp(-u^2/(2|Y|nu^2)) / (erf(u/sqrt2) + 1), in log space."""
-    log_num = _log(_SQRT_2_OVER_PI * _sqrt(Yv) * nu) - u * u / _nonzero(2.0 * Yv * nu2)
-    log_den = _branch(u >= 0.0, _log_upper_tail, _log_lower_tail, u)
+    log_num = ops.log(_SQRT_2_OVER_PI * ops.sqrt(Yv) * nu) - u * u / ops.nonzero(2.0 * Yv * nu2)
+    log_den = ops.branch(u >= 0.0, _log_upper_tail, _log_lower_tail, u, ops)
     expo = log_num - log_den
-    expo = _fail_where(
+    expo = ops.fail_where(
         expo > _LOG_DBL_MAX,
         lambda: SingularityError(f"K1p denominator erf(u/sqrt2) + 1 (K1p = -exp({expo:.6g}))"),
         expo,
     )
-    return _branch(expo < -745.0, _zero, _negative_exp, expo)
+    return ops.branch(expo < -745.0, _zero, _scaled_exp, expo, -1.0, ops)
 
 
-def _log_upper_tail(u):
+def _zero(*_):
+    return 0.0
+
+
+def _scaled_exp(expo, scale, ops):
+    return scale * ops.exp(expo)
+
+
+def _log_upper_tail(u, ops):
     """log(erf(u/sqrt2) + 1) at u >= 0."""
-    return _log(_erfc(-u / _SQRT_2))
+    return ops.log(ops.erfc(-u / _SQRT_2))
 
 
-def _log_lower_tail(u):
+def _log_lower_tail(u, ops):
     """log(erf(u/sqrt2) + 1) at u < 0, through :func:`_erfcx`."""
-    return _log(_erfcx(-u / _SQRT_2)) - u * u / 2.0
+    return ops.log(_erfcx(-u / _SQRT_2, ops)) - u * u / 2.0
 
 
-def _negative_exp(expo):
-    return -_exp(expo)
-
-
-def _capital_shift_fit(u, Yv, nu, nu2):
+def _capital_shift_fit(u, Yv, nu, nu2, ops):
     """The surrogate K1p (``--paper-k1-approx``)."""
     s2 = 2.0 * nu2 * Yv
-    expo = -u * u / _nonzero(s2)
-    num = _branch(expo < -745.0, _zero, _scaled_exp, expo, s2)
-    den = 2.0 - _exp(-1.9 * _pow(abs(u) / _sqrt(s2), 1.3))
+    expo = -u * u / ops.nonzero(s2)
+    num = ops.branch(expo < -745.0, _zero, _scaled_exp, expo, s2, ops)
+    den = 2.0 - ops.exp(-1.9 * ops.pow(abs(u) / ops.sqrt(s2), 1.3))
     return -num / den
 
 
-def _scaled_exp(expo, scale):
-    return scale * _exp(expo)
+def _technology_shift(expo, scale, z, ops):
+    """A1 = scale exp(expo) / (2 - erf(z / sqrt2)), where ``exp(expo)`` does not underflow."""
+    return scale * ops.exp(expo) / (2.0 - ops.erf(z / _SQRT_2))
 
 
 class _Shifts:
@@ -263,69 +220,66 @@ class _Shifts:
 
     ``shifts(g)`` is ``(K1p, A1, Y, AFp)`` at background ``g``, with ``AFp =
     g eps K_bar**(eps-1)`` the product ``Y`` and the consumption denominator
-    share; each float ``g`` is evaluated once.  Parameter-only factors are
+    share; each ``g`` is evaluated once.  Parameter-only factors are
     computed once, and those that can fail only where the closed forms first
     need them, so bad parameters raise as before: C1 and ``K_bar**(eps-1)`` in
     :meth:`consumption_boundary_shift`, ``nu**2`` in the first K1p and
-    ``varpi**2`` in :meth:`den`.  The parameters may be a grid's
-    (:class:`cyclefield.grid._Rows`), and ``g`` an array over its rows; of arrays, only the
-    shifts at ``g0`` are kept (``at_g0``), since the grid's iterates are new arrays.
+    ``varpi**2`` in :meth:`den`.  The ``memo`` of the parameters' ``ops``
+    keeps the shifts by ``g``, a grid's none; those at ``g0`` are also kept by
+    identity (``at_g0``).
     """
 
     def __init__(self, params: ModelParams, paper_k1_approx: bool):
         p = self.params = params
+        ops = self.ops = p.ops
         self.paper_k1_approx = paper_k1_approx
         self.g0 = p.A_bar0  # where the Gamma_3 root-find starts
         lam = self.lam = p.lam
-        self.lam_expo, self.lam_root = -0.5 * lam, _sqrt(lam)
-        self.A1_scale = 2.0 / _sqrt(math.pi * lam)
-        self.Keps = _pow(p.K_bar, p.epsilon)
+        self.lam_expo, self.lam_root = -0.5 * lam, ops.sqrt(lam)
+        self.A1_scale = 2.0 / ops.sqrt(math.pi * lam)
+        self.Keps = ops.pow(p.K_bar, p.epsilon)
         self.Keps1 = self.Keps * (1.0 - p.epsilon)
         self.avg_C0 = p.C_bar + _SQRT_2_OVER_PI * p.varpi  # the trivial phase's consumption average
         self.C1 = self.Kem1 = self.varpi2 = self.nu2 = self.at_g0 = None
-        self.memo = {}
+        self.memo = ops.memo()
 
     def consumption_boundary_shift(self) -> float:
         """C1; on the first call it and ``K_bar**(eps-1)`` are computed, in that order."""
         if self.C1 is None:
             p = self.params
             self.C1 = _consumption_boundary_shift(p)
-            self.Kem1 = _pow(p.K_bar, p.epsilon - 1.0)
+            self.Kem1 = p.ops.pow(p.K_bar, p.epsilon - 1.0)
         return self.C1
 
     def __call__(self, g: float):
-        grid = _is_grid(g)
-        got = (self.at_g0 if g is self.g0 else None) if grid else self.memo.get(g)
+        got = self.at_g0 if g is self.g0 else self.memo.get(g)
         if got is not None:
             return got
         if self.Kem1 is None:
             self.consumption_boundary_shift()
-        p = self.params
+        p, ops = self.params, self.ops
         # A1 = (2/sqrt(pi lam)) exp(-lam z^2/2) / (2 - erf(sqrt(lam) z / sqrt2)), 0 where exp underflows
         expo = self.lam_expo * g * g
-        A1 = _branch(expo < -745.0, _zero, _technology_shift, expo, self.A1_scale, self.lam_root * g)
-
+        A1 = ops.branch(expo < -745.0, _zero, _technology_shift, expo, self.A1_scale, self.lam_root * g, ops)
         AFp = g * p.epsilon * self.Kem1
         Y = p.delta - AFp
-        Y = _fail_where(Y == 0.0, lambda: SingularityError("Y = delta - Gamma3 eps K_bar^(eps-1)"), Y)
+        Y = ops.fail_where(Y == 0.0, lambda: SingularityError("Y = delta - Gamma3 eps K_bar^(eps-1)"), Y)
         u = self.avg_C0 - g * self.Keps * (1.0 - p.epsilon)
         if self.nu2 is None:
-            self.nu2 = _pow(p.nu, 2)
-        K1p = (_capital_shift_fit if self.paper_k1_approx else _capital_shift)(u, abs(Y), p.nu, self.nu2)
-        got = K1p, A1, Y, AFp
-        if not grid:
-            self.memo[g] = got
-        elif g is self.g0:
+            self.nu2 = ops.pow(p.nu, 2)
+        K1p = (_capital_shift_fit if self.paper_k1_approx else _capital_shift)(u, abs(Y), p.nu, self.nu2, ops)
+        got = self.memo[g] = K1p, A1, Y, AFp
+        if g is self.g0:
             self.at_g0 = got
         return got
 
     def den(self, Y: float, AFp: float, gamma_eta: float) -> float:
         """The denominator of :meth:`rhs` at one ``g``'s ``(Y, AFp)``; a sign change marks a pole."""
-        p = self.params
+        p, ops = self.params, self.ops
         if self.varpi2 is None:
-            self.varpi2 = _pow(p.varpi, 2)
-        ab = self.varpi2 / _nonzero(_consumption_denom(p, AFp)) + self.nu2
-        return 4.0 * Y * Y - ab * _pow(gamma_eta, 2) * Y + 2.0 * gamma_eta * self.Keps1
+            self.varpi2 = ops.pow(p.varpi, 2)
+        ab = self.varpi2 / ops.nonzero(_consumption_denom(p, AFp)) + self.nu2
+        return 4.0 * Y * Y - ab * ops.pow(gamma_eta, 2) * Y + 2.0 * gamma_eta * self.Keps1
 
     def rhs(self, gamma_eta: float):
         """The Gamma_3 self-consistency ``rhs(g)`` at condensate ``gamma_eta``."""
@@ -337,7 +291,7 @@ class _Shifts:
             K1p, A1, Y, AFp = self(g)
             num = 2.0 * (2.0 * (A_fixed + A_slope * g + A1) * Y * Y + (Cq - K1p) * gamma_eta * Y)
             den = self.den(Y, AFp, gamma_eta)
-            return num / _fail_where(den == 0.0, _pole, den)
+            return num / self.ops.fail_where(den == 0.0, _pole, den)
 
         return rhs
 
@@ -351,7 +305,7 @@ def _pole():
 # ---------------------------------------------------------------------------
 
 
-def gamma3_fixed_point(
+def _gamma3_fixed_point(
     params: ModelParams,
     gamma_eta: float,
     tol: float = 1e-12,
@@ -406,7 +360,7 @@ def gamma3_fixed_point(
             return b
         if (fb < 0.0) != (fa < 0.0):
             break
-        step *= _step_growth(fb / fa)
+        step *= q / (1.0 - q) if (q := fb / fa) <= 2.0 / 3.0 else 2.0  # the secant's factor, or 2 past q = 2/3
         a, fa = b, fb
     # Illinois: b is the newest iterate, a the retained end of the bracket
     while n < max_iter:
@@ -433,19 +387,6 @@ def gamma3_fixed_point(
     )
 
 
-def _step_growth(q):
-    """The bracket search's step factor at ``q = f(b) / f(a) > 0``: the secant's q / (1 - q), or 2 past q = 2/3."""
-    return _branch(q <= 2.0 / 3.0, _secant_ratio, _two, q)
-
-
-def _secant_ratio(q):
-    return q / (1.0 - q)
-
-
-def _two(_):
-    return 2.0
-
-
 def _false_position(a, fa, b, fb):
     """Where the secant through ``(a, fa)`` and ``(b, fb)`` meets zero."""
     return b - fb * (b - a) / (fb - fa)
@@ -455,12 +396,12 @@ def _midpoint(a, b):
     return 0.5 * (a + b)
 
 
+@_public
 def gamma3_first_order(params: ModelParams, gamma_eta: float, paper_k1_approx: bool = False) -> float:
     """First-order expansion of Gamma_3 in ``gamma_eta`` around A0/(1-kappa)."""
-    p = params
-    g0 = p.A_bar0
-    C1, K1p, _ = boundary_shifts(p, g0, paper_k1_approx=paper_k1_approx)
-    _, slope = _gamma3_slope(p, p.C_bar + C1 - K1p, _Y_of(p, g0))
+    shifts = _Shifts(params, paper_k1_approx)
+    p, g0, C1 = params, shifts.g0, shifts.consumption_boundary_shift()
+    _, slope = _gamma3_slope(p, p.C_bar + C1 - shifts(g0)[0], _Y_of(p, g0))
     return g0 - slope * gamma_eta
 
 
@@ -473,21 +414,21 @@ def _gamma3_slope(params: ModelParams, x: float, Y0: float):
     phase averages).
     """
     p = params
-    num = _pow(p.K_bar, p.epsilon) * p.A0 * (1.0 - p.epsilon) - x * Y0 * (1.0 - p.kappa)
-    return num, 0.5 * num / (Y0 * Y0 * _pow(1.0 - p.kappa, 3))
+    num = p.ops.pow(p.K_bar, p.epsilon) * p.A0 * (1.0 - p.epsilon) - x * Y0 * (1.0 - p.kappa)
+    return num, 0.5 * num / (Y0 * Y0 * p.ops.pow(1.0 - p.kappa, 3))
 
 
 def _consumption_denom(params: ModelParams, AFp: float) -> float:
     """``varsigma^2 varpi^2 + (AFp + r_c)^2``, with ``AFp = g eps K_bar^(eps-1)`` at background ``g``."""
-    p = params
-    return _pow(p.varsigma, 2) * _pow(p.varpi, 2) + _pow(AFp + p.r_c, 2)
+    p, pow_ = params, params.ops.pow
+    return pow_(p.varsigma, 2) * pow_(p.varpi, 2) + pow_(AFp + p.r_c, 2)
 
 
 def _consumption_shift(shifts: _Shifts, gamma_eta: float, Y: float, AFp: float) -> float:
     """First-order consumption shift ``varpi^2 A_bar0 gamma_eta / (2 denom |Y|)`` at one ``(Y, AFp)``."""
     p = shifts.params
     denom = 2.0 * _consumption_denom(p, AFp) * abs(Y)
-    return _pow(p.varpi, 2) * shifts.g0 * gamma_eta / denom
+    return shifts.ops.pow(p.varpi, 2) * shifts.g0 * gamma_eta / denom
 
 
 # ---------------------------------------------------------------------------
@@ -495,16 +436,16 @@ def _consumption_shift(shifts: _Shifts, gamma_eta: float, Y: float, AFp: float) 
 # ---------------------------------------------------------------------------
 
 
-def c0_window(params: ModelParams) -> tuple[float, float]:
+def _c0_window(params: ModelParams) -> tuple[float, float]:
     """Admissible window (floor, floor + U) for the offset C0.
 
     The floor's consumption scale ``sqrt(varsigma^2 varpi^2 + r_c^2)`` is
     the one the ``D`` gate of :func:`compatibility_root` uses.
     """
-    p = params
-    floor = p.alpha_laplace + _sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam
+    p, ops = params, params.ops
+    floor = p.alpha_laplace + ops.sqrt(_consumption_denom(p, 0.0)) + 1.0 / p.lam
     eps, Kb = p.epsilon, p.K_bar
-    Keps, kd = _pow(Kb, eps), p.kappa * p.delta * _pow(Kb, 1.0 - eps) / eps
+    Keps, kd = ops.pow(Kb, eps), p.kappa * p.delta * ops.pow(Kb, 1.0 - eps) / eps
     g0 = p.A_bar0
     Y0 = _Y_of(p, g0)
     t1 = (
@@ -512,11 +453,11 @@ def c0_window(params: ModelParams) -> tuple[float, float]:
         * Kb
         * p.kappa
         * Y0
-        * ((2.0 - p.kappa) * p.A0 + (3.0 - p.kappa) * p.kappa * p.delta / (eps * _pow(Kb, eps - 1.0)))
+        * ((2.0 - p.kappa) * p.A0 + (3.0 - p.kappa) * p.kappa * p.delta / (eps * ops.pow(Kb, eps - 1.0)))
         / (eps * Keps)
     )
     S = (1.0 - p.kappa) * (p.A0 + kd) + kd
-    t2 = (S * S - 2.0 * p.C_bar * S - _pow(p.C_bar, 2)) / ((1.0 - eps) * Keps)
+    t2 = (S * S - 2.0 * p.C_bar * S - ops.pow(p.C_bar, 2)) / ((1.0 - eps) * Keps)
     return floor, t1 + t2
 
 
@@ -526,7 +467,7 @@ def _raise_infeasible(fails, message, *values) -> None:
         raise InfeasiblePhaseError(message())
 
 
-def compatibility_root(
+def _compatibility_root(
     params: ModelParams, paper_k1_approx: bool = False, *, shifts: _Shifts | None = None, gate=_raise_infeasible
 ) -> dict:
     """Solve the compatibility quadratic for the condensate ``gamma_eta``.
@@ -542,16 +483,17 @@ def compatibility_root(
     p = params
     if shifts is None:
         shifts = _Shifts(p, paper_k1_approx)
-    floor, U = c0_window(p)
+    ops = shifts.ops
+    floor, U = _c0_window(p)
     gate(U <= 0.0, lambda: f"C0 window has nonpositive width U={U:.6g}", floor, U)
     gate(
-        _not((floor < p.C0) & (p.C0 < floor + U)),
+        ((floor < p.C0) & (p.C0 < floor + U)) ^ True,  # not inside, per row
         lambda: f"C0={p.C0:.6g} outside the admissible window ({floor:.6g}, {floor + U:.6g})",
     )
     g0, Keps1 = shifts.g0, shifts.Keps1
     Y0 = _Y_of(p, g0)
     D = Keps1 * (
-        p.alpha_laplace - p.C0 + _sqrt(_consumption_denom(p, 0.0)) + 1.0 / shifts.lam + abs(Y0)
+        p.alpha_laplace - p.C0 + ops.sqrt(_consumption_denom(p, 0.0)) + 1.0 / shifts.lam + abs(Y0)
     )
     gate(D < 0.0, lambda: f"compatibility gate D={D:.6g} is negative", D)
     C1 = shifts.consumption_boundary_shift()
@@ -562,8 +504,9 @@ def compatibility_root(
     linear = a2 == 0.0
     gate(linear & (b1 == 0.0), lambda: "degenerate compatibility equation", a2, b1)
     disc = b1 * b1 + 16.0 * D * a2
-    gate(_not(linear) & (disc < 0.0), lambda: "compatibility quadratic has no real root", disc)
-    x = _branch(linear, _linear_root, _quadratic_root, D, a2, b1, disc)
+    gate((linear ^ True) & (disc < 0.0), lambda: "compatibility quadratic has no real root", disc)
+    # each root divides by what is zero where the other applies
+    x = ops.branch(linear, _linear_root, _quadratic_root, D, a2, b1, disc, ops)
     gamma_eta = x * Y0 / Keps1
     bound = 8.0 * abs(Y0) * U / Keps1
     gate(
@@ -583,12 +526,12 @@ def compatibility_root(
     }
 
 
-def _linear_root(D, a2, b1, disc):
+def _linear_root(D, a2, b1, disc, ops):
     return 4.0 * D / b1
 
 
-def _quadratic_root(D, a2, b1, disc):
-    return (-b1 - _sqrt(disc)) / (2.0 * a2)
+def _quadratic_root(D, a2, b1, disc, ops):
+    return (-b1 - ops.sqrt(disc)) / (2.0 * a2)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +541,7 @@ def _quadratic_root(D, a2, b1, disc):
 LAMBDA_LARGE_THRESHOLD = 10.0
 
 
+@_public
 def phase_existence(params: ModelParams) -> dict:
     """Report the nontrivial-phase existence conditions.
 
@@ -617,7 +561,7 @@ def _existence(params: ModelParams, floor: float, U: float) -> dict:
     gamma_positive = p.gamma > 0.0
     a0_bound = (1.0 + _SQRT_2) * p.C_bar
     A0_large = p.A0 > a0_bound
-    K_1_eps = _pow(p.K_bar, 1.0 - p.epsilon)
+    K_1_eps = p.ops.pow(p.K_bar, 1.0 - p.epsilon)
     refined_bound = (a0_bound - (2.0 - p.kappa) * p.kappa * p.delta * K_1_eps / p.epsilon) / (1.0 - p.kappa)
     A0_large_refined = p.A0 > refined_bound
     lam_large = p.lam >= LAMBDA_LARGE_THRESHOLD
@@ -652,11 +596,11 @@ def _trivial_averages(shifts: _Shifts, K1p: float):
     x = avg_C - K1p
     avg_K = (g0 * shifts.Keps1 - x) / shifts(g0)[2]
     base = abs(avg_K)  # magnitude is the capital scale (see module sign note)
-    base = _fail_where(base <= 0.0, lambda: DomainError("trivial-phase capital scale is nonpositive"), base)
-    return avg_C, avg_K, g0 * _pow(base, p.epsilon), x
+    base = shifts.ops.fail_where(base <= 0.0, lambda: DomainError("trivial-phase capital scale is nonpositive"), base)
+    return avg_C, avg_K, g0 * shifts.ops.pow(base, p.epsilon), x
 
 
-def stability_check(
+def _stability_check(
     params: ModelParams, gamma_eta: float, gamma3: float, avg_K: float, avg_A: float
 ) -> dict:
     """Evaluate the three stability brackets and the condensate product.
@@ -664,19 +608,19 @@ def stability_check(
     The capital scale enters through its magnitude (see the module sign
     note).  Returns a dict with each bracket and the overall verdict.
     """
-    p = params
+    p, ops = params, params.ops
     Y = _Y_of(p, gamma3)
     lam = p.lam
-    Kmag = _where(avg_K != 0.0, abs(avg_K), p.K_bar)
-    r_hat = p.epsilon * gamma3 * _pow(Kmag, p.epsilon - 1.0)
-    s_ = _sqrt(_consumption_denom(p, r_hat))
-    Yv, root_Y, root_lam, root_lam_s = abs(Y), _sqrt(abs(Y)), _sqrt(lam), _sqrt(lam * s_)
+    Kmag = ops.where(avg_K != 0.0, abs(avg_K), p.K_bar)
+    r_hat = p.epsilon * gamma3 * ops.pow(Kmag, p.epsilon - 1.0)
+    s_ = ops.sqrt(_consumption_denom(p, r_hat))
+    Yv, root_Y, root_lam, root_lam_s = abs(Y), ops.sqrt(abs(Y)), ops.sqrt(lam), ops.sqrt(lam * s_)
     b1 = 2.0 * s_ - gamma_eta * p.varpi / root_lam_s
     b2 = 2.0 * Yv - gamma_eta * root_Y * p.nu / root_lam
     b3 = 1.0 / lam - gamma_eta * (
         root_Y * p.nu / (2.0 * root_lam)
         + p.varpi / (2.0 * root_lam_s)
-        + 2.0 * _pow(p.K_bar, p.epsilon) * (1.0 - p.epsilon) / (lam * Yv)
+        + 2.0 * ops.pow(p.K_bar, p.epsilon) * (1.0 - p.epsilon) / (lam * Yv)
     )
     product = p.gamma * abs(avg_K) * avg_A
     stable = (b1 > 0.0) & (b2 > 0.0) & (b3 > 0.0) & (product > 0.0)
@@ -702,10 +646,7 @@ def solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool = False) 
     of an underflowed tail mass, a field that comes out infinite or NaN)
     raise :class:`SingularityError`.
     """
-    try:
-        sol = _solve_phase(params, phase, paper_k1_approx)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        raise SingularityError(f"phase-{phase} closed forms left the double range ({exc})") from exc
+    sol = _in_double_range(f"phase-{phase}", _solve_phase, params, phase, paper_k1_approx)
     values = _float_fields(sol)
     if not math.isfinite(sum(values)):  # a NaN or an infinity makes the sum non-finite
         bad = [k for k, v in zip(_FLOAT_FIELDS, values) if not math.isfinite(v)]
@@ -724,12 +665,12 @@ def _solve_phase(params: ModelParams, phase: int, paper_k1_approx: bool) -> Phas
     p = params
     shifts = _Shifts(p, paper_k1_approx)
     if phase == 0:
-        g3 = gamma3_fixed_point(p, 0.0, paper_k1_approx=paper_k1_approx, shifts=shifts)
+        g3 = _gamma3_fixed_point(p, 0.0, shifts=shifts)
         return PhaseSolution(*_phase0(p, shifts, g3))
     if phase != 1:
         raise DomainError(f"phase must be 0 or 1, got {phase!r}")
-    comp = compatibility_root(p, paper_k1_approx=paper_k1_approx, shifts=shifts)
-    g3 = gamma3_fixed_point(p, comp["gamma_eta"], paper_k1_approx=paper_k1_approx, shifts=shifts)
+    comp = _compatibility_root(p, shifts=shifts)
+    g3 = _gamma3_fixed_point(p, comp["gamma_eta"], shifts=shifts)
     return PhaseSolution(*_phase1(p, shifts, comp, g3)[0])
 
 
@@ -757,10 +698,10 @@ def _phase1(p, shifts: _Shifts, comp: dict, g3):
     K1p, A1, Y, AFp = shifts(g3)
     g0 = shifts.g0
     K1p0, _, Y0, AFp0 = shifts(g0)
-    eps, Kb, Keps, Keps1 = p.epsilon, p.K_bar, shifts.Keps, shifts.Keps1
+    eps, Kb, Keps, Keps1, ops = p.epsilon, p.K_bar, shifts.Keps, shifts.Keps1, shifts.ops
 
     Gamma1 = p.C_bar + shifts.C1 - _consumption_shift(shifts, ge, Y, AFp)
-    Gamma2 = K1p - (_pow(p.nu, 2) * g0 * Y + Keps1 * (1.0 - Y) * K1p) * ge / (2.0 * Y * Y)
+    Gamma2 = K1p - (ops.pow(p.nu, 2) * g0 * Y + Keps1 * (1.0 - Y) * K1p) * ge / (2.0 * Y * Y)
 
     # first-order averages, correction coefficients at zeroth order
     avg_C0, avg_K0, avg_Y0, x = _trivial_averages(shifts, K1p0)
@@ -772,29 +713,29 @@ def _phase1(p, shifts: _Shifts, comp: dict, g3):
         * Keps
         * slope_num
         * (eps * x - Kb * p.delta * (1.0 - eps))
-        / (_pow(Y0, 4) * Kb * _pow(1.0 - p.kappa, 3))
+        / (ops.pow(Y0, 4) * Kb * ops.pow(1.0 - p.kappa, 3))
         * ge
     )
-    t2 = -Keps1 * (1.0 - Y0) * K1p0 * ge / (2.0 * _pow(Y0, 3))
-    t3 = -_pow(p.nu, 2) * g0 * ge / (2.0 * Y0 * Y0)
-    t4 = -_pow(p.varpi, 2) * g0 * ge / (2.0 * _consumption_denom(p, AFp0) * Y0 * Y0)
+    t2 = -Keps1 * (1.0 - Y0) * K1p0 * ge / (2.0 * ops.pow(Y0, 3))
+    t3 = -ops.pow(p.nu, 2) * g0 * ge / (2.0 * Y0 * Y0)
+    t4 = -ops.pow(p.varpi, 2) * g0 * ge / (2.0 * _consumption_denom(p, AFp0) * Y0 * Y0)
     avg_K = avg_K0 + t1 + t2 + t3 + t4
     r_bar = eps * Keps * p.A0 / (1.0 - p.kappa)
     coef = slope * (1.0 - eps * (1.0 + p.delta / r_bar))
-    avg_Y = avg_Y0 - coef * _pow(abs(avg_K0), eps) * ge
+    avg_Y = avg_Y0 - coef * ops.pow(abs(avg_K0), eps) * ge
 
     # mass gap
     A_bar1 = p.A0 + p.kappa * g3
     mix = (1.0 - p.kappa) * A_bar1 + p.kappa * g3
     mass = (
-        _pow(A_bar1, 2)
-        - _pow(mix, 2)
-        + (_pow(mix, 2) - 2.0 * p.C_bar * ((1.0 - p.kappa) * A_bar1 + p.kappa * A_bar1) - _pow(Gamma1, 2))
+        ops.pow(A_bar1, 2)
+        - ops.pow(mix, 2)
+        + (ops.pow(mix, 2) - 2.0 * p.C_bar * ((1.0 - p.kappa) * A_bar1 + p.kappa * A_bar1) - ops.pow(Gamma1, 2))
         / ((1.0 - eps) * Keps)
     )
 
     existence = _existence(p, comp["window_floor"], comp["window_width"])
-    stab = stability_check(p, ge, g3, avg_K, avg_A)
+    stab = _stability_check(p, ge, g3, avg_K, avg_A)
     # the existence conditions, a positive mass gap and anchors an AgentState accepts
     feasible = existence["feasible"] & (mass > 0.0) & (Gamma1 >= 0.0) & (A_bar1 >= 0.0)
     fields = (  # by position, as in phase 0
@@ -808,3 +749,8 @@ def _phase1(p, shifts: _Shifts, comp: dict, g3):
 
 _STABILITY_VALUES = ("bracket_consumption", "bracket_capital", "bracket_technology", "condensate_product")
 
+
+# the entry points that a solve shares; it calls their own forms, and names its errors itself
+c0_window, compatibility_root, gamma3_fixed_point, stability_check = map(
+    _public, (_c0_window, _compatibility_root, _gamma3_fixed_point, _stability_check)
+)

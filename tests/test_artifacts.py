@@ -9,7 +9,6 @@ import hashlib
 import math
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -109,11 +108,11 @@ def test_solver_branch_scans_pinned(tmp_path, monkeypatch, argv, digest, statuse
         return wrapper
 
     # math.erfc at a negative argument is the u >= 0 branch of the exact K1p
-    # (_erfcx only passes x >= 0); math.log is called only by the exact form
-    fake_math = SimpleNamespace(**vars(math))
-    fake_math.erfc = counted(math.erfc, lambda x: "erfc<0" if x < 0.0 else "erfc>=0")
-    fake_math.log = counted(math.log, lambda x: "log")
-    monkeypatch.setattr(phases, "math", fake_math)
+    # (_erfcx only passes x >= 0); math.log is called only by the exact form.
+    # A grid's rows reach them per element through grid.ARRAY_OPS.
+    erfc = counted(math.erfc, lambda x: "erfc<0" if x < 0.0 else "erfc>=0")
+    monkeypatch.setattr(grid.ARRAY_OPS, "erfc", grid._per_row(erfc))
+    monkeypatch.setattr(grid.ARRAY_OPS, "log", grid._per_row(counted(math.log, lambda x: "log")))
     # the grid solve's rows per phase, and the rows left to the one-row solve
     grid_rows, solve_rows = Counter(), grid._solve_rows
 

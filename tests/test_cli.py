@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclefield import cli, green, montecarlo
+from cyclefield import cli, green, grid, montecarlo
 from cyclefield.cli import run
 from cyclefield.errors import InfeasiblePhaseError, ParameterError
 from cyclefield.params import ModelParams
@@ -255,6 +255,21 @@ class TestPhaseScan:
         statuses = ["ok", "singular", "infeasible", "ok", "infeasible", "singular", "ok"]
         assert [r["status"] for r in self.parse(text)] == statuses
         assert err.startswith("error: numerical failure in 2 of 7 rows; first: A0=3.6919039012615511: ")
+
+    def test_each_block_is_written_before_the_next_is_solved(self, tmp_path, monkeypatch):
+        # a scan holds one block's text at a time: when a block is solved, the
+        # header and every row of the blocks before it are in the file
+        monkeypatch.setattr(cli, "_SCAN_ROWS", 2)
+        out, solve_grid, lines_written = tmp_path / "out.csv", grid.solve_grid, []
+
+        def solve_after_looking(*args):
+            lines_written.append(out.read_text().count("\n") if out.exists() else None)
+            return solve_grid(*args)
+
+        monkeypatch.setattr(grid, "solve_grid", solve_after_looking)
+        assert run(["phase-scan", "--key", "A0", "--values", "7,8,9,10,11", "--output", str(out)]) == 0
+        assert lines_written == [1, 3, 5]
+        assert out.read_text().count("\n") == 6
 
     def test_values_and_range_mutually_exclusive(self, tmp_path):
         code, _ = invoke(

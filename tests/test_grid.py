@@ -275,3 +275,74 @@ def test_lockstep_gamma3_visits_the_scalar_iterates(key, lo, hi, max_iter):
         except (ConvergenceError, SingularityError):
             want = math.nan
         assert got == want or math.isnan(got) and math.isnan(want), (key, value, ge)
+
+
+# arguments for each op of the two namespaces: a list is a column over five rows
+OP_ARGS = {
+    "exp": [([-1000.0, 0.0, 1.5, 709.0, 800.0],), (0.5,), (800.0,)],
+    "log": [([0.0, -1.0, 1e-300, 2.0, math.inf],), (2.0,), (0.0,)],
+    "erf": [([-30.0, -0.5, 0.0, 0.5, 30.0],), (0.5,)],
+    "erfc": [([-30.0, -0.5, 0.0, 0.5, 30.0],), (-0.5,)],
+    "pow": [
+        ([-1.0, 2.0, 1e200, 0.0, 10.0], [0.5, 3.0, 2.0, -1.0, 0.3]),
+        (10.0, [0.5, 3.0, 400.0, -1.0, 0.3]),
+        ([-1.0, 2.0, 1e200, 0.0, 10.0], 2),
+        (2.0, 0.5),
+        (1e200, 2),
+    ],
+    "sqrt": [([-1.0, 0.0, 2.0, 1e-310, math.inf],), (2.0,), (-1.0,)],
+    "where": [
+        ([True, False, True, False, True], [1.0, -0.0, 3.0, 4.0, -5.0], [0.0, 0.0, -1.0, 2.0, 7.0]),
+        (False, 1.0, 2.0),
+    ],
+    "branch": [
+        ([True, False, True, False, True], lambda v: 2.0 * v, lambda v: v - 1.0, [1.0, -0.0, 3.0, 4.0, -5.0]),
+        (True, lambda v: 2.0 * v, lambda v: v - 1.0, 1.5),
+    ],
+    "fail_where": [
+        ([True, False, False, True, False], lambda: SingularityError("row"), [1.0, -0.0, 3.0, 4.0, -5.0]),
+        (False, lambda: SingularityError("row"), 2.0),
+        (True, lambda: SingularityError("row"), 2.0),
+    ],
+}
+
+
+def _float_row(f, args):
+    """``repr`` of ``f`` on one row's floats, or ``'nan'`` where it raises or gives no float."""
+    try:
+        got = f(*args)
+    except (ArithmeticError, ValueError, CycleFieldError):
+        return "nan"
+    return repr(got) if isinstance(got, float) else "nan"
+
+
+def test_the_namespaces_have_the_same_ops():
+    def names(ops):
+        return sorted(k for k in vars(ops) if not k.startswith("__"))
+
+    assert names(grid.ARRAY_OPS) == names(phases.FLOAT_OPS)
+    assert set(names(phases.FLOAT_OPS)) == set(OP_ARGS) | {"nonzero", "memo"}
+
+
+@pytest.mark.parametrize("name", sorted(OP_ARGS))
+def test_each_array_op_is_the_float_op_row_by_row(name):
+    # NaN where the float op raises, for the one-row solve to settle; on
+    # floats alone (a step that every row shares) it is the float op
+    float_op, array_op = getattr(phases.FLOAT_OPS, name), getattr(grid.ARRAY_OPS, name)
+    for args in OP_ARGS[name]:
+        columns = [np.array(a) if isinstance(a, list) else a for a in args]
+        if not any(isinstance(a, np.ndarray) for a in columns):
+            assert _float_row(array_op, args) == _float_row(float_op, args), (name, args)
+            continue
+        with np.errstate(all="ignore"):
+            got = array_op(*columns)
+        rows = [[a[i] if isinstance(a, list) else a for a in args] for i in range(5)]
+        assert [repr(v) for v in got.tolist()] == [_float_row(float_op, row) for row in rows], (name, args)
+
+
+def test_array_nonzero_is_nan_where_a_float_division_by_it_raises():
+    d = [0.0, -0.0, 2.0, 1e-310, -3.0]
+    with np.errstate(all="ignore"):
+        got = 1.0 / grid.ARRAY_OPS.nonzero(np.array(d))
+    want = [_float_row(lambda x: 1.0 / phases.FLOAT_OPS.nonzero(x), [x]) for x in d]
+    assert [repr(v) for v in got.tolist()] == want == ["nan", "nan", "0.5", repr(1.0 / 1e-310), repr(-1 / 3.0)]

@@ -318,6 +318,42 @@ class TestShiftEvaluator:
         assert type(err.value) is error and str(err.value) == message
 
 
+# each public entry point at in-domain parameters where one of its closed forms overflows a double
+ENTRY_CALLS = {
+    "c0_window": c0_window,
+    "compatibility_root": compatibility_root,
+    "gamma3_fixed_point": lambda p: gamma3_fixed_point(p, 0.003),
+    "boundary_shifts": lambda p: boundary_shifts(p, p.A_bar0),
+    "gamma3_first_order": lambda p: gamma3_first_order(p, 0.003),
+    "stability_check": lambda p: stability_check(p, 0.003, p.A_bar0, p.K_bar, p.A_bar0),
+}
+OVERFLOWING = [
+    *(("c0_window", {key: 1e200}) for key in ("C_bar", "varsigma", "varpi", "r_c")),
+    *(("compatibility_root", {key: 1e200}) for key in ("varsigma", "varpi", "r_c", "nu")),
+    *(("gamma3_fixed_point", {key: 1e200}) for key in ("varsigma", "varpi", "r_c", "nu")),
+    ("boundary_shifts", {"nu": 1e200}),
+    ("gamma3_first_order", {"nu": 1e200}),
+    ("stability_check", {"A0": 1e300}),
+]
+
+
+@pytest.mark.parametrize("entry,change", OVERFLOWING, ids=[f"{e}-{','.join(c)}" for e, c in OVERFLOWING])
+def test_entry_points_raise_a_typed_error_out_of_the_double_range(entry, change):
+    # as solve_phase does, named for the entry point
+    with pytest.raises(SingularityError) as err:
+        ENTRY_CALLS[entry](ModelParams(**change))
+    assert str(err.value).startswith(
+        f"vanishing factor in closed form: {entry} closed forms left the double range ("
+    )
+
+
+@pytest.mark.parametrize("key", ["C_bar", "varsigma", "varpi", "r_c"])
+def test_existence_reports_a_window_out_of_the_double_range_as_nan(key):
+    report = phase_existence(ModelParams(**{key: 1e200}))
+    assert math.isnan(report["window_floor"]) and math.isnan(report["window_width"])
+    assert not report["window_ok"] and not report["feasible"]
+
+
 class TestCompatibility:
     def test_base_configuration_admits_condensate(self, params):
         root = compatibility_root(params)
